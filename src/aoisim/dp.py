@@ -9,7 +9,9 @@ successful link (m -> i) moves pair (k, i) to min(A_ki, A_km) + 1.
 
 Iteration uses the standard laziness transform (mix each action's kernel
 with a self-loop) so periodic optimal cycles cannot stall convergence; the
-transform changes neither the optimal gain nor the argmin actions.
+transform changes neither the optimal gain nor the argmin actions. The
+same transform drives the power iteration for the stationary distribution
+of the optimal closed loop, which gives the per-pair average costs.
 
 Only meant for desk-scale instances; the joint state space is guarded by an
 explicit cap.
@@ -28,7 +30,8 @@ class StateSpaceError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when relative value iteration hits the iteration cap."""
+    """Raised when relative value iteration, or the power iteration for the
+    policy's stationary distribution, hits the iteration cap."""
 
 
 @dataclass
@@ -74,14 +77,15 @@ def _action_links(instance, action, tracked_set):
 
 
 def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
-               state_cap=5_000_000, max_iter=30_000, laziness=0.9,
-               avg_horizon=200_000, avg_seed=0):
+               state_cap=5_000_000, max_iter=30_000, laziness=0.9):
     """Optimal stationary policy and gain for the average age cost objective.
 
-    Returns a DpSolution whose ``per_pair_average`` holds the per-pair
-    time-average costs under the optimal policy: exact limit-cycle averages
-    when every channel is reliable (the closed loop is deterministic), and a
-    long simulated average otherwise.
+    Returns a DpSolution whose ``per_pair_average`` holds the exact per-pair
+    time-average costs under the optimal policy, for reliable and unreliable
+    channels alike, from the closed loop started with every age at 1: the
+    mean over its limit cycle when it is deterministic, else the averages
+    under its stationary distribution, found by the same lazy power
+    iteration (up to ``max_iter`` steps) over the states it reaches.
 
     The span of successive value differences brackets the gain, so the gain
     is accurate to ``tolerance`` at termination. Ties between equally good
@@ -102,11 +106,13 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
 
     ages = np.arange(1, a_cap + 1, dtype=float)
     cost = np.zeros(dims)
+    pair_costs = {}  # destination pair -> (coordinate, cost by age index)
     for p, pair in enumerate(pairs):
         if pair in dest_pairs:
             f = cost_fns[pair]
             vals = np.array([f(int(a)) for a in ages])
             cost = cost + vals[grids[p]]
+            pair_costs[pair] = (p, vals)
 
     pair_pos = {pair: p for p, pair in enumerate(pairs)}
     actions = list(instance.action_space.actions)
@@ -188,71 +194,82 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
             best_val[better] = e[better]
             policy[better] = a_i
 
-    per_pair = _per_pair_averages(instance, cost_fns, pairs, dest_pairs, a_cap,
-                                  actions, policy, dims, avg_horizon, avg_seed)
+    # release the iteration's state-sized scratch arrays before the next stage
+    del best, e, th, delta, best_val, cost, cost_flat
+    per_pair = _stationary_averages(policy, outcomes_per_action, pair_costs, dims,
+                                    tau, max_iter)
     return DpSolution(gain=gain, per_pair_average=per_pair, pairs=pairs,
                       a_cap=a_cap, policy=policy,
                       relative_values=h, actions=actions,
                       residual_span=span, iterations=it)
 
 
-def _step_state(state, action, success_bits, pairs, pair_pos, a_cap):
-    out = list(state)
-    delivered = {}
-    for bit, (tx, rx, k) in zip(success_bits, action):
-        if not bit or (k, rx) not in pair_pos:
-            continue
-        if tx != k and (k, tx) not in pair_pos:
-            continue  # transmitter can never hold this flow
-        g = 0 if tx == k else state[pair_pos[(k, tx)]] + 1  # sender's age value
-        key = (k, rx)
-        delivered[key] = min(delivered.get(key, 10 ** 9), g)
-    for p, pair in enumerate(pairs):
-        a = state[p] + 1  # value of this age coordinate
-        g = delivered.get(pair)
-        na = a + 1 if g is None else min(a, g) + 1
-        out[p] = min(na, a_cap) - 1
-    return tuple(out)
+def _stationary_averages(policy, outcomes_per_action, pair_costs, dims, tau,
+                         max_iter):
+    """Per-pair long-run average costs of the closed loop that starts with
+    every age at 1 (flat index 0), over the states the policy reaches from
+    there through outcomes of positive probability.
 
+    A deterministic loop (one outcome per reached state, as with reliable
+    channels) ends in a cycle, and the average is the mean over that cycle.
+    Otherwise the lazy power iteration pi <- (1 - tau) pi + tau pi P runs
+    until pi moves by less than 1e-10 in L1 norm; on a cycle it would leave
+    last-bit noise where the cycle mean is exact.
+    ``pair_costs`` maps each pair to its (coordinate, cost by age index).
+    """
+    reached = np.zeros(policy.size, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        acts = policy[frontier]
+        succ = np.unique(np.concatenate([
+            flat[frontier[acts == a_i]]
+            for a_i, outs in enumerate(outcomes_per_action) for (_w, flat) in outs]))
+        frontier = succ[~reached[succ]]
+        reached[frontier] = True
+    states = np.flatnonzero(reached)  # state 0 stays at position 0
 
-def _per_pair_averages(instance, cost_fns, pairs, dest_pairs, a_cap, actions,
-                       policy, dims, horizon, seed):
-    pair_pos = {pair: p for p, pair in enumerate(pairs)}
-    deterministic = all(p == 1.0 for p in instance.reliability.values())
-    state = tuple([0] * len(pairs))  # every age at 1
+    # closed-loop transitions src -> dst with probability wt, as positions
+    # in ``states``
+    acts = policy[states]
+    src, dst, wt = [], [], []
+    for a_i, outs in enumerate(outcomes_per_action):
+        pos = np.flatnonzero(acts == a_i)
+        for (w, flat) in outs:
+            src.append(pos.astype(np.int32))
+            dst.append(np.searchsorted(states, flat[states[pos]]).astype(np.int32))
+            wt.append(np.full(pos.size, w))
+    src, dst, wt = np.concatenate(src), np.concatenate(dst), np.concatenate(wt)
 
-    def act_of(s):
-        return actions[int(policy[np.ravel_multi_index(s, dims)])]
+    weights = np.zeros(states.size)
+    if src.size == states.size:
+        successor = np.empty_like(dst)
+        successor[src] = dst
+        path = [0]
+        while (s := int(successor[path[-1]])) not in path:
+            path.append(s)
+        cycle = path[path.index(s):]
+        weights[cycle] = 1.0
+        scale = len(cycle)
+    else:
+        weights[0] = 1.0
+        for _ in range(max_iter):
+            nxt = np.bincount(dst, weights=weights[src] * wt, minlength=states.size)
+            nxt *= tau
+            nxt += (1.0 - tau) * weights
+            moved = float(np.abs(nxt - weights).sum())
+            weights = nxt
+            if moved < 1e-10:
+                break
+        else:
+            raise ConvergenceError(
+                f"stationary distribution not converged within iteration cap "
+                f"({max_iter} iterations, L1 step {moved:g})")
+        scale = 1.0
 
-    if deterministic:
-        seen = {}
-        path = []
-        while state not in seen:
-            seen[state] = len(path)
-            path.append(state)
-            action = act_of(state)
-            state = _step_state(state, action, [True] * len(action), pairs,
-                                pair_pos, a_cap)
-        cycle = path[seen[state]:]
-        sums = {pair: 0.0 for pair in dest_pairs}
-        for s in cycle:
-            for pair in dest_pairs:
-                sums[pair] += cost_fns[pair](s[pair_pos[pair]] + 1)
-        return {pair: sums[pair] / len(cycle) for pair in sorted(dest_pairs)}
-
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD9A11)))
-    warmup = horizon // 10
-    sums = {pair: 0.0 for pair in dest_pairs}
-    count = 0
-    for t in range(horizon):
-        action = act_of(state)
-        bits = [rng.random() < instance.edge_prob(tx, rx) for (tx, rx, _k) in action]
-        state = _step_state(state, action, bits, pairs, pair_pos, a_cap)
-        if t >= warmup:
-            count += 1
-            for pair in dest_pairs:
-                sums[pair] += cost_fns[pair](state[pair_pos[pair]] + 1)
-    return {pair: sums[pair] / count for pair in sorted(dest_pairs)}
+    coords = np.unravel_index(states, dims)
+    return {pair: float(weights @ vals[coords[p]]) / scale
+            for pair, (p, vals) in sorted(pair_costs.items())}
 
 
 def export_table(solution, path):

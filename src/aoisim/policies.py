@@ -9,6 +9,14 @@ walking the "freshest success" distribution (O(links), no subset
 enumeration). Intermediate queues are deterministic given the action when
 the relay is forwarding, and otherwise shadow their destination queue's
 outcome distribution.
+
+One pass per slot scores every action. A pair's drift terms depend on the
+action only through its block: the links that can deliver into the pair and
+each relay's hop distance when it forwards. Actions share blocks, so a slot
+computes each distinct next-age distribution and block once and gathers the
+terms into a (term x action) table. The table's rows are added in order,
+as a per-action running sum would: the argmin breaks ties on exact float
+equality, so another summation order would silently change trajectories.
 """
 
 from __future__ import annotations
@@ -33,66 +41,78 @@ class PolicyDecision:
 
 
 class DriftEvaluator:
-    """Precomputed per-action structure for exact expected drift.
+    """Exact expected drift of every action, scored in one pass per slot.
 
-    Built once per (instance, cost set); safe to reuse across slots because
-    it only depends on the action space and topology.
+    Built once per (instance, cost set) from the action space and topology.
+    ``index`` gathers the slot's flat term list into the (term x action)
+    table; its rows are each pair's destination term, then its relay terms
+    (a relay's hop distance is None when it does not forward), pair after
+    pair, the order of the per-action sum.
     """
 
     def __init__(self, instance, cost_fns):
-        self.instance = instance
         self.cost_fns = cost_fns
-        actions = instance.action_space.actions
         tracked = instance.tracked_pairs()
-        self.tracked = tracked
-        dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
-        self.dest_pairs = dest_pairs
-        # intermediates grouped by their destination pair
-        self.intermediates = {pair: [] for pair in dest_pairs}
-        for f in instance.flows:
-            for j in sorted(f.destinations):
-                for i in instance.relays(f):
-                    self.intermediates[(f.source, j)].append(i)
-
-        # per action: (k, i) -> [(m, p_edge)] links that can deliver flow k to i
-        self.pair_links = []
-        # per action: (k, i) -> tuple of directed edges node i sends flow k on
-        self.forward_sets = []
-        # per action: (k, j, i) -> restricted hop distance (None = unreachable)
-        self.case1_h = []
         tracked_set = set(tracked)
-        hop_cache = {}
-        for action in actions:
-            links = {}
-            fwd = {}
+        dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+        relays = {f.source: instance.relays(f) for f in instance.flows}
+        self.dist_keys = []  # distinct (pair, links) keys, destination pairs first
+        dist_ids = {}
+
+        def dist_id(pair, links):
+            key = (pair, links.get(pair, ()))
+            if key not in dist_ids:
+                dist_ids[key] = len(self.dist_keys)
+                self.dist_keys.append(key)
+            return dist_ids[key]
+
+        self.blocks = []    # (pair, dist id, ((relay, h or None), ...))
+        block_start = {}    # block -> flat position of its first term
+        n_terms = 0
+        action_links = []
+        index = []          # per action: flat term position of each row
+        for action in instance.action_space.actions:
+            # pair -> links (m, p_edge) that can deliver its flow to it, and
+            # (node, flow) -> directed edges the node sends that flow on
+            links, fwd = {}, {}
             for (tx, rx, k) in action:
                 if (k, rx) in tracked_set:
-                    p = instance.edge_prob(tx, rx)
-                    links.setdefault((k, rx), []).append((tx, p))
+                    links.setdefault((k, rx), []).append((tx, instance.edge_prob(tx, rx)))
                 fwd.setdefault((tx, k), []).append((tx, rx))
-            h_map = {}
-            for (i, k), L in fwd.items():
-                flow = instance.flow_by_source.get(k)
-                if flow is None:
-                    continue
-                for j in sorted(flow.destinations):
-                    if i in self.intermediates.get((k, j), ()):
-                        key = (i, j, tuple(sorted(L)))
-                        if key not in hop_cache:
-                            hop_cache[key] = restricted_hop_distance(
-                                instance.adjacency, i, j, L)
-                        h_map[(k, j, i)] = hop_cache[key]
-            self.pair_links.append(links)
-            self.forward_sets.append({ik: tuple(v) for ik, v in fwd.items()})
-            self.case1_h.append(h_map)
+            links = {pair: tuple(v) for pair, v in links.items()}
+            action_links.append(links)
+            col = []
+            for pair in dest_pairs:
+                k, j = pair
+                relay_h = []
+                for i in relays[k]:
+                    L = fwd.get((i, k))
+                    h = restricted_hop_distance(instance.adjacency, i, j, L) if L else None
+                    relay_h.append((i, h))
+                block = (pair, dist_id(pair, links), tuple(relay_h))
+                if block not in block_start:
+                    self.blocks.append(block)
+                    block_start[block] = n_terms
+                    n_terms += 1 + len(relay_h)
+                start = block_start[block]
+                col.extend(range(start, start + 1 + len(relay_h)))
+            index.append(col)
+        self.index = np.array(index, dtype=np.intp).T.copy()
+        self.n_scored = len(self.dist_keys)
+        # per action: distribution id of every tracked pair, in tracked order
+        self.action_dists = [[dist_id(pair, links) for pair in tracked]
+                             for links in action_links]
 
-    def next_age_dist(self, action_idx, pair, age, buffer):
-        """Distribution of the pair's next age under the action:
-        [(next_age, prob)], prob summing to 1."""
+    @staticmethod
+    def next_age_dist(key, age, buffer):
+        """Distribution of the pair's next age given the links that can
+        deliver into it, key = (pair, links): [(next_age, prob)], prob
+        summing to 1."""
+        pair, links = key
         k, _ = pair
         a_now = age[pair]
         cands = []
-        for (m, p) in self.pair_links[action_idx].get(pair, ()):
+        for (m, p) in links:
             if m == k:
                 cands.append((0, p))  # fresh stamp at transmission
             elif (m, k) in buffer and (k, m) in age:
@@ -114,47 +134,51 @@ class DriftEvaluator:
             merged[v] = merged.get(v, 0.0) + p
         return tuple(sorted(merged.items()))
 
-    def drift(self, action_idx, debt, age, buffer, targets):
-        """Exact E[L(t+1) - L(t)] for the action at the given state."""
-        total = 0.0
-        case1 = self.case1_h[action_idx]
-        fwd = self.forward_sets[action_idx]
-        for pair in self.dest_pairs:
+    def score(self, debt, age, buffer, targets):
+        """Exact E[L(t+1) - L(t)] of every action, as a list by action
+        index, and the slot's next-age distributions of the scored keys."""
+        dists = [self.next_age_dist(key, age, buffer)
+                 for key in self.dist_keys[:self.n_scored]]
+        terms = []
+        add = terms.append
+        intermediate = debt.intermediate
+        for (pair, d, relay_h) in self.blocks:
             k, j = pair
             f = self.cost_fns[pair]
             alpha = targets[pair]
-            dist = self.next_age_dist(action_idx, pair, age, buffer)
+            dist = dists[d]
             q = debt.dest[pair]
             exp_sq = 0.0
             for (a_next, p) in dist:
                 nq = q + f(a_next) - alpha
                 if nq > 0.0:
                     exp_sq += p * nq * nq
-            total += exp_sq - q * q
-
-            for i in self.intermediates[pair]:
-                qi = debt.intermediate.get((k, j, i))
+            add(exp_sq - q * q)
+            for (i, h) in relay_h:
+                qi = intermediate.get((k, j, i))
                 if qi is None:
-                    continue  # run configured with destination-only debt
-                h = case1.get((k, j, i))
-                if h is not None and (i, k) in buffer and fwd.get((i, k)):
+                    add(0.0)  # run configured with destination-only debt
+                elif h is not None and (i, k) in buffer:
                     nq = qi + f(min(age[(k, i)], age[pair]) + h) - alpha
-                    total += (nq * nq if nq > 0.0 else 0.0) - qi * qi
+                    add((nq * nq if nq > 0.0 else 0.0) - qi * qi)
                 else:
                     exp_sq = 0.0
                     for (a_next, p) in dist:
                         nq = qi + f(a_next) - alpha
                         if nq > 0.0:
                             exp_sq += p * nq * nq
-                    total += exp_sq - qi * qi
-        return total
+                    add(exp_sq - qi * qi)
+        # add the rows in order, as a per-action `total += term` loop would;
+        # accumulate is sequential for every shape, while a reduction over
+        # a single action's column may sum pairwise
+        return np.add.accumulate(np.array(terms)[self.index], axis=0)[-1].tolist(), dists
 
-    def expected_age_sum(self, action_idx, age, buffer):
-        """E[sum of all tracked ages next slot]; the freshness tie-breaker."""
+    def expected_age_sum(self, action_idx, dists):
+        """E[sum of all tracked ages next slot]; the freshness tie-breaker.
+        ``dists`` must cover every distribution key."""
         total = 0.0
-        for pair in self.tracked:
-            dist = self.next_age_dist(action_idx, pair, age, buffer)
-            for (a_next, p) in dist:
+        for d in self.action_dists[action_idx]:
+            for (a_next, p) in dists[d]:
                 total += p * a_next
         return total
 
@@ -172,7 +196,7 @@ def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
     instance's action space, given as tuple or index)."""
     ev = get_drift_evaluator(instance, cost_fns)
     idx = action if isinstance(action, int) else instance.action_space.index[action]
-    return ev.drift(idx, debt, age, buffer, targets)
+    return ev.score(debt, age, buffer, targets)[0][idx]
 
 
 def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
@@ -191,8 +215,7 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
     ev = evaluator if evaluator is not None else get_drift_evaluator(instance, cost_fns)
-    scores = [ev.drift(i, debt, age, buffer, targets)
-              for i in range(len(instance.action_space))]
+    scores, dists = ev.score(debt, age, buffer, targets)
     best = min(scores)
     ties = [i for i, s in enumerate(scores) if s == best]
     if len(ties) == 1 or tie_break == "first":
@@ -204,8 +227,8 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
             raise ValueError("random tie-break needs an rng")
         idx = ties[int(rng.integers(len(ties)))]
     else:  # freshest
-        sec = [(ev.expected_age_sum(i, age, buffer), i) for i in ties]
-        idx = min(sec)[1]
+        dists += [ev.next_age_dist(key, age, buffer) for key in ev.dist_keys[len(dists):]]
+        idx = min((ev.expected_age_sum(i, dists), i) for i in ties)[1]
     return PolicyDecision(idx, instance.action_space[idx], tuple(scores))
 
 

@@ -18,7 +18,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .costs import CostFunction
 from .network import make_instance
 from .policies import RandomizedPolicy, optimize_randomized
 from .scenarios import broadcast_instance, enumerate_connected_graphs, gen_line, gen_star
-from .sim import SimConfig, run, stability_diagnostic
+from .sim import SimConfig, export_trace, run, stability_diagnostic
 from .targets import FlowControlConfig, GradientDescentConfig
 
 FIXED_COLUMNS = ("scenario_id", "graph_id", "policy", "seed", "T", "sum_cost",
@@ -192,13 +192,10 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
         trace_detail=sim_section.get("trace_detail", "metrics-only"))
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
-def _one_row(scenario, label, seed, horizon, cfg, timing):
+def _worker(task):
+    """Run one (scenario, policy, seed) task on prebuilt objects and return
+    its CSV row; a full-detail trace goes to its own file next to the CSV."""
+    scenario, label, cfg, out_path, timing = task
     t0 = time.perf_counter()
     metrics = run(scenario.instance, scenario.cost_fns, cfg)
     wall_ms = int((time.perf_counter() - t0) * 1000) if timing else 0
@@ -211,8 +208,8 @@ def _one_row(scenario, label, seed, horizon, cfg, timing):
         "scenario_id": scenario.scenario_id,
         "graph_id": scenario.graph_id,
         "policy": label,
-        "seed": seed,
-        "T": horizon,
+        "seed": cfg.seed,
+        "T": cfg.horizon,
         "sum_cost": metrics.sum_cost,
         "stability_violations": violations,
         "max_QT_over_T": max(metrics.per_pair_debt_rate.values()),
@@ -220,93 +217,55 @@ def _one_row(scenario, label, seed, horizon, cfg, timing):
     }
     for pair, c in metrics.per_pair_cost.items():
         row[f"cost_{pair[0]}_{pair[1]}"] = c
-    return row, metrics
-
-
-def _trace_path(out_path, row):
-    gid = row["graph_id"]
-    tag = f"{row['scenario_id']}{'-g' + str(gid) if gid != '' else ''}" \
-          f"-{row['policy']}-s{row['seed']}"
-    return f"{out_path}.trace.{tag}.csv"
-
-
-def _worker(args):
-    config, scen_idx, pol_idx, seed, timing = args
-    scenario = expand_scenarios(config)[scen_idx]
-    seen = set()
-    labels = [policy_label(p, i, seen) for i, p in enumerate(config.policies)]
-    pol = config.policies[pol_idx]
-    horizon = config.sim["horizon"]
-    cfg = build_sim_config(pol, scenario, horizon, seed, config.sim)
-    row, metrics = _one_row(scenario, labels[pol_idx], seed, horizon, cfg, timing)
-    trace = metrics.trace
-    return (scen_idx, pol_idx, seed, row, trace)
+    if metrics.trace is not None:
+        gid = scenario.graph_id
+        tag = f"{scenario.scenario_id}{'-g' + str(gid) if gid != '' else ''}" \
+              f"-{label}-s{cfg.seed}"
+        export_trace(metrics, f"{out_path}.trace.{tag}.csv")
+    return row
 
 
 def run_sweep(config, out_path, jobs=1, timing=False):
-    """Execute the sweep and write its CSV; returns the row dicts."""
-    scenarios = expand_scenarios(config)
+    """Execute the sweep and write its CSV; returns the row dicts.
+
+    Scenarios and each (scenario, policy) SimConfig, tuned policies and DP
+    tables included, are built once here; every task, serial or in a
+    worker process, runs on those prebuilt objects.
+    """
     seeds = config.sim["seeds"]
     horizon = config.sim["horizon"]
     seen = set()
     labels = [policy_label(p, i, seen) for i, p in enumerate(config.policies)]
-
-    tasks = [(s_i, p_i, seed)
-             for s_i in range(len(scenarios))
-             for p_i in range(len(config.policies))
-             for seed in seeds]
-    results = {}
-    traces = {}
+    tasks = []
+    for scenario in expand_scenarios(config):
+        for pol, label in zip(config.policies, labels):
+            base = build_sim_config(pol, scenario, horizon, seeds[0], config.sim)
+            tasks.extend((scenario, label, replace(base, seed=seed), out_path, timing)
+                         for seed in seeds)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (s_i, p_i, seed, row, trace) in pool.map(
-                    _worker, [(config, s, p, seed, timing) for (s, p, seed) in tasks]):
-                results[(s_i, p_i, seed)] = row
-                traces[(s_i, p_i, seed)] = trace
+            results = list(pool.map(_worker, tasks))
     else:
-        cfg_cache = {}
-        for (s_i, p_i, seed) in tasks:
-            scenario = scenarios[s_i]
-            key = (s_i, p_i)
-            if key not in cfg_cache:
-                cfg_cache[key] = build_sim_config(
-                    config.policies[p_i], scenario, horizon, seeds[0], config.sim)
-            base = cfg_cache[key]
-            cfg = SimConfig(**{**base.__dict__, "seed": seed})
-            row, metrics = _one_row(scenario, labels[p_i], seed, horizon, cfg, timing)
-            results[(s_i, p_i, seed)] = row
-            traces[(s_i, p_i, seed)] = metrics.trace
+        results = [_worker(task) for task in tasks]
 
-    rows = []
     cost_cols = set()
-    for (s_i, p_i, seed) in tasks:
-        cost_cols.update(c for c in results[(s_i, p_i, seed)] if c.startswith("cost_"))
+    for row in results:
+        cost_cols.update(c for c in row if c.startswith("cost_"))
     cost_cols = sorted(cost_cols, key=lambda c: tuple(int(x) for x in c.split("_")[1:]))
     header = list(FIXED_COLUMNS) + cost_cols
 
-    for s_i in range(len(scenarios)):
-        for p_i in range(len(config.policies)):
-            group = [results[(s_i, p_i, seed)] for seed in seeds]
-            rows.extend(group)
-            rows.extend(_aggregate(group, cost_cols))
+    rows = []
+    for g in range(0, len(results), len(seeds)):
+        group = results[g:g + len(seeds)]
+        rows.extend(group)
+        rows.extend(_aggregate(group, cost_cols))
 
     with open(out_path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=header, restval="")
         w.writeheader()
         for row in rows:
-            w.writerow({k: _fmt(v) for k, v in row.items()})
-
-    if config.sim.get("trace_detail") == "full":
-        for key, trace in traces.items():
-            if trace is None:
-                continue
-            row = results[key]
-            with open(_trace_path(out_path, row), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "pair", "A", "B", "Q", "alpha", "action_index"])
-                for (t, pair, a, b, q, alpha, idx) in trace:
-                    w.writerow([t, f"{pair[0]}-{pair[1]}", a, f"{b:.10g}",
-                                f"{q:.10g}", f"{alpha:.10g}", idx])
+            w.writerow({k: f"{v:.10g}" if isinstance(v, float) else str(v)
+                        for k, v in row.items()})
     return rows
 
 

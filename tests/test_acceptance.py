@@ -229,11 +229,12 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     p = tmp_path / "sweep.json"
     p.write_text(json.dumps(config))
     outs = []
-    for name in ("a.csv", "b.csv"):
+    for name, jobs in (("a.csv", 1), ("b.csv", 1), ("jobs2.csv", 2)):
         out = tmp_path / name
-        assert cli_main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+        assert cli_main(["sweep", "--config", str(p), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
     run_cfg = {
         "network": {"nodes": 3, "edges": ["1-3:0.7", "2-3:0.9"]},
@@ -252,7 +253,8 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
         assert cli_main(["run", "--config", str(p2), "--out", str(out)]) == 0
         outs2.append(out.read_bytes())
     assert outs2[0] == outs2[1]
-    report(9, "repeated run and sweep produce byte-identical CSV")
+    report(9, "repeated run and sweep, serial or with two workers, produce "
+              "byte-identical CSV")
 
 
 def test_criterion_10_empirical_achievability_equivalence():

@@ -68,6 +68,16 @@ def test_unreliable_single_source_gain():
     assert sol.per_pair_average[(1, 2)] == pytest.approx(2.0, abs=0.05)
 
 
+def test_unreliable_per_pair_averages_sum_to_gain():
+    # heavy-tailed costs on unreliable links: the per-pair averages come from
+    # the closed loop's exact stationary distribution, so they add up to the
+    # gain within the gain's own tolerance
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0),
+                           cost_rule="functions-of-age")
+    sol = dp_optimal(inst, costs, a_cap=12, tolerance=1e-4)
+    assert sum(sol.per_pair_average.values()) == pytest.approx(sol.gain, abs=1e-4)
+
+
 def test_state_space_guard():
     inst, costs = gen_star(6, reliability_rule="reliable")
     with pytest.raises(StateSpaceError, match="state space too large"):
@@ -78,6 +88,12 @@ def test_iteration_cap_raises():
     inst, costs = gen_star(3, reliability_rule="reliable")
     with pytest.raises(ConvergenceError, match="not converged"):
         dp_optimal(inst, costs, a_cap=8, tolerance=1e-9, max_iter=3)
+    # value iteration converges in 50 steps here; the lazy power iteration for
+    # the stationary distribution needs more
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0),
+                           cost_rule="functions-of-age")
+    with pytest.raises(ConvergenceError, match="stationary distribution not converged"):
+        dp_optimal(inst, costs, a_cap=12, tolerance=1e-4, max_iter=60)
 
 
 def test_two_hop_dp_alternates(two_hop):
