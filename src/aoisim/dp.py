@@ -13,6 +13,24 @@ transform changes neither the optimal gain nor the argmin actions. The
 same transform drives the power iteration for the stationary distribution
 of the optimal closed loop, which gives the per-pair average costs.
 
+Each channel outcome of an action has a successor map: the next index, per
+axis, of every state. The maps are built once, as compact flat index
+arrays that keep only the axes the next state depends on. A source's
+delivery resets its axis to index 0, so on a star the map of a successful
+transmission gathers an (a_cap^(n-1))-state block that broadcasts along
+that axis; a relay's delivery keeps the axes it reads. Outcomes with the
+same per-axis rule share one map (on an unreliable star, every failed
+transmission and the idle action advance all ages), and each sweep gathers
+every distinct map once into a preallocated buffer.
+
+The sweep's arithmetic is pinned: ``cost + (1 - tau) h``, then ``+ tau
+best``, then ``th - th[0]``, with each action's outcomes summed in their
+enumeration order. The solution is checked bit for bit against recorded
+fingerprints (``tests/test_golden.py``); floating-point addition is not
+associative, so any reordering can move the relative values, and with
+them the tie-broken policy, in the last bits. Multiplying by a weight of
+exactly 1.0 is skipped, which changes no value.
+
 Only meant for desk-scale instances; the joint state space is guarded by an
 explicit cap.
 """
@@ -45,6 +63,7 @@ class DpSolution:
     actions: list
     residual_span: float
     iterations: int
+    span_history: list           # span of the value differences after each sweep
 
     def state_index(self, age):
         coords = tuple(min(age[p], self.a_cap) - 1 for p in self.pairs)
@@ -57,10 +76,10 @@ class DpSolution:
     def export_rows(self):
         """(age per pair ..., action index, relative value) rows, state order."""
         dims = (self.a_cap,) * len(self.pairs)
-        for flat in range(self.policy.size):
-            coords = np.unravel_index(flat, dims)
-            yield tuple(int(c) + 1 for c in coords) + (
-                int(self.policy[flat]), float(self.relative_values[flat]))
+        ages = np.stack(np.unravel_index(np.arange(self.policy.size), dims), axis=1) + 1
+        for age, a_i, value in zip(ages.tolist(), self.policy.tolist(),
+                                   self.relative_values.tolist()):
+            yield (*age, a_i, value)
 
 
 def _action_links(instance, action, tracked_set):
@@ -88,9 +107,16 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     iteration (up to ``max_iter`` steps) over the states it reaches.
 
     The span of successive value differences brackets the gain, so the gain
-    is accurate to ``tolerance`` at termination. Ties between equally good
-    actions can leave the span cycling at ~1e-4 instead of vanishing;
-    tolerances below that may fail to converge.
+    is accurate to ``tolerance`` at termination; ``span_history`` holds it
+    after every sweep. Ties between equally good actions can leave the span
+    cycling at ~1e-4 instead of vanishing; tolerances below that may fail
+    to converge.
+
+    Each sweep gathers the relative values once per distinct successor map
+    (see the module docstring), cut to the axes the map depends on, and
+    takes the minimum over the actions' expected values broadcast against
+    those compact blocks. The stationary stage reads successors of the
+    reached states from the same maps.
     """
     pairs = instance.tracked_pairs()
     tracked_set = set(pairs)
@@ -116,10 +142,9 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
 
     pair_pos = {pair: p for p, pair in enumerate(pairs)}
     actions = list(instance.action_space.actions)
-    # per action: list of (outcome probability, flat next-state index array);
-    # flat indices are materialized once so each sweep is a contiguous gather
-    outcomes_per_action = []
-    adv = np.minimum(np.arange(a_cap) + 1, a_cap - 1)  # age+1, capped
+    maps = []      # compact flat next-state index arrays, one per successor map
+    map_pos = {}   # per-axis successor rule -> position in ``maps``
+    outcomes_per_action = []  # per action: [(outcome probability, map position)]
     for action in actions:
         links = _action_links(instance, action, tracked_set)
         outs = []
@@ -132,79 +157,152 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
                     delivering.setdefault((k, rx), []).append(tx)
             if w == 0.0:
                 continue
-            idx = []
-            for p, pair in enumerate(pairs):
-                k, _ = pair
-                senders = delivering.get(pair)
-                if not senders:
-                    idx.append(adv[grids[p]])
-                    continue
-                # sender's effective age index: -1 for the source (fresh stamp,
-                # the receiver lands on age 1), own coordinate for a relay
-                cur = grids[p]
-                best = None
-                for m in senders:
-                    g = np.full((), -1, dtype=int) if m == k else grids[pair_pos[(k, m)]]
-                    best = g if best is None else np.minimum(best, g)
-                nxt = np.minimum(np.minimum(cur, best) + 1, a_cap - 1)
-                idx.append(nxt)
-            flat = np.ravel_multi_index(np.broadcast_arrays(*idx), dims)
-            outs.append((w, np.ascontiguousarray(flat.reshape(-1), dtype=np.int64)))
+            # per axis: None advances the age, "source" resets it to age 1,
+            # a tuple names the relay axes whose packets it may receive
+            rule = tuple(
+                None if not delivering.get(pair)
+                else "source" if pair[0] in delivering[pair]
+                else tuple(sorted(pair_pos[(pair[0], m)] for m in delivering[pair]))
+                for pair in pairs)
+            if rule not in map_pos:
+                map_pos[rule] = len(maps)
+                maps.append(_successor_map(rule, grids, a_cap))
+            outs.append((w, map_pos[rule]))
         outcomes_per_action.append(outs)
 
-    def expected_next(h_flat, a_i):
-        acc = None
-        for (w, flat) in outcomes_per_action[a_i]:
-            nxt = np.take(h_flat, flat)
-            acc = w * nxt if acc is None else acc + w * nxt
-        return acc
+    h, policy, gain, span, span_history = _relative_value_iteration(
+        cost, maps, outcomes_per_action, laziness, tolerance, max_iter)
+    del cost  # free the state-sized cost table before the next stage
+    per_pair = _stationary_averages(policy, outcomes_per_action, maps, pair_costs,
+                                    dims, laziness, max_iter)
+    return DpSolution(gain=gain, per_pair_average=per_pair, pairs=pairs,
+                      a_cap=a_cap, policy=policy,
+                      relative_values=h, actions=actions,
+                      residual_span=span, iterations=len(span_history),
+                      span_history=span_history)
 
-    h = np.zeros(n_states)
-    cost_flat = cost.reshape(-1)
-    tau = laziness
-    gain = None
-    span = None
-    for it in range(1, max_iter + 1):
-        best = None
-        for a_i in range(len(actions)):
-            e = expected_next(h, a_i)
-            best = e if best is None else np.minimum(best, e, out=best)
-        th = cost_flat + (1.0 - tau) * h + tau * best
-        delta = th - h
+
+def _relative_value_iteration(cost, maps, outcomes_per_action, tau, tolerance,
+                              max_iter):
+    """Lazy RVI sweeps until the span of the value differences is below
+    ``tolerance``, then the greedy policy, lowest action index on ties.
+
+    Each sweep gathers every distinct successor map once and scores the
+    actions into preallocated state-shaped buffers. Returns the flat
+    relative values and policy, the gain, the last span and the span after
+    each sweep; the buffers are freed on return.
+    """
+    dims = cost.shape
+    h = np.zeros(dims)
+    h_flat = h.reshape(-1)
+    gathered = [np.empty(m.shape) for m in maps]
+    best = np.empty(dims)
+    acc = np.empty(dims)
+    spare = np.empty(h.size)
+    span_history = []
+    span = float("inf")  # reported if max_iter allows no sweep at all
+    for _ in range(max_iter):
+        _gather(h_flat, maps, gathered)
+        np.copyto(best, _expected(outcomes_per_action[0], gathered, acc, spare))
+        for outs in outcomes_per_action[1:]:
+            np.minimum(best, _expected(outs, gathered, acc, spare), out=best)
+        # th = cost + (1 - tau) h + tau best, in that order (see the module
+        # docstring); acc holds th and best then holds th - h
+        th = np.multiply(h, 1.0 - tau, out=acc)
+        np.add(cost, th, out=th)
+        np.add(th, np.multiply(best, tau, out=best), out=th)
+        delta = np.subtract(th, h, out=best)
         lo, hi = float(delta.min()), float(delta.max())
         span = hi - lo
+        span_history.append(span)
         gain = 0.5 * (lo + hi)
-        h = th - th[0]
+        np.subtract(th, th.flat[0], out=h)
         if span < tolerance:
             break
     else:
         raise ConvergenceError(
             f"not converged within iteration cap ({max_iter} iterations, span {span:g})")
 
-    # greedy policy from the converged relative values, lowest index on ties
-    best_val = None
-    policy = None
-    for a_i in range(len(actions)):
-        e = expected_next(h, a_i)
-        if best_val is None:
-            best_val = e.copy()
-            policy = np.zeros(n_states, dtype=np.int32)
+    _gather(h_flat, maps, gathered)
+    policy = np.zeros(dims, dtype=np.int32)
+    np.copyto(best, _expected(outcomes_per_action[0], gathered, acc, spare))
+    for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
+        e = _expected(outs, gathered, acc, spare)
+        better = np.less(e, best)
+        np.copyto(best, e, where=better)
+        policy[better] = a_i
+    return h_flat, policy.reshape(-1), gain, span, span_history
+
+
+def _successor_map(rule, grids, a_cap):
+    """Compact flat next-state index array of one per-axis successor rule.
+
+    Each axis contributes its next index times its stride, and broadcasting
+    keeps only the axes the next state depends on: the result has length 1
+    on every other axis. A source delivery resets its axis to index 0 and
+    adds nothing, so on a star that axis collapses; a relay delivery keeps
+    the receiving axis and the relay axes it reads.
+    """
+    n = len(rule)
+    adv = np.minimum(np.arange(a_cap) + 1, a_cap - 1)  # age+1, capped
+    flat = np.zeros((1,) * n, dtype=np.intp)
+    for p, r in enumerate(rule):
+        if r is None:
+            nxt = adv[grids[p]]
+        elif r == "source":
+            continue  # fresh stamp: the receiver lands on age 1, index 0
         else:
-            better = e < best_val
-            best_val[better] = e[better]
-            policy[better] = a_i
-
-    # release the iteration's state-sized scratch arrays before the next stage
-    del best, e, th, delta, best_val, cost, cost_flat
-    per_pair = _stationary_averages(policy, outcomes_per_action, pair_costs, dims,
-                                    tau, max_iter)
-    return DpSolution(gain=gain, per_pair_average=per_pair, pairs=pairs,
-                      a_cap=a_cap, policy=policy,
-                      relative_values=h, actions=actions,
-                      residual_span=span, iterations=it)
+            # a relay's effective age index is its own coordinate
+            cur = grids[p]
+            for q in r:
+                cur = np.minimum(cur, grids[q])
+            nxt = np.minimum(cur + 1, a_cap - 1)
+        flat = flat + nxt * a_cap ** (n - 1 - p)
+    return flat
 
 
-def _stationary_averages(policy, outcomes_per_action, pair_costs, dims, tau,
+def _gather(h_flat, maps, gathered):
+    """Gather the relative values of every map's successors, in place.
+
+    Every index is in range by construction; ``mode="clip"`` skips the
+    buffered copy that ``np.take`` makes for ``out=`` under the default
+    ``mode="raise"``.
+    """
+    for m, g in zip(maps, gathered):
+        np.take(h_flat, m, out=g, mode="clip")
+
+
+def _expected(outs, gathered, out, spare):
+    """Expected next relative value of one action: the sum over its outcomes,
+    in order, of weight times gathered block.
+
+    A lone outcome of weight 1.0 is returned as its gathered block, still
+    compact; otherwise the sum is written into ``out``. A weight of 1.0 is
+    never multiplied, which leaves every value unchanged.
+    """
+    (w, m), *rest = outs
+    if not rest and w == 1.0:
+        return gathered[m]
+    if w == 1.0:
+        np.copyto(out, gathered[m])
+    else:
+        np.multiply(gathered[m], w, out=out)
+    for (w, m) in rest:
+        g = gathered[m]
+        if w != 1.0:
+            g = np.multiply(g, w, out=spare[:g.size].reshape(g.shape))
+        np.add(out, g, out=out)
+    return out
+
+
+def _successors(flat_map, coords):
+    """Flat successor indices under a compact map of the states whose
+    per-axis coordinates are ``coords``."""
+    idx = tuple(c if size > 1 else 0 for c, size in zip(coords, flat_map.shape))
+    return np.broadcast_to(flat_map[idx], coords[0].shape)
+
+
+def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, tau,
                          max_iter):
     """Per-pair long-run average costs of the closed loop that starts with
     every age at 1 (flat index 0), over the states the policy reaches from
@@ -222,9 +320,13 @@ def _stationary_averages(policy, outcomes_per_action, pair_costs, dims, tau,
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
         acts = policy[frontier]
-        succ = np.unique(np.concatenate([
-            flat[frontier[acts == a_i]]
-            for a_i, outs in enumerate(outcomes_per_action) for (_w, flat) in outs]))
+        coords = np.unravel_index(frontier, dims)
+        succ = []
+        for a_i, outs in enumerate(outcomes_per_action):
+            sel = acts == a_i
+            sub = tuple(c[sel] for c in coords)
+            succ.extend(_successors(maps[m], sub) for (_w, m) in outs)
+        succ = np.unique(np.concatenate(succ))
         frontier = succ[~reached[succ]]
         reached[frontier] = True
     states = np.flatnonzero(reached)  # state 0 stays at position 0
@@ -232,12 +334,14 @@ def _stationary_averages(policy, outcomes_per_action, pair_costs, dims, tau,
     # closed-loop transitions src -> dst with probability wt, as positions
     # in ``states``
     acts = policy[states]
+    coords = np.unravel_index(states, dims)
     src, dst, wt = [], [], []
     for a_i, outs in enumerate(outcomes_per_action):
         pos = np.flatnonzero(acts == a_i)
-        for (w, flat) in outs:
-            src.append(pos.astype(np.int32))
-            dst.append(np.searchsorted(states, flat[states[pos]]).astype(np.int32))
+        sub = tuple(c[pos] for c in coords)
+        for (w, m) in outs:
+            src.append(pos)
+            dst.append(np.searchsorted(states, _successors(maps[m], sub)))
             wt.append(np.full(pos.size, w))
     src, dst, wt = np.concatenate(src), np.concatenate(dst), np.concatenate(wt)
 
@@ -267,7 +371,6 @@ def _stationary_averages(policy, outcomes_per_action, pair_costs, dims, tau,
                 f"({max_iter} iterations, L1 step {moved:g})")
         scale = 1.0
 
-    coords = np.unravel_index(states, dims)
     return {pair: float(weights @ vals[coords[p]]) / scale
             for pair, (p, vals) in sorted(pair_costs.items())}
 
@@ -281,5 +384,4 @@ def export_table(solution, path):
         w = csv.writer(fh)
         w.writerow([f"age_{k}_{j}" for (k, j) in solution.pairs]
                    + ["action_index", "relative_value"])
-        for row in solution.export_rows():
-            w.writerow([*row[:-1], f"{row[-1]:.10g}"])
+        w.writerows([*row[:-1], f"{row[-1]:.10g}"] for row in solution.export_rows())

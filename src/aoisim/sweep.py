@@ -138,7 +138,6 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
     targets = None
     fc = None
     gd = None
-    dp_params = {}
     if name == "age-debt":
         params["variant"] = pol.get("variant", "auto")
     if name == "max-weight" and "weights" in pol:
@@ -178,13 +177,18 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
             step=float(pol["step"]), threshold=float(pol["threshold"]),
             initial=init, floor=floor)
     elif mode == "oracle-dp":
-        dp_params = {"a_cap": pol.get("a_cap", 30),
-                     "tolerance": pol.get("tolerance", 1e-3)}
+        # solved once here, so every seed runs at the same fixed targets
+        from .dp import dp_optimal
+        targets = dict(dp_optimal(
+            scenario.instance, scenario.cost_fns,
+            a_cap=pol.get("a_cap", 30),
+            tolerance=pol.get("tolerance", 1e-3)).per_pair_average)
+        mode = "fixed"
 
     return SimConfig(
         horizon=horizon, seed=seed, policy=name, policy_params=params,
         target_mode=mode, targets=targets, flow_control=fc,
-        gradient_descent=gd, dp_params=dp_params,
+        gradient_descent=gd,
         tie_break=pol.get("tie_break", "freshest"),
         use_intermediate_queues=pol.get(
             "use_intermediate_queues",
@@ -199,7 +203,7 @@ def _worker(task):
     t0 = time.perf_counter()
     metrics = run(scenario.instance, scenario.cost_fns, cfg)
     wall_ms = int((time.perf_counter() - t0) * 1000) if timing else 0
-    if cfg.target_mode in ("fixed", "oracle-dp") and cfg.policy == "age-debt":
+    if cfg.target_mode == "fixed" and cfg.policy == "age-debt":
         flags = stability_diagnostic(metrics)
         violations = sum(1 for ok in flags.values() if not ok)
     else:

@@ -137,6 +137,39 @@ def test_gd_policy_resolution_parses_pair_keys():
     assert cfg.gradient_descent.floor == {(1, 2): 1.0}
 
 
+def test_oracle_dp_sweep_solves_once_per_policy(tmp_path, monkeypatch):
+    import aoisim.dp
+    from aoisim import SimConfig, run, stability_diagnostic
+    from aoisim.sweep import run_sweep
+    calls = []
+    solve = aoisim.dp.dp_optimal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(aoisim.dp, "dp_optimal", counting)
+    config, errors = parse_config(json.dumps({
+        "network": {"generator": "star", "n": 3, "reliability": "uniform"},
+        "policies": [{"name": "age-debt", "target_mode": "oracle-dp", "a_cap": 10}],
+        "sim": {"horizon": 300, "seeds": [0, 1, 2]},
+    }))
+    assert errors == []
+    rows = run_sweep(config, str(tmp_path / "sweep.csv"))
+    assert len(calls) == 1
+    # every seed runs as a run that solves the DP for itself
+    scenario = expand_scenarios(config)[0]
+    for row, seed in zip(rows, (0, 1, 2)):
+        m = run(scenario.instance, scenario.cost_fns, SimConfig(
+            horizon=300, seed=seed, target_mode="oracle-dp",
+            dp_params={"a_cap": 10, "tolerance": 1e-3}))
+        assert row["seed"] == seed
+        assert row["sum_cost"] == m.sum_cost
+        assert row["max_QT_over_T"] == max(m.per_pair_debt_rate.values())
+        assert row["stability_violations"] == sum(
+            1 for ok in stability_diagnostic(m).values() if not ok)
+
+
 def test_graph_enum_scenarios():
     config, errors = parse_config(json.dumps({
         "network": {"generator": "graph-enum", "n": 4, "graph_ids": [0, 3]},

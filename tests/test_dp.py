@@ -78,6 +78,17 @@ def test_unreliable_per_pair_averages_sum_to_gain():
     assert sum(sol.per_pair_average.values()) == pytest.approx(sol.gain, abs=1e-4)
 
 
+def test_span_history_records_every_sweep():
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
+    sol = dp_optimal(inst, costs, a_cap=10, tolerance=1e-5)
+    assert len(sol.span_history) == sol.iterations
+    assert sol.span_history[-1] == sol.residual_span < 1e-5
+    # the sweeps stop at the first span below the tolerance
+    assert min(sol.span_history[:-1]) >= 1e-5
+    with pytest.raises(ConvergenceError, match="not converged"):
+        dp_optimal(inst, costs, a_cap=10, tolerance=1e-5, max_iter=sol.iterations - 1)
+
+
 def test_state_space_guard():
     inst, costs = gen_star(6, reliability_rule="reliable")
     with pytest.raises(StateSpaceError, match="state space too large"):
@@ -88,6 +99,8 @@ def test_iteration_cap_raises():
     inst, costs = gen_star(3, reliability_rule="reliable")
     with pytest.raises(ConvergenceError, match="not converged"):
         dp_optimal(inst, costs, a_cap=8, tolerance=1e-9, max_iter=3)
+    with pytest.raises(ConvergenceError, match="0 iterations, span inf"):
+        dp_optimal(inst, costs, a_cap=8, max_iter=0)
     # value iteration converges in 50 steps here; the lazy power iteration for
     # the stationary distribution needs more
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0),
@@ -104,6 +117,17 @@ def test_two_hop_dp_alternates(two_hop):
     assert sol.gain == pytest.approx(2.5, abs=1e-4)
 
 
+def _check_table_rows(sol, lines):
+    # one row per state in flat order: ages, then the policy's action and
+    # the relative value as printed
+    for flat, line in enumerate(lines):
+        *ages, action, value = line.split(",")
+        age = {pair: int(a) for pair, a in zip(sol.pairs, ages)}
+        assert sol.state_index(age) == flat
+        assert int(action) == sol.policy[flat]
+        assert value == f"{sol.relative_values[flat]:.10g}"
+
+
 def test_export_table_shape(tmp_path):
     inst, costs = gen_star(2, weight_rule="unit", reliability_rule="reliable")
     sol = dp_optimal(inst, costs, a_cap=5, tolerance=1e-6)
@@ -112,6 +136,15 @@ def test_export_table_shape(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "age_1_2,action_index,relative_value"
     assert len(lines) == 1 + 5
+    _check_table_rows(sol, lines[1:])
+
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
+    sol = dp_optimal(inst, costs, a_cap=5, tolerance=1e-6)
+    export_table(sol, out)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "age_1_4,age_2_4,age_3_4,action_index,relative_value"
+    assert len(lines) == 1 + 5 ** 3
+    _check_table_rows(sol, lines[1:])
 
 
 def test_policy_lookup_clips_at_cap():

@@ -1,25 +1,34 @@
-"""Golden trajectories: exact action sequences and per-pair costs.
+"""Golden trajectories and DP solutions, pinned bit for bit.
 
 The age-debt argmin breaks ties on exact float equality, so any change to
 how drift is summed can silently change which action wins. These runs were
 recorded from the per-action drift loop that the one-pass evaluator
 replaced, and every later engine must reproduce them bit for bit.
 
-Record the data again only for a deliberate change of trajectories:
+The DP fingerprints were recorded from the solver that gathered one
+state-sized flat index array per outcome. They pin every ``DpSolution``
+field: the ``repr`` of the gain, residual span and per-pair averages, the
+iteration count, and sha256 digests of the policy and relative-value bytes.
+
+Record all golden data again only for a deliberate change of results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from aoisim import (CostFunction, FlowControlConfig, SimConfig, broadcast_instance,
-                    enumerate_connected_graphs, gen_line, make_instance, run)
+                    dp_optimal, enumerate_connected_graphs, gen_line, gen_star,
+                    make_instance, run)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
+DP_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_dp.json")
 
 
 def _two_hop():
@@ -87,8 +96,62 @@ def test_golden_trajectory(golden, name):
     assert trajectory(name) == golden[name]
 
 
+def _dp_cases():
+    """name -> (instance builder, dp_optimal keyword arguments)."""
+    cases = {}
+    for n in (4, 5):  # 3 and 4 sources
+        for rel in ("reliable", "uniform"):
+            for cost in ("weighted-linear", "functions-of-age"):
+                cases[f"star-n{n}-{rel}-{cost}"] = (
+                    lambda n=n, rel=rel, cost=cost: gen_star(
+                        n, reliability_rule=rel, rng=np.random.default_rng(0),
+                        cost_rule=cost),
+                    {"a_cap": 12, "tolerance": 1e-4})
+    cases["two-hop"] = (_two_hop, {"a_cap": 12, "tolerance": 1e-6})
+    for inter in ("parity", "single-transmitter"):
+        cases[f"line-n4-{inter}"] = (lambda inter=inter: gen_line(4, inter),
+                                     {"a_cap": 12, "tolerance": 1e-6})
+    cases["broadcast3-g0-p0.8"] = (
+        lambda: broadcast_instance(3, enumerate_connected_graphs(3)[0], reliability=0.8),
+        {"a_cap": 6, "tolerance": 1e-4})
+    return cases
+
+
+DP_CASES = _dp_cases()
+
+
+def dp_fingerprint(name):
+    build, params = DP_CASES[name]
+    sol = dp_optimal(*build(), **params)
+    return {
+        "gain": repr(sol.gain),
+        "residual_span": repr(sol.residual_span),
+        "iterations": sol.iterations,
+        "per_pair_average": {f"{k}-{j}": repr(v)
+                             for (k, j), v in sol.per_pair_average.items()},
+        "policy_sha256": hashlib.sha256(sol.policy.tobytes()).hexdigest(),
+        "relative_values_sha256": hashlib.sha256(sol.relative_values.tobytes()).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_dp():
+    with open(DP_DATA) as fh:
+        return json.load(fh)
+
+
+def test_golden_dp_covers_every_case(golden_dp):
+    assert sorted(golden_dp) == sorted(DP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(DP_CASES))
+def test_golden_dp_solution(golden_dp, name):
+    assert dp_fingerprint(name) == golden_dp[name]
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    with open(DATA, "w") as fh:
-        json.dump({name: trajectory(name) for name in sorted(CASES)}, fh, indent=1)
-        fh.write("\n")
+    for path, cases, record in ((DATA, CASES, trajectory), (DP_DATA, DP_CASES, dp_fingerprint)):
+        with open(path, "w") as fh:
+            json.dump({name: record(name) for name in sorted(cases)}, fh, indent=1)
+            fh.write("\n")
