@@ -1,9 +1,9 @@
 """Age-of-information scheduling: simulator, policies, and oracles."""
 
 from .age import (DebtState, advance_age, initial_age, initial_buffer,
-                  initial_debt, lyapunov, restricted_hop_distance,
+                  initial_debt, restricted_hop_distance,
                   update_destination_debt, update_intermediate_debt)
-from .channels import ChannelProcess, sample_channels
+from .channels import ChannelProcess
 from .costs import CostFunction
 from .dp import ConvergenceError, DpSolution, StateSpaceError, dp_optimal, export_table
 from .network import (Action, ActionSpace, ActionSpaceError, Flow, IDLE_ACTION,
@@ -11,15 +11,13 @@ from .network import (Action, ActionSpace, ActionSpaceError, Flow, IDLE_ACTION,
                       make_flow, make_instance, validate_action, validate_instance)
 from .policies import (PolicyDecision, RandomizedPolicy, age_debt_action,
                        expected_drift, max_weight_action, optimize_randomized,
-                       randomized_action, single_hop_age_debt_action)
+                       single_hop_age_debt_action)
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
 from .scenarios import (broadcast_instance, enumerate_connected_graphs,
                         gen_line, gen_star)
-from .sim import (RunMetrics, SimConfig, export_trace, replicate, run,
-                  stability_diagnostic)
+from .sim import RunMetrics, SimConfig, export_trace, run, stability_diagnostic
 from .sweep import build_sim_config, expand_scenarios, run_sweep
-from .targets import (FlowControlConfig, GradientDescentConfig,
-                      closed_form_matches_program, flow_control_update,
+from .targets import (FlowControlConfig, GradientDescentConfig, flow_control_update,
                       gd_epoch_update)
 
 __version__ = "0.1.0"

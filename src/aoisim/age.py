@@ -12,6 +12,11 @@ State layout (plain dicts, owned by one simulation run):
 Ages advance once per slot: +1 without a delivery, min(age, t - t_g) + 1 when
 a packet generated at t_g arrives at slot t. Debt queues accumulate the
 positive part of (cost of next age - target) and never go negative.
+
+Intermediate queues are read only by the exact-drift policy, so a run keeps
+them only under that policy. Their case-1 hop distances are computed once
+per action by the drift evaluator (``policies.DriftEvaluator.relay_hops``);
+the update here takes the chosen action's table.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ class DebtState:
 
     def copy(self):
         return DebtState(dict(self.dest), dict(self.intermediate))
-
-    def total(self):
-        return sum(self.dest.values()) + sum(self.intermediate.values())
 
 
 def initial_age(tracked_pairs):
@@ -113,56 +115,25 @@ def restricted_hop_distance(adjacency, i, j, first_hops):
     return best
 
 
-def forwarding_sets(action):
-    """(node, flow) -> list of directed edges the node sends that flow on."""
-    out = {}
-    for (tx, rx, k) in action:
-        out.setdefault((tx, k), []).append((tx, rx))
-    return out
-
-
-def update_intermediate_debt(debt, age, buffer, action, targets, cost_fns,
-                             age_next, adjacency, hop_lookup=None):
+def update_intermediate_debt(debt, age, forwarded, hops, targets, cost_fns,
+                             age_next):
     """Advance every intermediate queue one slot.
 
-    When relay i actually forwarded a flow-k packet this slot (it was
-    assigned outgoing flow-k edges L and held a packet), the queue charges
-    the most optimistic deliverable cost: f(min(relay age, dest age) + h)
-    with h the L-restricted hop distance, using pre-slot ages. Otherwise the
-    queue shadows the destination's realized cost f(next dest age).
-
-    A forwarding assignment with no packet on board is a no-op on the wire
-    and falls into the shadowing case, as does an L that cannot reach the
-    destination at all (counted in the returned fallback tally).
-
-    ``hop_lookup(i, j, L) -> h or None`` may be supplied to cache distances.
+    When relay i actually forwarded a flow-k packet this slot ((i, k) in
+    ``forwarded``: it was assigned outgoing flow-k edges and held a packet),
+    the queue charges the most optimistic deliverable cost:
+    f(min(relay age, dest age) + h), with h = ``hops[(k, j, i)]`` the hop
+    distance restricted to the relay's first hops, using pre-slot ages.
+    Otherwise, including a forwarding assignment with no packet on board (a
+    no-op on the wire), the queue shadows the destination's realized cost
+    f(next dest age).
     """
-    unreachable = 0
-    forwards = forwarding_sets(action)
     for (k, j, i), q in debt.intermediate.items():
-        links = forwards.get((i, k))
-        term = None
-        if links and (i, k) in buffer:
-            if hop_lookup is not None:
-                h = hop_lookup(i, j, tuple(links))
-            else:
-                h = restricted_hop_distance(adjacency, i, j, links)
-            if h is None:
-                unreachable += 1
-            else:
-                term = cost_fns[(k, j)](min(age[(k, i)], age[(k, j)]) + h)
-        if term is None:
-            term = cost_fns[(k, j)](age_next[(k, j)])
+        f = cost_fns[(k, j)]
+        if (i, k) in forwarded:
+            term = f(min(age[(k, i)], age[(k, j)]) + hops[(k, j, i)])
+        else:
+            term = f(age_next[(k, j)])
         nq = q + term - targets[(k, j)]
         debt.intermediate[(k, j, i)] = nq if nq > 0.0 else 0.0
-    return debt, unreachable
-
-
-def lyapunov(debt):
-    """Sum of squares of every destination and intermediate queue."""
-    total = 0.0
-    for q in debt.dest.values():
-        total += q * q
-    for q in debt.intermediate.values():
-        total += q * q
-    return total
+    return debt

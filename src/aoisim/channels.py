@@ -51,13 +51,3 @@ class ChannelProcess:
         if start != self._block_start:
             self._load_block(start)
         return self._block[t - start]
-
-
-def sample_channels(instance, seed, t):
-    """Success bit per edge at slot t: {edge: bool}.
-
-    Stateless form of ChannelProcess: the same (instance, seed, t) always
-    yields the same draw.
-    """
-    bits = ChannelProcess(instance, seed).slot(t)
-    return {e: bool(bits[i]) for i, e in enumerate(instance.edges)}

@@ -170,8 +170,9 @@ def _check_policy(pol, idx, horizon, errors):
         errors.append(f"{path}.name: expected one of {POLICIES}, got {name!r}")
         return
     mode = pol.get("target_mode", "fixed")
-    if mode not in TARGET_MODES:
-        errors.append(f"{path}.target_mode: expected one of {TARGET_MODES}, got {mode!r}")
+    modes = TARGET_MODES + ("oracle-dp",)  # solved once per policy, run as fixed targets
+    if mode not in modes:
+        errors.append(f"{path}.target_mode: expected one of {modes}, got {mode!r}")
     tie = pol.get("tie_break", "freshest")
     if tie not in TIE_BREAKS:
         errors.append(f"{path}.tie_break: expected one of {TIE_BREAKS}, got {tie!r}")

@@ -110,7 +110,7 @@ class NetworkInstance:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.adjacency = adjacency_map(self.node_count, self.edges)
         self.flow_by_source = {f.source: f for f in self.flows}
-        self._drift_cache = None
+        self._drift_evaluator = None
 
     def edge_prob(self, i, j):
         return self.reliability[canon_edge(i, j)]

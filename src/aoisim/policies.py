@@ -43,15 +43,18 @@ class PolicyDecision:
 class DriftEvaluator:
     """Exact expected drift of every action, scored in one pass per slot.
 
-    Built once per (instance, cost set) from the action space and topology.
-    ``index`` gathers the slot's flat term list into the (term x action)
-    table; its rows are each pair's destination term, then its relay terms
-    (a relay's hop distance is None when it does not forward), pair after
-    pair, the order of the per-action sum.
+    Built once per instance from the action space and topology; costs are
+    passed to ``score``. ``index`` gathers the slot's flat term list into the
+    (term x action) table; its rows are each pair's destination term, then
+    its relay terms (a relay's hop distance is None when it does not
+    forward), pair after pair, the order of the per-action sum.
+
+    The evaluator owns the case-1 hop distances: ``relay_hops[a]`` maps
+    (flow, dest, relay) -> h for every relay that action ``a`` has
+    forwarding, and the simulator's relay debt update reads it from here.
     """
 
-    def __init__(self, instance, cost_fns):
-        self.cost_fns = cost_fns
+    def __init__(self, instance):
         tracked = instance.tracked_pairs()
         tracked_set = set(tracked)
         dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
@@ -71,6 +74,7 @@ class DriftEvaluator:
         n_terms = 0
         action_links = []
         index = []          # per action: flat term position of each row
+        self.relay_hops = []
         for action in instance.action_space.actions:
             # pair -> links (m, p_edge) that can deliver its flow to it, and
             # (node, flow) -> directed edges the node sends that flow on
@@ -82,12 +86,16 @@ class DriftEvaluator:
             links = {pair: tuple(v) for pair, v in links.items()}
             action_links.append(links)
             col = []
+            hops = {}
             for pair in dest_pairs:
                 k, j = pair
                 relay_h = []
                 for i in relays[k]:
                     L = fwd.get((i, k))
-                    h = restricted_hop_distance(instance.adjacency, i, j, L) if L else None
+                    h = None
+                    if L:
+                        h = hops[(k, j, i)] = restricted_hop_distance(
+                            instance.adjacency, i, j, L)
                     relay_h.append((i, h))
                 block = (pair, dist_id(pair, links), tuple(relay_h))
                 if block not in block_start:
@@ -97,6 +105,7 @@ class DriftEvaluator:
                 start = block_start[block]
                 col.extend(range(start, start + 1 + len(relay_h)))
             index.append(col)
+            self.relay_hops.append(hops)
         self.index = np.array(index, dtype=np.intp).T.copy()
         self.n_scored = len(self.dist_keys)
         # per action: distribution id of every tracked pair, in tracked order
@@ -134,7 +143,7 @@ class DriftEvaluator:
             merged[v] = merged.get(v, 0.0) + p
         return tuple(sorted(merged.items()))
 
-    def score(self, debt, age, buffer, targets):
+    def score(self, debt, age, buffer, targets, cost_fns):
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
         index, and the slot's next-age distributions of the scored keys."""
         dists = [self.next_age_dist(key, age, buffer)
@@ -144,7 +153,7 @@ class DriftEvaluator:
         intermediate = debt.intermediate
         for (pair, d, relay_h) in self.blocks:
             k, j = pair
-            f = self.cost_fns[pair]
+            f = cost_fns[pair]
             alpha = targets[pair]
             dist = dists[d]
             q = debt.dest[pair]
@@ -183,20 +192,18 @@ class DriftEvaluator:
         return total
 
 
-def get_drift_evaluator(instance, cost_fns):
-    key = tuple(sorted((pair, cf) for pair, cf in cost_fns.items()))
-    cache = instance._drift_cache
-    if cache is None or cache[0] != key:
-        instance._drift_cache = (key, DriftEvaluator(instance, cost_fns))
-    return instance._drift_cache[1]
+def get_drift_evaluator(instance):
+    if instance._drift_evaluator is None:
+        instance._drift_evaluator = DriftEvaluator(instance)
+    return instance._drift_evaluator
 
 
 def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
     """Exact expected one-slot Lyapunov drift of ``action`` (member of the
     instance's action space, given as tuple or index)."""
-    ev = get_drift_evaluator(instance, cost_fns)
+    ev = get_drift_evaluator(instance)
     idx = action if isinstance(action, int) else instance.action_space.index[action]
-    return ev.score(debt, age, buffer, targets)[0][idx]
+    return ev.score(debt, age, buffer, targets, cost_fns)[0][idx]
 
 
 def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
@@ -214,8 +221,8 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    ev = evaluator if evaluator is not None else get_drift_evaluator(instance, cost_fns)
-    scores, dists = ev.score(debt, age, buffer, targets)
+    ev = evaluator if evaluator is not None else get_drift_evaluator(instance)
+    scores, dists = ev.score(debt, age, buffer, targets, cost_fns)
     best = min(scores)
     ties = [i for i, s in enumerate(scores) if s == best]
     if len(ties) == 1 or tie_break == "first":
@@ -285,13 +292,6 @@ class RandomizedPolicy:
         idx = bisect.bisect_right(self._cum, rng.random())
         n = len(self.probabilities)
         return idx if idx < n else n - 1
-
-
-def randomized_action(policy, rng):
-    """One i.i.d. draw from the policy; the Action when the policy carries
-    the action list, else the index."""
-    idx = policy.sample_index(rng)
-    return policy.actions[idx] if policy.actions is not None else idx
 
 
 def _project_simplex(v):

@@ -9,7 +9,9 @@ Slot order, fixed and relied on by the tests:
      buffered freshest packet; successful links deliver
   5. age advance and buffer update
   6. destination debt update (uses post-slot ages and this slot's targets)
-  7. intermediate debt update (case 1 judged on pre-slot buffers/ages)
+  7. intermediate debt update, exact age-debt only: case 1 for the relays
+     that forwarded a held packet in step 4, with pre-slot ages and the
+     chosen action's hop distances from the drift evaluator
   8. metrics accumulation
 
 Gradient-descent target epochs sit outside the slot: every W slots the
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .age import (advance_age, initial_age, initial_buffer, initial_debt,
-                  restricted_hop_distance, update_destination_debt,
-                  update_intermediate_debt)
+                  update_destination_debt, update_intermediate_debt)
 from .channels import ChannelProcess
 from .network import canon_edge
 from .policies import (RandomizedPolicy, age_debt_action, get_drift_evaluator,
@@ -36,7 +37,7 @@ from .targets import (FlowControlConfig, GradientDescentConfig,
 _POLICY_RNG_TAG = 0x90110EC
 
 POLICIES = ("age-debt", "max-weight", "randomized", "constant", "dp-table")
-TARGET_MODES = ("fixed", "flow-control", "gradient-descent", "oracle-dp")
+TARGET_MODES = ("fixed", "flow-control", "gradient-descent")
 
 
 @dataclass
@@ -49,7 +50,6 @@ class SimConfig:
     targets: object = None              # dict pair->alpha, or scalar for all pairs
     flow_control: FlowControlConfig = None
     gradient_descent: GradientDescentConfig = None
-    dp_params: dict = field(default_factory=dict)   # for oracle-dp target mode
     tie_break: str = "freshest"
     use_intermediate_queues: bool = True
     trace_detail: str = "metrics-only"  # metrics-only | full
@@ -78,7 +78,6 @@ class RunMetrics:
     target_history: list = None  # per-epoch targets under gradient descent
     age_histograms: dict = None  # (k, j) -> {age: count}, full trace mode only
     trace: list = None           # (t, pair, A, B, Q, alpha, action_idx) rows
-    unreachable_case1: int = 0   # case-1 updates skipped for unreachable h
 
 
 def star_structure(instance):
@@ -124,16 +123,10 @@ class _AgeDebtController:
         self.tie_break = cfg.tie_break
         self.rng = rng
         variant = cfg.policy_params.get("variant", "auto")
-        if variant not in ("auto", "exact", "single-hop"):
+        if variant not in ("auto", "exact"):
             raise ValueError(f"unknown age-debt variant {variant!r}")
-        self.star = None
-        if variant in ("auto", "single-hop"):
-            self.star = star_structure(instance)
-            if variant == "single-hop" and self.star is None:
-                raise ValueError("single-hop age-debt variant needs a star instance")
-        self.evaluator = None
-        if self.star is None:
-            self.evaluator = get_drift_evaluator(instance, cost_fns)
+        self.star = star_structure(instance) if variant == "auto" else None
+        self.evaluator = get_drift_evaluator(instance) if self.star is None else None
 
     def decide(self, t, age, buffer, debt, targets):
         if self.star is not None:
@@ -221,10 +214,6 @@ def _build_controller(instance, cost_fns, cfg, rng):
 
 def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
     mode = cfg.target_mode
-    if mode == "oracle-dp":
-        from .dp import dp_optimal
-        sol = dp_optimal(instance, cost_fns, **cfg.dp_params)
-        return dict(sol.per_pair_average)
     if mode == "flow-control":
         if cfg.flow_control is None:
             raise ValueError("flow-control mode needs a FlowControlConfig")
@@ -273,25 +262,19 @@ def run(instance, cost_fns, cfg):
     age = initial_age(tracked)
     buffer = initial_buffer(instance.flows)
     debt = initial_debt(instance)
-    if not cfg.use_intermediate_queues:
-        debt.intermediate = {}
     dest_pairs = list(debt.dest)
 
     targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
     controller = _build_controller(instance, cost_fns, cfg, rng)
+    # relay queues are read only by the exact-drift policy, whose evaluator
+    # also holds their hop distances
+    evaluator = getattr(controller, "evaluator", None)
+    if evaluator is None or not cfg.use_intermediate_queues:
+        debt.intermediate = {}
     channels = ChannelProcess(instance, cfg.seed)
     space = instance.action_space
     edge_idx = instance.edge_index
-    adjacency = instance.adjacency
-
-    hop_cache = {}
-
-    def hop_lookup(i, j, links):
-        key = (i, j, links)
-        if key not in hop_cache:
-            hop_cache[key] = restricted_hop_distance(adjacency, i, j, links)
-        return hop_cache[key]
 
     gd = cfg.gradient_descent
     gd_floor = _gd_floor(cost_fns, gd) if cfg.target_mode == "gradient-descent" else None
@@ -299,7 +282,6 @@ def run(instance, cost_fns, cfg):
 
     cost_sum = {pair: 0.0 for pair in dest_pairs}
     max_sum_debt = 0.0
-    unreachable_total = 0
     full_trace = cfg.trace_detail == "full"
     trace = [] if full_trace else None
     hists = {pair: {} for pair in dest_pairs} if full_trace else None
@@ -320,26 +302,27 @@ def run(instance, cost_fns, cfg):
         action = space[action_idx]
 
         bits = channels.slot(t)
-        buffer_pre = dict(buffer)
         deliveries = []
+        forwarded = set()  # (relay, flow) pairs that sent a held packet
         for (tx, rx, k) in action:
             if tx == k:
                 t_g = t  # generate-at-will: stamp a fresh update now
                 buffer[(tx, k)] = t
             else:
-                t_g = buffer_pre.get((tx, k))
+                # only sources' own stamps change before advance_age, so
+                # this reads the relay's pre-slot buffer
+                t_g = buffer.get((tx, k))
                 if t_g is None:
                     continue  # nothing to forward; no-op on the wire
+                forwarded.add((tx, k))
             if bits[edge_idx[canon_edge(tx, rx)]]:
                 deliveries.append((k, rx, t_g))
 
         age_next = advance_age(age, buffer, deliveries, t)
         update_destination_debt(debt, cost_fns, age_next, targets)
         if debt.intermediate:
-            _, unreachable = update_intermediate_debt(
-                debt, age, buffer_pre, action, targets, cost_fns, age_next,
-                adjacency, hop_lookup=hop_lookup)
-            unreachable_total += unreachable
+            update_intermediate_debt(debt, age, forwarded, evaluator.relay_hops[action_idx],
+                                     targets, cost_fns, age_next)
         age = age_next
 
         sum_debt = 0.0
@@ -370,7 +353,6 @@ def run(instance, cost_fns, cfg):
         target_history=target_history,
         age_histograms=hists,
         trace=trace,
-        unreachable_case1=unreachable_total,
     )
 
 
@@ -389,15 +371,6 @@ def stability_diagnostic(metrics, delta=None, targets=None):
         else:
             d = max(0.01 * targets[pair], 0.1)
         out[pair] = rate < d
-    return out
-
-
-def replicate(instance, cost_fns, cfg, seeds):
-    """Run the same config across seeds; returns the list of metrics."""
-    out = []
-    for s in seeds:
-        c = SimConfig(**{**cfg.__dict__, "seed": s})
-        out.append(run(instance, cost_fns, c))
     return out
 
 

@@ -66,23 +66,3 @@ def flow_control_update(debt_now, cfg):
     """Per-slot threshold rule: alpha = alpha_max where Q > V, else 1."""
     return {pair: (cfg.alpha_max if q > cfg.V else 1.0)
             for pair, q in debt_now.items()}
-
-
-def closed_form_matches_program(debt_now, cfg, grid_points=1000):
-    """Check that the threshold rule solves the per-pair boxed linear program
-    min (V - Q) * alpha over alpha in [1, alpha_max] (test support).
-
-    The per-pair objective V*alpha - alpha*Q is linear in alpha, so the
-    minimum sits at a box corner; a fine grid over the box must not beat the
-    rule's choice.
-    """
-    rule = flow_control_update(debt_now, cfg)
-    lo, hi = 1.0, cfg.alpha_max
-    step = (hi - lo) / max(grid_points - 1, 1)
-    for pair, q in debt_now.items():
-        coeff = cfg.V - q
-        chosen = coeff * rule[pair]
-        best = min(coeff * (lo + step * g) for g in range(grid_points))
-        if chosen > best + 1e-12 * max(1.0, abs(best)):
-            return False
-    return True

@@ -14,3 +14,13 @@ def two_hop():
 
 def idx_of(instance, action):
     return instance.action_space.index[action]
+
+
+def lyapunov(debt):
+    """Sum of squares of every destination and intermediate queue."""
+    total = 0.0
+    for q in debt.dest.values():
+        total += q * q
+    for q in debt.intermediate.values():
+        total += q * q
+    return total

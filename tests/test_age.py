@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import (CostFunction, DebtState, advance_age, initial_age,
-                    initial_buffer, initial_debt, lyapunov,
-                    restricted_hop_distance, update_destination_debt,
-                    update_intermediate_debt)
+from aoisim import (CostFunction, DebtState, SimConfig, advance_age, initial_age,
+                    initial_buffer, initial_debt, restricted_hop_distance, run,
+                    update_destination_debt, update_intermediate_debt)
 from aoisim.network import adjacency_map, bfs_distances
+from conftest import lyapunov
 
 
 # ---------------- age advance ----------------
@@ -163,49 +163,46 @@ def two_hop_state():
 
 
 def test_case1_forwarding_fresh_packet_decreases():
-    # relay holds a fresh packet; forwarding charges f(min(1,9)+1) - 3 = -1
+    # relay forwards a fresh packet; forwarding charges f(min(1,9)+1) - 3 = -1
     debt, cost_fns, adj = two_hop_state()
     debt.intermediate[(1, 3, 2)] = 5.0
     age = {(1, 3): 9, (1, 2): 1}
-    buffer = {(2, 1): 41}
-    action = ((2, 3, 1),)
+    hops = {(1, 3, 2): restricted_hop_distance(adj, 2, 3, [(2, 3)])}
     age_next = {(1, 3): 10, (1, 2): 2}
-    update_intermediate_debt(debt, age, buffer, action, {(1, 3): 3.0},
-                             cost_fns, age_next, adj)
+    update_intermediate_debt(debt, age, {(2, 1)}, hops, {(1, 3): 3.0},
+                             cost_fns, age_next)
     assert debt.intermediate[(1, 3, 2)] == 4.0
 
 
 def test_case2_idle_tracks_destination_cost():
-    debt, cost_fns, adj = two_hop_state()
+    debt, cost_fns, _ = two_hop_state()
     age = {(1, 3): 9, (1, 2): 9}
     age_next = {(1, 3): 10, (1, 2): 10}
-    update_intermediate_debt(debt, age, {}, (), {(1, 3): 3.0},
-                             cost_fns, age_next, adj)
+    update_intermediate_debt(debt, age, set(), {}, {(1, 3): 3.0},
+                             cost_fns, age_next)
     assert debt.intermediate[(1, 3, 2)] == 7.0
 
 
-def test_forwarding_without_packet_is_case2():
-    debt, cost_fns, adj = two_hop_state()
-    age = {(1, 3): 9, (1, 2): 9}
-    age_next = {(1, 3): 10, (1, 2): 10}
-    update_intermediate_debt(debt, age, {}, ((2, 3, 1),), {(1, 3): 3.0},
-                             cost_fns, age_next, adj)
-    assert debt.intermediate[(1, 3, 2)] == 7.0
+def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
+    # run() reports a relay as forwarding only when it held a packet: under
+    # "last" the relay is scheduled in every slot but never receives one, so
+    # its queue takes the shadowing update; under "freshest" it does forward
+    import aoisim.sim
+    update = aoisim.sim.update_intermediate_debt
+    seen = []
 
+    def spy(debt, age, forwarded, *rest):
+        seen.append(set(forwarded))
+        return update(debt, age, forwarded, *rest)
 
-def test_unreachable_first_hop_falls_back_to_case2():
-    # node 2 forwards into a component that cannot reach the destination:
-    # the attempt is flagged and the queue takes the shadowing update
-    debt = DebtState(dest={(1, 4): 0.0}, intermediate={(1, 4, 2): 1.0})
-    cost_fns = {(1, 4): CostFunction.linear(1.0)}
-    adj = adjacency_map(4, [(1, 2), (3, 4)])
-    age = {(1, 4): 5, (1, 2): 2}
-    age_next = {(1, 4): 6, (1, 2): 3}
-    _, unreachable = update_intermediate_debt(
-        debt, age, {(2, 1): 10}, ((2, 1, 1),), {(1, 4): 2.0}, cost_fns,
-        age_next, adj)
-    assert unreachable == 1
-    assert debt.intermediate[(1, 4, 2)] == 1.0 + 6.0 - 2.0
+    monkeypatch.setattr(aoisim.sim, "update_intermediate_debt", spy)
+    instance, cost_fns = two_hop
+    for tie_break in ("last", "freshest"):
+        seen.clear()
+        run(instance, cost_fns, SimConfig(horizon=50, seed=0, targets=2.5, tie_break=tie_break,
+                                          policy_params={"variant": "exact"}))
+        assert len(seen) == 50
+        assert any(seen) == (tie_break == "freshest")
 
 
 def test_broadcast_flow_has_no_intermediate_queues():

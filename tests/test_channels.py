@@ -1,6 +1,6 @@
 import numpy as np
 
-from aoisim import ChannelProcess, make_instance, sample_channels
+from aoisim import ChannelProcess, make_instance
 
 
 def simple_instance(p):
@@ -50,5 +50,6 @@ def test_edges_get_independent_streams():
 
 def test_sample_channels_dict_form():
     inst = simple_instance(1.0)
-    out = sample_channels(inst, seed=0, t=17)
+    bits = ChannelProcess(inst, seed=0).slot(17)
+    out = {e: bool(bits[i]) for i, e in enumerate(inst.edges)}
     assert out == {(1, 2): True}

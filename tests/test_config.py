@@ -157,12 +157,13 @@ def test_oracle_dp_sweep_solves_once_per_policy(tmp_path, monkeypatch):
     assert errors == []
     rows = run_sweep(config, str(tmp_path / "sweep.csv"))
     assert len(calls) == 1
-    # every seed runs as a run that solves the DP for itself
+    # every seed runs at the fixed targets of one solve
     scenario = expand_scenarios(config)[0]
+    targets = solve(scenario.instance, scenario.cost_fns, a_cap=10,
+                    tolerance=1e-3).per_pair_average
     for row, seed in zip(rows, (0, 1, 2)):
         m = run(scenario.instance, scenario.cost_fns, SimConfig(
-            horizon=300, seed=seed, target_mode="oracle-dp",
-            dp_params={"a_cap": 10, "tolerance": 1e-3}))
+            horizon=300, seed=seed, targets=dict(targets)))
         assert row["seed"] == seed
         assert row["sum_cost"] == m.sum_cost
         assert row["max_QT_over_T"] == max(m.per_pair_debt_rate.values())

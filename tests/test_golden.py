@@ -3,7 +3,10 @@
 The age-debt argmin breaks ties on exact float equality, so any change to
 how drift is summed can silently change which action wins. These runs were
 recorded from the per-action drift loop that the one-pass evaluator
-replaced, and every later engine must reproduce them bit for bit.
+replaced, and every later engine must reproduce them bit for bit. The
+randomized, constant, gradient-descent and closed-form star cases were
+recorded from the engine that still worked out relay hop distances in every
+slot and kept relay queues under every policy.
 
 The DP fingerprints were recorded from the solver that gathered one
 state-sized flat index array per outcome. They pin every ``DpSolution``
@@ -23,9 +26,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoisim import (CostFunction, FlowControlConfig, SimConfig, broadcast_instance,
-                    dp_optimal, enumerate_connected_graphs, gen_line, gen_star,
-                    make_instance, run)
+from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
+                    broadcast_instance, dp_optimal, enumerate_connected_graphs, gen_line,
+                    gen_star, make_instance, run)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
 DP_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_dp.json")
@@ -62,6 +65,23 @@ def _cases():
                 lambda n=n, inter=inter: gen_line(n, interference=inter),
                 SimConfig(horizon=400, seed=7, target_mode="flow-control",
                           flow_control=fc_line, use_intermediate_queues=relay))
+    # policies that never read relay queues, run with relay queues on
+    line5 = lambda: gen_line(5, interference="parity")
+    cases["line-n5-parity-randomized"] = (line5, SimConfig(
+        horizon=400, seed=7, policy="randomized",
+        policy_params={"probabilities": (0.2, 0.4, 0.4)}))
+    cases["line-n5-parity-constant"] = (line5, SimConfig(
+        horizon=400, seed=7, policy="constant", policy_params={"action_index": 1}))
+    # every epoch boundary resets the destination and relay queues; on this
+    # line the actions depend on the relay queues at each reset
+    cases["line-n5-single-transmitter-gradient-descent"] = (
+        lambda: gen_line(5, interference="single-transmitter"),
+        SimConfig(horizon=400, seed=7, target_mode="gradient-descent",
+                  gradient_descent=GradientDescentConfig(
+                      epoch_length=50, epochs=8, step=0.5, threshold=0.05, initial=4.0)))
+    cases["star-n5-closed-form-fixed"] = (
+        lambda: gen_star(5, rng=np.random.default_rng(0)),
+        SimConfig(horizon=400, seed=7, targets=1.5))
     return cases
 
 
@@ -73,12 +93,16 @@ def trajectory(name):
     instance, cost_fns = build()
     m = run(instance, cost_fns, replace(cfg, trace_detail="full"))
     actions = [row[6] for row in m.trace[::len(m.per_pair_cost)]]
-    return {
+    out = {
         "actions": actions,
         "per_pair_cost": {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_cost.items()},
         "per_pair_debt_rate": {f"{k}-{j}": repr(v)
                                for (k, j), v in m.per_pair_debt_rate.items()},
     }
+    if m.target_history is not None:
+        out["target_history"] = [{f"{k}-{j}": repr(v) for (k, j), v in tg.items()}
+                                 for tg in m.target_history]
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from aoisim import (CostFunction, FlowControlConfig, SimConfig, gen_line,
-                    gen_star, make_instance, replicate, run,
-                    stability_diagnostic)
+                    gen_star, make_instance, run, stability_diagnostic)
 
 
 def single_source(p=1.0):
@@ -138,7 +138,7 @@ def test_replicate_runs_all_seeds():
     inst, costs = single_source(p=0.7)
     cfg = SimConfig(horizon=500, seed=0, policy="constant",
                     policy_params={"action_index": 1}, targets=3.0)
-    out = replicate(inst, costs, cfg, seeds=[0, 1, 2])
+    out = [run(inst, costs, replace(cfg, seed=s)) for s in (0, 1, 2)]
     assert [m.seed for m in out] == [0, 1, 2]
     assert len({m.sum_cost for m in out}) > 1
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig,
-                    SimConfig, closed_form_matches_program, flow_control_update,
-                    gd_epoch_update, gen_star, run)
+                    SimConfig, flow_control_update, gd_epoch_update, gen_star, run)
 
 
 def gd_cfg(**kw):
@@ -77,6 +76,26 @@ def test_flow_control_output_always_extreme():
         debt = {(k, 9): float(rng.uniform(0, 20)) for k in range(1, 6)}
         out = flow_control_update(debt, cfg)
         assert set(out.values()) <= {1.0, 33.0}
+
+
+def closed_form_matches_program(debt_now, cfg, grid_points=1000):
+    """Check that the threshold rule solves the per-pair boxed linear program
+    min (V - Q) * alpha over alpha in [1, alpha_max].
+
+    The per-pair objective V*alpha - alpha*Q is linear in alpha, so the
+    minimum sits at a box corner; a fine grid over the box must not beat the
+    rule's choice.
+    """
+    rule = flow_control_update(debt_now, cfg)
+    lo, hi = 1.0, cfg.alpha_max
+    step = (hi - lo) / max(grid_points - 1, 1)
+    for pair, q in debt_now.items():
+        coeff = cfg.V - q
+        chosen = coeff * rule[pair]
+        best = min(coeff * (lo + step * g) for g in range(grid_points))
+        if chosen > best + 1e-12 * max(1.0, abs(best)):
+            return False
+    return True
 
 
 def test_closed_form_solves_boxed_program():
