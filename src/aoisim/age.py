@@ -88,12 +88,18 @@ def advance_age(age, buffer, deliveries, t):
 
 
 def update_destination_debt(debt, cost_fns, age_next, targets):
-    """Q_kj <- [Q_kj + f_kj(next age) - alpha_kj]^+ for every pair."""
+    """Q_kj <- [Q_kj + f_kj(next age) - alpha_kj]^+ for every pair.
+
+    Returns the slot's cost f_kj(next age) of every pair, so that the
+    caller's metrics reuse it instead of pricing the age again.
+    """
     dest = debt.dest
+    priced = {}
     for pair in dest:
-        q = dest[pair] + cost_fns[pair](age_next[pair]) - targets[pair]
+        c = priced[pair] = cost_fns[pair](age_next[pair])
+        q = dest[pair] + c - targets[pair]
         dest[pair] = q if q > 0.0 else 0.0
-    return debt
+    return priced
 
 
 def restricted_hop_distance(adjacency, i, j, first_hops):

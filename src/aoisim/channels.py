@@ -34,14 +34,17 @@ class ChannelProcess:
         self._block_start = -1
         self._block = None
 
-    def _load_block(self, start):
-        draws = np.empty((_BLOCK, self.n_edges))
+    def _rows(self, start, stop):
+        """Success bits of slots start..stop-1 (start a block boundary,
+        stop - start <= _BLOCK), one row per slot. The first r doubles of a
+        Philox draw do not depend on how many follow, so a short last
+        block holds the same bits as the first rows of a full one."""
+        draws = np.empty((stop - start, self.n_edges))
         for i, key in enumerate(self._keys):
             bg = np.random.Philox(key=key)
             bg.advance(start // 4)
-            draws[:, i] = np.random.Generator(bg).random(_BLOCK)
-        self._block = draws < self._probs
-        self._block_start = start
+            draws[:, i] = np.random.Generator(bg).random(stop - start)
+        return draws < self._probs
 
     def slot(self, t):
         """Boolean success vector for slot t, indexed like instance.edges."""
@@ -49,5 +52,6 @@ class ChannelProcess:
             raise ValueError("slot must be >= 0")
         start = (t // _BLOCK) * _BLOCK
         if start != self._block_start:
-            self._load_block(start)
+            self._block = self._rows(start, start + _BLOCK)
+            self._block_start = start
         return self._block[t - start]

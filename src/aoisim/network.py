@@ -97,7 +97,8 @@ class NetworkInstance:
     """Immutable-after-construction description of one network.
 
     Safe to share read-only across parallel runs; the simulation engine never
-    mutates it (policy evaluators attach a private cache, built once).
+    mutates it (the drift evaluator and the open-loop plan are private
+    caches, each built once).
     """
 
     node_count: int
@@ -111,6 +112,7 @@ class NetworkInstance:
         self.adjacency = adjacency_map(self.node_count, self.edges)
         self.flow_by_source = {f.source: f for f in self.flows}
         self._drift_evaluator = None
+        self._open_loop_plan = None
 
     def edge_prob(self, i, j):
         return self.reliability[canon_edge(i, j)]

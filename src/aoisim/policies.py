@@ -312,12 +312,16 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
     the incumbent. Reproducible for a fixed rng seed. Returns the best
     policy found, with its achieved average cost in ``tuned_cost``.
     """
-    from .sim import SimConfig, run  # local import; sim depends on this module
+    # local import; sim depends on this module
+    from .sim import SimConfig, _open_loop_blocks, _open_loop_run
 
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(instance.action_space)
     evals = 0
+    # every candidate runs on the same channels and uniforms: draw them once
+    blocks = {s: list(_open_loop_blocks(instance, s, horizon, randomized=True))
+              for s in seeds}
 
     def objective(probs):
         nonlocal evals
@@ -327,7 +331,7 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
         for s in seeds:
             cfg = SimConfig(horizon=horizon, seed=s, policy="randomized",
                             policy_params={"policy": pol})
-            costs.append(run(instance, cost_fns, cfg).sum_cost)
+            costs.append(_open_loop_run(instance, cost_fns, cfg, blocks[s]).sum_cost)
         return sum(costs) / len(costs)
 
     candidates = [np.full(n, 1.0 / n)]

@@ -16,6 +16,18 @@ Slot order, fixed and relied on by the tests:
 
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
+
+Randomized and constant runs at fixed targets with metrics only skip the
+slot loop. Their actions never read state, so the whole action sequence
+is known up front: a constant index, or the same uniforms from the policy
+stream that the loop draws one slot at a time. Every buffer stamp is then a
+max-plus recurrence over the slots (a source carries the slot's own stamp
+over an active, successful link, a relay the stamp it held the slot
+before), solved one channel block at a time by rounds of
+``np.maximum.accumulate`` until nothing changes, and every age is
+t + 1 - stamp. Costs come from the same cost function calls on the same
+integer ages and are summed in slot order, and debts follow the same
+update, so the metrics are the same bits as the loop's.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import numpy as np
 
 from .age import (advance_age, initial_age, initial_buffer, initial_debt,
                   update_destination_debt, update_intermediate_debt)
-from .channels import ChannelProcess
+from .channels import _BLOCK, ChannelProcess
 from .network import canon_edge
 from .policies import (RandomizedPolicy, age_debt_action, get_drift_evaluator,
                        max_weight_action, single_hop_age_debt_action)
@@ -258,6 +270,14 @@ def run(instance, cost_fns, cfg):
     come from per-edge counter-based streams keyed by (seed, edge), and
     policy randomness from a separate stream keyed by seed.
     """
+    if (cfg.policy in ("randomized", "constant") and cfg.target_mode == "fixed"
+            and cfg.trace_detail == "metrics-only"):
+        return _open_loop_run(instance, cost_fns, cfg)
+    return _slot_loop(instance, cost_fns, cfg)
+
+
+def _slot_loop(instance, cost_fns, cfg):
+    """``run`` one slot at a time, for every kind of run."""
     tracked = instance.tracked_pairs()
     age = initial_age(tracked)
     buffer = initial_buffer(instance.flows)
@@ -319,7 +339,7 @@ def run(instance, cost_fns, cfg):
                 deliveries.append((k, rx, t_g))
 
         age_next = advance_age(age, buffer, deliveries, t)
-        update_destination_debt(debt, cost_fns, age_next, targets)
+        priced = update_destination_debt(debt, cost_fns, age_next, targets)
         if debt.intermediate:
             update_intermediate_debt(debt, age, forwarded, evaluator.relay_hops[action_idx],
                                      targets, cost_fns, age_next)
@@ -327,14 +347,14 @@ def run(instance, cost_fns, cfg):
 
         sum_debt = 0.0
         for pair in dest_pairs:
-            a = age[pair]
-            cost_sum[pair] += cost_fns[pair](a)
+            c = priced[pair]
+            cost_sum[pair] += c
             sum_debt += debt.dest[pair]
             if full_trace:
+                a = age[pair]
                 h = hists[pair]
                 h[a] = h.get(a, 0) + 1
-                trace.append((t, pair, a, cost_fns[pair](a), debt.dest[pair],
-                              targets[pair], action_idx))
+                trace.append((t, pair, a, c, debt.dest[pair], targets[pair], action_idx))
         if sum_debt > max_sum_debt:
             max_sum_debt = sum_debt
 
@@ -353,6 +373,166 @@ def run(instance, cost_fns, cfg):
         target_history=target_history,
         age_histograms=hists,
         trace=trace,
+    )
+
+
+def _open_loop_plan(instance):
+    if instance._open_loop_plan is None:
+        instance._open_loop_plan = _OpenLoopPlan(instance)
+    return instance._open_loop_plan
+
+
+class _OpenLoopPlan:
+    """An instance's links as arrays, for runs whose actions never read
+    state.
+
+    Rows are the tracked (flow, node) pairs. A link is a (tx, rx, flow)
+    assignment that can raise a row's stamp: from the flow's source, which
+    carries the slot's own stamp, or from a tracked node of the flow, which
+    carries the stamp it held the slot before. Links into the flow's own
+    source change nothing, and a node that is not tracked for a flow never
+    holds its packets, so neither kind is kept. Links are sorted by
+    receiving row.
+    """
+
+    def __init__(self, instance):
+        tracked = instance.tracked_pairs()
+        row = {pair: i for i, pair in enumerate(tracked)}
+        self.n_rows = len(tracked)
+        self.dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+        self.dest_rows = np.array([row[pair] for pair in self.dest_pairs], dtype=np.intp)
+        links = {}  # (rx row, tx row or -1 for the source, edge) -> actions using it
+        for a, action in enumerate(instance.action_space):
+            for (tx, rx, k) in action:
+                r = row.get((k, rx))
+                m = -1 if tx == k else row.get((k, tx))
+                if r is not None and m is not None:
+                    links.setdefault((r, m, instance.edge_index[canon_edge(tx, rx)]),
+                                     []).append(a)
+        keys = sorted(links)
+        self.active = np.zeros((len(instance.action_space), len(keys)), dtype=bool)
+        for i, key in enumerate(keys):
+            self.active[links[key], i] = True  # action x link
+        self.edges = np.array([key[2] for key in keys], dtype=np.intp)
+        tx_rows = np.array([key[1] for key in keys], dtype=np.intp)
+        self.from_source = tx_rows < 0
+        self.relay_links = np.flatnonzero(tx_rows >= 0)
+        self.relay_from = tx_rows[self.relay_links]
+        # receiving rows and the first link of each, for maximum.reduceat
+        self.rows, self.starts = np.unique(
+            np.array([key[0] for key in keys], dtype=np.intp), return_index=True)
+
+    def stamps(self, before, start, on):
+        """Every row's buffer stamp (-1 for none) after each slot of a
+        block that starts at slot ``start``; ``before`` holds the stamps
+        before it, and ``on`` (link x slot) marks the active links whose
+        channel delivered."""
+        n_slots = on.shape[1]
+        carried = np.empty(on.shape, dtype=np.int64)
+        carried[self.from_source] = np.arange(start, start + n_slots)
+        carried[self.relay_links, 0] = before[self.relay_from]
+        floor = np.broadcast_to(before[:, None], (self.n_rows, n_slots))
+        stamps = floor
+        # each round carries every stamp one more hop; the freshest stamp
+        # reaches a node along a simple path, so at most n - 1 rounds
+        # change anything
+        while True:
+            carried[self.relay_links, 1:] = stamps[self.relay_from, :-1]
+            nxt = np.full((self.n_rows, n_slots), -1, dtype=np.int64)
+            nxt[self.rows] = np.maximum.reduceat(np.where(on, carried, -1), self.starts, axis=0)
+            nxt = np.maximum(np.maximum.accumulate(nxt, axis=1), floor)
+            if np.array_equal(nxt, stamps):
+                return stamps
+            stamps = nxt
+
+
+def _open_loop_blocks(instance, seed, horizon, randomized):
+    """Per channel block of the run: the delivery bits of every open-loop
+    link (link x slot) and, for a randomized policy, the block's uniforms
+    from the policy stream (a block draw equals as many scalar draws)."""
+    edges = _open_loop_plan(instance).edges
+    channels = ChannelProcess(instance, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _POLICY_RNG_TAG)))
+    for start in range(0, horizon, _BLOCK):
+        stop = min(start + _BLOCK, horizon)
+        yield (channels._rows(start, stop)[:, edges].T,
+               rng.random(stop - start) if randomized else None)
+
+
+def _running_sum(first, values):
+    """first + values[0], then + values[1], ...: the order of a ``+=`` loop
+    (``np.add.accumulate`` is sequential, unlike a reduction)."""
+    return np.add.accumulate(np.concatenate(([first], values)))[1:]
+
+
+def _open_loop_run(instance, cost_fns, cfg, blocks=None):
+    """``run`` of a randomized or constant policy at fixed targets, metrics
+    only, one channel block at a time. ``blocks`` are the run's
+    ``_open_loop_blocks`` if already drawn."""
+    plan = _open_loop_plan(instance)
+    dest_pairs = plan.dest_pairs
+    targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
+    controller = _build_controller(instance, cost_fns, cfg, None)  # validates the policy
+    randomized = cfg.policy == "randomized"
+    if blocks is None:
+        blocks = _open_loop_blocks(instance, cfg.seed, cfg.horizon, randomized)
+    if randomized:
+        cum = np.asarray(controller.policy._cum)
+
+    T = cfg.horizon
+    before = np.full(plan.n_rows, -1, dtype=np.int64)  # stamps before the block
+    cost_sum = [0.0] * len(dest_pairs)
+    debt = [0.0] * len(dest_pairs)
+    max_sum_debt = 0.0
+    start = 0
+    for bits, uniforms in blocks:
+        n_slots = bits.shape[1]
+        if randomized:
+            actions = np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
+        else:
+            actions = np.full(n_slots, controller.idx)
+        block = plan.stamps(before, start, plan.active[actions].T & bits)
+        before = block[:, -1]
+        t1 = np.arange(start + 1, start + n_slots + 1)
+        # the loop's runaway check: every tracked age, every 4096th slot
+        for i in range(-start % 4096, n_slots, 4096):
+            if (t1[i] - block[:, i]).max() > cfg.runaway_age:
+                raise RuntimeError("runaway instance: age exceeded the abort bound")
+        ages = t1 - block[plan.dest_rows]
+        debts = np.empty(ages.shape)
+        for p, pair in enumerate(dest_pairs):
+            f = cost_fns[pair]
+            distinct, inverse = np.unique(ages[p], return_inverse=True)
+            priced = np.array([f(a) for a in distinct.tolist()], dtype=float)
+            costs = priced[inverse]
+            cost_sum[p] = float(_running_sum(cost_sum[p], costs)[-1])
+            alpha = targets[pair]
+            if alpha == 0.0 and priced.min() >= 0.0:
+                # [Q + c - 0]^+ never clips, so the debt is a running sum too
+                debts[p] = _running_sum(debt[p], costs)
+            else:
+                q = debt[p]
+                lindley = []
+                for c in costs.tolist():
+                    q = q + c - alpha
+                    q = q if q > 0.0 else 0.0
+                    lindley.append(q)
+                debts[p] = lindley
+            debt[p] = float(debts[p, -1])
+        top = float(np.add.accumulate(debts, axis=0)[-1].max())
+        if top > max_sum_debt:
+            max_sum_debt = top
+        start += n_slots
+
+    per_pair_cost = {pair: cost_sum[p] / T for p, pair in enumerate(dest_pairs)}
+    return RunMetrics(
+        horizon=T,
+        seed=cfg.seed,
+        per_pair_cost=per_pair_cost,
+        sum_cost=math.fsum(per_pair_cost.values()),
+        per_pair_debt_rate={pair: debt[p] / T for p, pair in enumerate(dest_pairs)},
+        max_sum_debt=max_sum_debt,
+        final_targets=dict(targets),
     )
 
 

@@ -37,6 +37,17 @@ def test_random_access_matches_sequential():
         assert bool(cp2.slot(t)[0]) == seq[t]
 
 
+def test_short_blocks_match_slots_across_a_boundary():
+    # open-loop runs draw only the rows they use; a short last block holds
+    # the first rows of the full one
+    inst = make_instance(3, {(1, 2): 0.5, (2, 3): 0.3}, [(1, {3})])
+    cp = ChannelProcess(inst, seed=5)
+    rows = np.vstack([cp._rows(0, 4096), cp._rows(4096, 4200)])
+    ref = ChannelProcess(inst, seed=5)
+    assert np.array_equal(rows, np.array([ref.slot(t) for t in range(4200)]))
+    assert np.array_equal(cp._rows(0, 17), rows[:17])
+
+
 def test_edges_get_independent_streams():
     inst = make_instance(3, {(1, 3): 0.5, (2, 3): 0.5}, [(1, {3}), (2, {3})])
     cp = ChannelProcess(inst, seed=9)

@@ -6,7 +6,10 @@ recorded from the per-action drift loop that the one-pass evaluator
 replaced, and every later engine must reproduce them bit for bit. The
 randomized, constant, gradient-descent and closed-form star cases were
 recorded from the engine that still worked out relay hop distances in every
-slot and kept relay queues under every policy.
+slot and kept relay queues under every policy. The randomized broadcast and
+diamond cases were recorded from the slot loop before open-loop runs got
+their array path; every case is also checked metrics-only, which is the
+mode that takes that path.
 
 The DP fingerprints were recorded from the solver that gathered one
 state-sized flat index array per outcome. They pin every ``DpSolution``
@@ -38,6 +41,16 @@ def _two_hop():
     instance = make_instance(3, {(1, 2): 1.0, (2, 3): 1.0}, [(1, {3})],
                              interference="single-transmitter", eligibility="path")
     return instance, {(1, 3): CostFunction.linear(1.0)}
+
+
+def _diamond():
+    """1 -> {2, 3} -> 4, one flow 1 -> 4; each non-idle action drives both
+    links of one stage at once."""
+    instance = make_instance(
+        4, {(1, 2): 0.9, (1, 3): 0.6, (2, 4): 0.7, (3, 4): 0.8}, [(1, {4})],
+        interference="explicit",
+        explicit_actions=[[(1, 2, 1), (1, 3, 1)], [(2, 4, 1), (3, 4, 1)]])
+    return instance, {(1, 4): CostFunction.power(2.0)}
 
 
 def _broadcast(gid, reliability):
@@ -82,6 +95,18 @@ def _cases():
     cases["star-n5-closed-form-fixed"] = (
         lambda: gen_star(5, rng=np.random.default_rng(0)),
         SimConfig(horizon=400, seed=7, targets=1.5))
+    # open-loop broadcast: on the tree (graph 0) destinations forward other
+    # sources' packets over several hops; K5 (graph 20) delivers directly
+    uniform21 = tuple([1.0 / 21] * 21)
+    for gid in (0, 20):
+        cases[f"broadcast-g{gid}-p0.8-randomized"] = (
+            lambda gid=gid: _broadcast(gid, 0.8),
+            SimConfig(horizon=400, seed=3, policy="randomized",
+                      policy_params={"probabilities": uniform21}))
+    # two relays deliver into the destination in the same slot
+    cases["diamond-explicit-randomized"] = (_diamond, SimConfig(
+        horizon=400, seed=11, policy="randomized",
+        policy_params={"probabilities": (0.1, 0.5, 0.4)}))
     return cases
 
 
@@ -118,6 +143,19 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trajectory(golden, name):
     assert trajectory(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_metrics_only(golden, name):
+    # open-loop runs recorded in full-trace mode skip the slot loop when
+    # run metrics-only; every run must report the same bits either way
+    build, cfg = CASES[name]
+    instance, cost_fns = build()
+    m = run(instance, cost_fns, replace(cfg, trace_detail="metrics-only"))
+    assert {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_cost.items()} == \
+        golden[name]["per_pair_cost"]
+    assert {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_debt_rate.items()} == \
+        golden[name]["per_pair_debt_rate"]
 
 
 def _dp_cases():

@@ -349,6 +349,19 @@ def test_single_edge_tuner_finds_point_mass():
     assert pol.probabilities[1] > 0.95
 
 
+def test_tuner_scores_candidates_as_run_does():
+    # the tuner draws each seed's channels once and scores every candidate
+    # on them; its cost must be the bits that run() reports
+    from aoisim import SimConfig, gen_line, run
+    instance, cost_fns = gen_line(5, interference="parity")
+    pol = optimize_randomized(instance, cost_fns, search_budget=12,
+                              rng=np.random.default_rng(3), horizon=4500, seeds=(2, 9))
+    costs = [run(instance, cost_fns, SimConfig(horizon=4500, seed=s, policy="randomized",
+                                               policy_params={"policy": pol})).sum_cost
+             for s in (2, 9)]
+    assert pol.tuned_cost == sum(costs) / len(costs)
+
+
 def test_two_hop_tuner_near_fair_coin(two_hop):
     instance, cost_fns = two_hop
     pol = optimize_randomized(instance, cost_fns, search_budget=120,

@@ -1,10 +1,15 @@
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aoisim import (CostFunction, FlowControlConfig, SimConfig, gen_line,
-                    gen_star, make_instance, run, stability_diagnostic)
+from aoisim import (CostFunction, FlowControlConfig, SimConfig, broadcast_instance,
+                    enumerate_connected_graphs, gen_line, gen_star, make_instance, run,
+                    sim, stability_diagnostic)
 
 
 def single_source(p=1.0):
@@ -67,7 +72,6 @@ def test_age_buffer_consistency_invariant():
     run(inst, costs, cfg)  # the engine itself must not crash
 
     # independent replay with a fair-coin policy exercising the same invariant
-    import numpy as np
     rng = np.random.default_rng(0)
     age = initial_age(inst.tracked_pairs())
     buffer = initial_buffer(inst.flows)
@@ -143,6 +147,27 @@ def test_replicate_runs_all_seeds():
     assert len({m.sum_cost for m in out}) > 1
 
 
+def test_slot_loop_prices_each_pair_once_per_slot():
+    class Counting:
+        def __init__(self, f):
+            self.f = f
+            self.calls = 0
+
+        def __call__(self, age):
+            self.calls += 1
+            return self.f(age)
+
+    inst, costs = gen_star(5, rng=np.random.default_rng(0))
+    counting = {pair: Counting(f) for pair, f in costs.items()}
+    n = len(inst.action_space)
+    cfg = SimConfig(horizon=1000, seed=0, policy="randomized",
+                    policy_params={"probabilities": tuple([1.0 / n] * n)},
+                    trace_detail="full")
+    m = run(inst, counting, cfg)
+    assert sum(c.calls for c in counting.values()) == len(costs) * 1000
+    assert m.per_pair_cost == run(inst, costs, cfg).per_pair_cost
+
+
 def test_flow_control_targets_move_every_slot(two_hop):
     instance, cost_fns = two_hop
     cfg = SimConfig(horizon=300, seed=0, policy="age-debt",
@@ -153,3 +178,98 @@ def test_flow_control_targets_move_every_slot(two_hop):
     alphas = {row[5] for row in m.trace}
     assert alphas <= {1.0, 9.0}
     assert len(alphas) == 2  # both branches of the threshold rule fire
+
+
+def test_open_loop_runaway_abort():
+    # the same abort on the open-loop path: idle forever at target 0
+    inst, costs = single_source()
+    cfg = SimConfig(horizon=50_000, seed=0, policy="constant",
+                    policy_params={"action_index": 0}, runaway_age=2 ** 12)
+    with pytest.raises(RuntimeError, match="runaway"):
+        run(inst, costs, cfg)
+
+
+# ---------------- open-loop runs against the slot loop ----------------
+
+def assert_same_metrics(instance, cost_fns, cfg):
+    a = run(instance, cost_fns, cfg)
+    b = sim._slot_loop(instance, cost_fns, cfg)
+    for f in fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_line(5, interference="parity"),
+    lambda: broadcast_instance(5, enumerate_connected_graphs(5)[0], reliability=0.8),
+])
+def test_open_loop_matches_slot_loop_across_blocks(build):
+    # stamps, cost sums and debts carry over two block boundaries; costs
+    # with fractional values make the summation order show
+    instance, cost_fns = build()
+    cost_fns = {pair: CostFunction.power(1.5) for pair in cost_fns}
+    n = len(instance.action_space)
+    probs = tuple([0.0] + [1.0 / (n - 1)] * (n - 1))
+    for seed in range(4):
+        assert_same_metrics(instance, cost_fns, SimConfig(
+            horizon=9000, seed=seed, policy="randomized",
+            policy_params={"probabilities": probs}, targets=2.0 * (seed % 2)))
+
+
+@st.composite
+def open_loop_cases(draw):
+    n = draw(st.integers(min_value=3, max_value=6))
+    tree = [(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)]
+    extras = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          max_size=2))
+    edges = sorted(set(tree) | extras)
+    rel = {e: draw(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=0.9)))
+           for e in edges}
+    flows = []
+    for src in sorted(draw(st.sets(st.integers(min_value=1, max_value=n),
+                                   min_size=1, max_size=2))):
+        others = [v for v in range(1, n + 1) if v != src]
+        kind = draw(st.sampled_from(["unicast", "multicast", "broadcast"]))
+        if kind == "unicast":
+            dests = {draw(st.sampled_from(others))}
+        elif kind == "multicast":
+            dests = set(draw(st.lists(st.sampled_from(others), min_size=1,
+                                      max_size=len(others))))
+        else:
+            dests = set(others)
+        flows.append((src, dests))
+    instance = make_instance(
+        n, rel, flows,
+        interference=draw(st.sampled_from(["single-transmitter", "matching"])),
+        eligibility=draw(st.sampled_from(["any", "path"])))
+    cost_kinds = [
+        st.builds(CostFunction.linear, st.floats(min_value=0.0, max_value=3.0)),
+        st.builds(CostFunction.power, st.floats(min_value=0.0, max_value=2.5)),
+        st.builds(CostFunction.exponential, st.just(50.0)),
+        st.builds(CostFunction.indicator, st.integers(min_value=1, max_value=6)),
+    ]
+    pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+    cost_fns = {pair: draw(st.one_of(cost_kinds)) for pair in pairs}
+    n_actions = len(instance.action_space)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(min_value=0, max_value=5),
+                                min_size=n_actions, max_size=n_actions))
+        if sum(weights) == 0:
+            weights[-1] = 1
+        policy = {"policy": "randomized",
+                  "policy_params": {"probabilities": tuple(w / sum(weights) for w in weights)}}
+    else:
+        policy = {"policy": "constant", "policy_params": {
+            "action_index": draw(st.integers(min_value=0, max_value=n_actions - 1))}}
+    targets = draw(st.one_of(
+        st.just(0.0), st.floats(min_value=0.25, max_value=6.0),
+        st.fixed_dictionaries({pair: st.sampled_from([0.0, 0.5, 2.0, 4.5]) for pair in pairs})))
+    cfg = SimConfig(horizon=draw(st.integers(min_value=1, max_value=300)),
+                    seed=draw(st.integers(min_value=0, max_value=2 ** 20)),
+                    targets=targets, **policy)
+    return instance, cost_fns, cfg
+
+
+@given(open_loop_cases())
+@settings(max_examples=80, deadline=None)
+def test_open_loop_matches_slot_loop(case):
+    assert_same_metrics(*case)
