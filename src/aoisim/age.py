@@ -33,9 +33,6 @@ class DebtState:
     dest: dict = field(default_factory=dict)          # (k, j) -> Q >= 0
     intermediate: dict = field(default_factory=dict)  # (k, j, i) -> Q >= 0
 
-    def copy(self):
-        return DebtState(dict(self.dest), dict(self.intermediate))
-
 
 def initial_age(tracked_pairs):
     """Everyone starts one slot old; the post-delivery minimum."""
@@ -48,14 +45,10 @@ def initial_buffer(flows):
 
 
 def initial_debt(instance):
-    debt = DebtState()
-    for f in instance.flows:
-        relays = instance.relays(f)
-        for j in sorted(f.destinations):
-            debt.dest[(f.source, j)] = 0.0
-            for i in relays:
-                debt.intermediate[(f.source, j, i)] = 0.0
-    return debt
+    pairs = instance.dest_pairs()
+    relays = {f.source: instance.relays(f) for f in instance.flows}
+    return DebtState(dest={pair: 0.0 for pair in pairs},
+                     intermediate={(k, j, i): 0.0 for (k, j) in pairs for i in relays[k]})
 
 
 def advance_age(age, buffer, deliveries, t):
@@ -122,7 +115,7 @@ def restricted_hop_distance(adjacency, i, j, first_hops):
 
 
 def update_intermediate_debt(debt, age, forwarded, hops, targets, cost_fns,
-                             age_next):
+                             priced):
     """Advance every intermediate queue one slot.
 
     When relay i actually forwarded a flow-k packet this slot ((i, k) in
@@ -132,14 +125,14 @@ def update_intermediate_debt(debt, age, forwarded, hops, targets, cost_fns,
     distance restricted to the relay's first hops, using pre-slot ages.
     Otherwise, including a forwarding assignment with no packet on board (a
     no-op on the wire), the queue shadows the destination's realized cost
-    f(next dest age).
+    f(next dest age), read from ``priced``, the slot's costs that
+    ``update_destination_debt`` returned.
     """
     for (k, j, i), q in debt.intermediate.items():
-        f = cost_fns[(k, j)]
         if (i, k) in forwarded:
-            term = f(min(age[(k, i)], age[(k, j)]) + hops[(k, j, i)])
+            term = cost_fns[(k, j)](min(age[(k, i)], age[(k, j)]) + hops[(k, j, i)])
         else:
-            term = f(age_next[(k, j)])
+            term = priced[(k, j)]
         nq = q + term - targets[(k, j)]
         debt.intermediate[(k, j, i)] = nq if nq > 0.0 else 0.0
     return debt

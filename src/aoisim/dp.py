@@ -126,7 +126,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
         raise StateSpaceError(
             f"state space too large: {a_cap}^{n} = {n_states} > cap {state_cap}")
 
-    dest_pairs = {(f.source, j) for f in instance.flows for j in f.destinations}
+    dest_pairs = set(instance.dest_pairs())
     dims = (a_cap,) * n
     grids = np.ix_(*([np.arange(a_cap)] * n))  # broadcastable per-axis indices
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 # (tx, rx, flow) - node tx sends a packet of `flow` to its neighbor rx.
 Assignment = tuple
@@ -49,10 +50,6 @@ class Flow:
     source: int
     destinations: frozenset
     kind: str
-
-    def pairs(self):
-        """Cost-bearing (source, destination) pairs, destination-sorted."""
-        return [(self.source, j) for j in sorted(self.destinations)]
 
 
 def classify_flow(source, destinations, node_count):
@@ -141,15 +138,19 @@ class NetworkInstance:
                     frontier.append(v)
         return sorted(seen - flow.destinations - {flow.source})
 
+    def dest_pairs(self):
+        """Cost-bearing (flow source, destination) pairs, flow after flow,
+        destinations in ascending order."""
+        return [(f.source, j) for f in self.flows for j in sorted(f.destinations)]
+
     def tracked_pairs(self):
         """All (flow source, node) age processes the simulator maintains:
-        every destination plus every relay node of each flow."""
+        every destination plus every relay node of each flow, flow after
+        flow."""
         pairs = []
-        for f in self.flows:
-            for j in sorted(f.destinations):
-                pairs.append((f.source, j))
-            for i in self.relays(f):
-                pairs.append((f.source, i))
+        for k, dests in groupby(self.dest_pairs(), key=lambda pair: pair[0]):
+            pairs.extend(dests)
+            pairs.extend((k, i) for i in self.relays(self.flow_by_source[k]))
         return pairs
 
 

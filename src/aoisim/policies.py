@@ -57,7 +57,7 @@ class DriftEvaluator:
     def __init__(self, instance):
         tracked = instance.tracked_pairs()
         tracked_set = set(tracked)
-        dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+        dest_pairs = instance.dest_pairs()
         relays = {f.source: instance.relays(f) for f in instance.flows}
         self.dist_keys = []  # distinct (pair, links) keys, destination pairs first
         dist_ids = {}

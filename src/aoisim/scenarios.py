@@ -2,8 +2,13 @@
 
 gen_star / gen_line build the stock benchmark instances (sources around a
 hub; a unicast chain). enumerate_connected_graphs yields one representative
-per isomorphism class of connected graphs on n <= 7 nodes, using the minimum
-adjacency bit-string over all vertex permutations as the canonical form.
+per isomorphism class of connected graphs on n <= 7 nodes. It grows the
+classes one vertex at a time (the augmentation step of McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): every connected graph on m
+nodes has a vertex that is not a cut vertex, so it is a connected graph on
+m - 1 nodes plus one vertex joined to a nonempty subset of them. Duplicate
+candidates are merged by a canonical form, the minimum adjacency bit-string
+over all vertex permutations.
 """
 
 from __future__ import annotations
@@ -100,36 +105,14 @@ def broadcast_instance(n, edges, reliability=1.0, weights=None):
     flows = [(s, set(range(1, n + 1)) - {s}) for s in range(1, n + 1)]
     instance = make_instance(n, rel, flows,
                              interference="single-transmitter", eligibility="path")
-    cost_fns = {}
-    for f in instance.flows:
-        w = 1.0 if weights is None else float(weights.get(f.source, 1.0))
-        for j in sorted(f.destinations):
-            cost_fns[(f.source, j)] = CostFunction.linear(w)
+    weights = weights or {}
+    cost_fns = {(k, j): CostFunction.linear(float(weights.get(k, 1.0)))
+                for (k, j) in instance.dest_pairs()}
     return instance, cost_fns
 
 
 def _edge_list(n):
     return list(itertools.combinations(range(n), 2))
-
-
-def _connected(n, mask, edges):
-    adj = [0] * n
-    for b, (i, j) in enumerate(edges):
-        if mask >> b & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        v = frontier
-        while v:
-            low = (v & -v).bit_length() - 1
-            nxt |= adj[low]
-            v &= v - 1
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
 
 
 def canonical_mask(n, mask, perm_maps=None):
@@ -162,31 +145,34 @@ def enumerate_connected_graphs(n):
     """One graph per isomorphism class of connected graphs on n nodes,
     2 <= n <= 7, in deterministic (edge count, canonical form) order.
 
+    Grown one vertex at a time from the single edge: the candidates on m
+    nodes are every class on m - 1 nodes with a new vertex m - 1 joined to
+    each nonempty subset of the old ones. Every connected graph has a
+    vertex whose removal leaves it connected (any leaf of a spanning tree),
+    so every class on m nodes is among them.
+
     Each graph is a sorted tuple of 1-based edges.
     """
     if not (2 <= n <= 7):
         raise ValueError("n out of range: enumeration supports 2..7 nodes")
-    edges = _edge_list(n)
-    n_bits = len(edges)
-    connected_masks = [m for m in range(1 << n_bits) if _connected(n, m, edges)]
-
-    # vectorized canonical form: min over permutations of the remapped mask
-    perm_maps = np.array(_permutation_maps(n), dtype=np.int64)   # (n!, bits)
-    weights = (np.uint64(1) << perm_maps.astype(np.uint64))      # bit weights
-    canon = {}
-    chunk = 2048
-    masks = np.array(connected_masks, dtype=np.uint64)
-    bit_matrix = ((masks[:, None] >> np.arange(n_bits, dtype=np.uint64)) &
-                  np.uint64(1)).astype(np.uint64)
-    for lo in range(0, len(masks), chunk):
-        sub = bit_matrix[lo:lo + chunk]                          # (c, bits)
-        remapped = sub @ weights.T                               # (c, n!)
-        mins = remapped.min(axis=1)
-        for m in mins:
-            canon[int(m)] = None
-    out = []
-    for m in sorted(canon, key=lambda x: (bin(x).count("1"), x)):
-        graph = tuple(sorted((i + 1, j + 1) for b, (i, j) in enumerate(edges)
-                             if m >> b & 1))
-        out.append(graph)
-    return out
+    one = np.uint64(1)
+    edges = _edge_list(2)
+    masks = np.ones(1, dtype=np.uint64)  # canonical masks of the classes so far
+    for m in range(3, n + 1):
+        old_edges, edges = edges, _edge_list(m)
+        pos = {e: b for b, e in enumerate(edges)}
+        subsets = np.arange(1, 1 << (m - 1), dtype=np.uint64)
+        cand = np.zeros((len(masks), len(subsets), len(edges)), dtype=np.uint64)
+        cand[:, :, [pos[e] for e in old_edges]] = \
+            (masks[:, None] >> np.arange(len(old_edges), dtype=np.uint64) & one)[:, None, :]
+        cand[:, :, [pos[(i, m - 1)] for i in range(m - 1)]] = \
+            subsets[:, None] >> np.arange(m - 1, dtype=np.uint64) & one
+        cand = cand.reshape(-1, len(edges))
+        # canonical form: min over permutations of the remapped mask, in
+        # chunks that keep each (chunk x m!) product small
+        weights = one << np.array(_permutation_maps(m), dtype=np.uint64).T  # (bits, m!)
+        chunk = 256
+        masks = np.unique(np.concatenate([(cand[lo:lo + chunk] @ weights).min(axis=1)
+                                          for lo in range(0, len(cand), chunk)]))
+    return [tuple((i + 1, j + 1) for b, (i, j) in enumerate(edges) if mask >> b & 1)
+            for mask in sorted(map(int, masks), key=lambda x: (bin(x).count("1"), x))]

@@ -342,7 +342,7 @@ def _slot_loop(instance, cost_fns, cfg):
         priced = update_destination_debt(debt, cost_fns, age_next, targets)
         if debt.intermediate:
             update_intermediate_debt(debt, age, forwarded, evaluator.relay_hops[action_idx],
-                                     targets, cost_fns, age_next)
+                                     targets, cost_fns, priced)
         age = age_next
 
         sum_debt = 0.0
@@ -399,7 +399,7 @@ class _OpenLoopPlan:
         tracked = instance.tracked_pairs()
         row = {pair: i for i, pair in enumerate(tracked)}
         self.n_rows = len(tracked)
-        self.dest_pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+        self.dest_pairs = instance.dest_pairs()
         self.dest_rows = np.array([row[pair] for pair in self.dest_pairs], dtype=np.intp)
         links = {}  # (rx row, tx row or -1 for the source, edge) -> actions using it
         for a, action in enumerate(instance.action_space):

@@ -78,9 +78,7 @@ def expand_scenarios(config):
             interference=inter.get("model", "single-transmitter"),
             eligibility=inter.get("eligibility", "any"),
             explicit_actions=inter.get("actions"))
-        dest_pairs = [(f.source, j) for f in instance.flows
-                      for j in sorted(f.destinations)]
-        cost_fns = _inline_costs(config.costs, dest_pairs)
+        cost_fns = _inline_costs(config.costs, instance.dest_pairs())
         return [Scenario("inline", "", instance, cost_fns)]
 
     sizes = net.get("sizes", [net.get("n")])
@@ -113,7 +111,7 @@ def expand_scenarios(config):
     return out
 
 
-def _parse_targets(raw, dest_pairs):
+def _parse_targets(raw):
     if isinstance(raw, (int, float)):
         return float(raw)
     return {parse_pair(k): float(v) for k, v in raw.items()}
@@ -162,16 +160,16 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
 
     if mode == "fixed":
         raw = pol.get("targets", 0.0)
-        targets = _parse_targets(raw, None)
+        targets = _parse_targets(raw)
     elif mode == "flow-control":
         fc = FlowControlConfig(V=float(pol["V"]), alpha_max=float(pol["alpha_max"]))
     elif mode == "gradient-descent":
         init = pol["initial"]
         if not isinstance(init, (int, float)):
-            init = _parse_targets(init, None)
+            init = _parse_targets(init)
         floor = pol.get("floor")
         if isinstance(floor, dict):
-            floor = _parse_targets(floor, None)
+            floor = _parse_targets(floor)
         gd = GradientDescentConfig(
             epoch_length=int(pol["epoch_length"]), epochs=int(pol["epochs"]),
             step=float(pol["step"]), threshold=float(pol["threshold"]),

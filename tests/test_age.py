@@ -168,18 +168,31 @@ def test_case1_forwarding_fresh_packet_decreases():
     debt.intermediate[(1, 3, 2)] = 5.0
     age = {(1, 3): 9, (1, 2): 1}
     hops = {(1, 3, 2): restricted_hop_distance(adj, 2, 3, [(2, 3)])}
-    age_next = {(1, 3): 10, (1, 2): 2}
+    priced = {(1, 3): cost_fns[(1, 3)](10)}  # destination's next age is 10
     update_intermediate_debt(debt, age, {(2, 1)}, hops, {(1, 3): 3.0},
-                             cost_fns, age_next)
+                             cost_fns, priced)
     assert debt.intermediate[(1, 3, 2)] == 4.0
 
 
 def test_case2_idle_tracks_destination_cost():
     debt, cost_fns, _ = two_hop_state()
     age = {(1, 3): 9, (1, 2): 9}
-    age_next = {(1, 3): 10, (1, 2): 10}
+    priced = {(1, 3): cost_fns[(1, 3)](10)}  # destination's next age is 10
     update_intermediate_debt(debt, age, set(), {}, {(1, 3): 3.0},
-                             cost_fns, age_next)
+                             cost_fns, priced)
+    assert debt.intermediate[(1, 3, 2)] == 7.0
+
+
+def test_case2_reuses_the_slot_prices():
+    # without forwarding, every queue takes the destination's price from
+    # the slot's priced costs and prices nothing itself
+    def unpriced(age):
+        raise AssertionError(f"priced age {age} again")
+
+    debt, _, _ = two_hop_state()
+    age = {(1, 3): 9, (1, 2): 9}
+    update_intermediate_debt(debt, age, set(), {}, {(1, 3): 3.0},
+                             {(1, 3): unpriced}, {(1, 3): 10.0})
     assert debt.intermediate[(1, 3, 2)] == 7.0
 
 

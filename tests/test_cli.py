@@ -121,6 +121,8 @@ def test_graphs_counts(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 21
     assert lines[0] == "graph_id,n,edges"
+    assert main(["graphs", "--n", "7", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 853
     assert main(["graphs", "--n", "9"]) == 1  # out of range -> config error
 
 

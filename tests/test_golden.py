@@ -11,6 +11,11 @@ diamond cases were recorded from the slot loop before open-loop runs got
 their array path; every case is also checked metrics-only, which is the
 mode that takes that path.
 
+The connected-graph lists were recorded from the enumeration that tested
+every edge mask on n nodes for connectivity before canonicalizing; the
+enumeration by vertex augmentation that replaced it must return the same
+lists in the same order.
+
 The DP fingerprints were recorded from the solver that gathered one
 state-sized flat index array per outcome. They pin every ``DpSolution``
 field: the ``repr`` of the gain, residual span and per-pair averages, the
@@ -35,6 +40,7 @@ from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimC
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
 DP_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_dp.json")
+GRAPH_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_graphs.json")
 
 
 def _two_hop():
@@ -211,9 +217,25 @@ def test_golden_dp_solution(golden_dp, name):
     assert dp_fingerprint(name) == golden_dp[name]
 
 
+GRAPH_SIZES = [str(n) for n in range(2, 7)]
+
+
+def graph_classes(size):
+    return [[list(e) for e in graph] for graph in enumerate_connected_graphs(int(size))]
+
+
+def test_golden_graphs():
+    with open(GRAPH_DATA) as fh:
+        golden_graphs = json.load(fh)
+    assert sorted(golden_graphs) == GRAPH_SIZES
+    for size in GRAPH_SIZES:
+        assert graph_classes(size) == golden_graphs[size], size
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    for path, cases, record in ((DATA, CASES, trajectory), (DP_DATA, DP_CASES, dp_fingerprint)):
+    for path, cases, record in ((DATA, CASES, trajectory), (DP_DATA, DP_CASES, dp_fingerprint),
+                                (GRAPH_DATA, GRAPH_SIZES, graph_classes)):
         with open(path, "w") as fh:
             json.dump({name: record(name) for name in sorted(cases)}, fh, indent=1)
             fh.write("\n")

@@ -52,7 +52,7 @@ def monte_carlo_drift(action, debt, age, buffer, targets, cost_fns, instance,
     total_sq = 0.0
     t = 1000
     for _ in range(n_samples):
-        d = debt.copy()
+        d = DebtState(dict(debt.dest), dict(debt.intermediate))
         deliveries = []
         for (tx, rx, k) in action:
             t_g = t if tx == k else buffer.get((tx, k))
@@ -62,8 +62,8 @@ def monte_carlo_drift(action, debt, age, buffer, targets, cost_fns, instance,
                 deliveries.append((k, rx, t_g))
         buf = dict(buffer)
         age_next = advance_age(dict(age), buf, deliveries, t)
-        update_destination_debt(d, cost_fns, age_next, targets)
-        update_intermediate_debt(d, age, links, hops, targets, cost_fns, age_next)
+        priced = update_destination_debt(d, cost_fns, age_next, targets)
+        update_intermediate_debt(d, age, links, hops, targets, cost_fns, priced)
         delta = lyapunov(d) - base
         total += delta
         total_sq += delta * delta

@@ -68,7 +68,7 @@ def test_line_two_nodes_models_coincide():
 
 # ---------------- graph enumeration ----------------
 
-KNOWN_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+KNOWN_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -88,45 +88,47 @@ def test_out_of_range_rejected():
         enumerate_connected_graphs(8)
 
 
+def connected(n, edges):
+    """Depth-first search from node 1 over 1-based edges."""
+    nodes = list(range(1, n + 1))
+    adj = {v: set() for v in nodes}
+    for (i, j) in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {1}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def isomorphic(n, e1, e2):
+    """Some relabelling of the nodes maps edge set e1 onto e2."""
+    if len(e1) != len(e2):
+        return False
+    nodes = list(range(1, n + 1))
+    s2 = set(e2)
+    for perm in itertools.permutations(nodes):
+        relabel = dict(zip(nodes, perm))
+        mapped = {tuple(sorted((relabel[i], relabel[j]))) for (i, j) in e1}
+        if mapped == s2:
+            return True
+    return False
+
+
 def brute_force_classes(n):
     """Independent oracle: pairwise isomorphism testing by permutation."""
-    nodes = list(range(1, n + 1))
-    all_edges = list(itertools.combinations(nodes, 2))
-
-    def connected(edges):
-        if n == 1:
-            return True
-        adj = {v: set() for v in nodes}
-        for (i, j) in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    def isomorphic(e1, e2):
-        if len(e1) != len(e2):
-            return False
-        s2 = set(e2)
-        for perm in itertools.permutations(nodes):
-            relabel = dict(zip(nodes, perm))
-            mapped = {tuple(sorted((relabel[i], relabel[j]))) for (i, j) in e1}
-            if mapped == s2:
-                return True
-        return False
-
+    all_edges = list(itertools.combinations(range(1, n + 1), 2))
     reps = []
     for size in range(len(all_edges) + 1):
         for edges in itertools.combinations(all_edges, size):
-            if not connected(edges):
+            if not connected(n, edges):
                 continue
-            if not any(isomorphic(edges, r) for r in reps if len(r) == size):
+            if not any(isomorphic(n, edges, r) for r in reps if len(r) == size):
                 reps.append(edges)
     return reps
 
@@ -135,7 +137,12 @@ def brute_force_classes(n):
 def test_enumeration_matches_pairwise_isomorphism_oracle(n):
     fast = enumerate_connected_graphs(n)
     slow = brute_force_classes(n)
-    assert len(fast) == len(slow)
+    # each enumerated graph is isomorphic to exactly one representative,
+    # and no two of them to the same one
+    matches = [[r for r, rep in enumerate(slow) if isomorphic(n, graph, rep)]
+               for graph in fast]
+    assert all(len(m) == 1 for m in matches)
+    assert sorted(m[0] for m in matches) == list(range(len(slow)))
 
 
 def test_representatives_pairwise_non_isomorphic():
@@ -151,19 +158,19 @@ def test_representatives_pairwise_non_isomorphic():
 
 
 def test_scalar_canonical_form_agrees_with_enumeration():
-    from aoisim.scenarios import (_connected, _edge_list, _permutation_maps,
-                                  canonical_mask)
+    from aoisim.scenarios import _edge_list, _permutation_maps, canonical_mask
     n = 4
     edges = _edge_list(n)
     perm_maps = _permutation_maps(n)
+
+    def decode(mask):
+        return tuple((i + 1, j + 1) for b, (i, j) in enumerate(edges) if mask >> b & 1)
+
     canon = {canonical_mask(n, m, perm_maps)
-             for m in range(1 << len(edges)) if _connected(n, m, edges)}
+             for m in range(1 << len(edges)) if connected(n, decode(m))}
     graphs = enumerate_connected_graphs(n)
     assert len(canon) == len(graphs) == 6
-    decoded = {tuple(sorted((i + 1, j + 1)
-                            for b, (i, j) in enumerate(edges) if c >> b & 1))
-               for c in canon}
-    assert decoded == set(graphs)
+    assert {decode(c) for c in canon} == set(graphs)
 
 
 def test_enumeration_deterministic_order():

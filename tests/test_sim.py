@@ -247,7 +247,7 @@ def open_loop_cases(draw):
         st.builds(CostFunction.exponential, st.just(50.0)),
         st.builds(CostFunction.indicator, st.integers(min_value=1, max_value=6)),
     ]
-    pairs = [(f.source, j) for f in instance.flows for j in sorted(f.destinations)]
+    pairs = instance.dest_pairs()
     cost_fns = {pair: draw(st.one_of(cost_kinds)) for pair in pairs}
     n_actions = len(instance.action_space)
     if draw(st.booleans()):
