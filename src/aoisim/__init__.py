@@ -1,7 +1,6 @@
 """Age-of-information scheduling: simulator, policies, and oracles."""
 
-from .age import (DebtState, advance_age, initial_age, initial_buffer,
-                  initial_debt, restricted_hop_distance,
+from .age import (DebtState, advance_age, restricted_hop_distance,
                   update_destination_debt, update_intermediate_debt)
 from .channels import ChannelProcess
 from .costs import CostFunction

@@ -47,11 +47,12 @@ class ChannelProcess:
         return draws < self._probs
 
     def slot(self, t):
-        """Boolean success vector for slot t, indexed like instance.edges."""
+        """Success bits of slot t, a list of bools indexed like
+        instance.edges (one block is converted to lists at a time)."""
         if t < 0:
             raise ValueError("slot must be >= 0")
         start = (t // _BLOCK) * _BLOCK
         if start != self._block_start:
-            self._block = self._rows(start, start + _BLOCK)
+            self._block = self._rows(start, start + _BLOCK).tolist()
             self._block_start = start
         return self._block[t - start]

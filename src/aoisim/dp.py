@@ -331,24 +331,25 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
         reached[frontier] = True
     states = np.flatnonzero(reached)  # state 0 stays at position 0
 
-    # closed-loop transitions src -> dst with probability wt, as positions
-    # in ``states``
+    # closed-loop transitions into ``dst``, as positions in ``states``,
+    # grouped by action, then outcome, then source position: the mass they
+    # carry is, per action a, the outer product of its outcome weights and
+    # the weights at ``pos[a]``, gathered once per step
     acts = policy[states]
     coords = np.unravel_index(states, dims)
-    src, dst, wt = [], [], []
+    pos, dst, out_w = [], [], []
     for a_i, outs in enumerate(outcomes_per_action):
-        pos = np.flatnonzero(acts == a_i)
-        sub = tuple(c[pos] for c in coords)
-        for (w, m) in outs:
-            src.append(pos)
-            dst.append(np.searchsorted(states, _successors(maps[m], sub)))
-            wt.append(np.full(pos.size, w))
-    src, dst, wt = np.concatenate(src), np.concatenate(dst), np.concatenate(wt)
+        pos.append(np.flatnonzero(acts == a_i))
+        sub = tuple(c[pos[-1]] for c in coords)
+        dst.extend(np.searchsorted(states, _successors(maps[m], sub)) for (_w, m) in outs)
+        out_w.append(np.array([w for (w, _m) in outs]))
+    dst = np.concatenate(dst)
+    order = np.concatenate(pos)  # every position once, grouped by action
 
     weights = np.zeros(states.size)
-    if src.size == states.size:
+    if dst.size == states.size:
         successor = np.empty_like(dst)
-        successor[src] = dst
+        successor[order] = dst
         path = [0]
         while (s := int(successor[path[-1]])) not in path:
             path.append(s)
@@ -357,8 +358,20 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
         scale = len(cycle)
     else:
         weights[0] = 1.0
+        mass = np.empty(states.size)  # the weights at ``order``
+        flow = np.empty(dst.size)     # the mass along each transition
+        products = []                 # per action: outcome weights, mass, flow
+        lo = at = 0
+        for p, w in zip(pos, out_w):
+            products.append((w[:, None], mass[lo:lo + p.size],
+                             flow[at:at + w.size * p.size].reshape(w.size, p.size)))
+            lo += p.size
+            at += w.size * p.size
         for _ in range(max_iter):
-            nxt = np.bincount(dst, weights=weights[src] * wt, minlength=states.size)
+            np.take(weights, order, out=mass)
+            for w, m, f in products:
+                np.multiply(m, w, out=f)
+            nxt = np.bincount(dst, weights=flow, minlength=states.size)
             nxt *= tau
             nxt += (1.0 - tau) * weights
             moved = float(np.abs(nxt - weights).sum())
@@ -377,11 +390,21 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
 
 def export_table(solution, path):
     """Write the policy table as CSV: one row per state, ages then action
-    index then relative value."""
-    import csv
+    index then relative value, in the bytes of ``csv.writer``.
 
+    The columns are string arrays: the ages are the grid of age labels in
+    state order, the action indices are gathered from their labels, and
+    only the relative values are formatted one by one (``{:.10g}``).
+    """
+    labels = np.array([str(a) for a in range(1, solution.a_cap + 1)])
+    rows = labels
+    for _ in solution.pairs[1:]:  # the last axis varies fastest
+        rows = np.char.add(np.char.add(np.repeat(rows, labels.size), ","),
+                           np.tile(labels, rows.size))
+    actions = np.array([str(a) for a in range(len(solution.actions))])[solution.policy]
+    values = np.array([f"{v:.10g}" for v in solution.relative_values.tolist()])
+    for col in (actions, values):
+        rows = np.char.add(np.char.add(rows, ","), col)
+    header = [f"age_{k}_{j}" for (k, j) in solution.pairs] + ["action_index", "relative_value"]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"age_{k}_{j}" for (k, j) in solution.pairs]
-                   + ["action_index", "relative_value"])
-        w.writerows([*row[:-1], f"{row[-1]:.10g}"] for row in solution.export_rows())
+        fh.write("\r\n".join([",".join(header), *rows.tolist()]) + "\r\n")

@@ -94,7 +94,7 @@ class NetworkInstance:
     """Immutable-after-construction description of one network.
 
     Safe to share read-only across parallel runs; the simulation engine never
-    mutates it (the drift evaluator and the open-loop plan are private
+    mutates it (the drift evaluator and the row plan are private
     caches, each built once).
     """
 
@@ -109,7 +109,7 @@ class NetworkInstance:
         self.adjacency = adjacency_map(self.node_count, self.edges)
         self.flow_by_source = {f.source: f for f in self.flows}
         self._drift_evaluator = None
-        self._open_loop_plan = None
+        self._row_plan = None
 
     def edge_prob(self, i, j):
         return self.reliability[canon_edge(i, j)]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import restricted_hop_distance
+from .costs import as_table
 
 TIE_BREAKS = ("first", "last", "random", "freshest")
 
@@ -43,33 +44,41 @@ class PolicyDecision:
 class DriftEvaluator:
     """Exact expected drift of every action, scored in one pass per slot.
 
-    Built once per instance from the action space and topology; costs are
-    passed to ``score``. ``index`` gathers the slot's flat term list into the
-    (term x action) table; its rows are each pair's destination term, then
-    its relay terms (a relay's hop distance is None when it does not
-    forward), pair after pair, the order of the per-action sum.
+    Built once per instance from the action space and topology, on the row
+    state of ``age.py``; cost tables are passed to ``score``. ``index``
+    gathers the slot's flat term list into the (term x action) table; its
+    rows are each pair's destination term, then its relay terms, pair after
+    pair, the order of the per-action sum. A distribution key is (row,
+    links), each link (sender row, or -1 for the source; p_edge).
 
-    The evaluator owns the case-1 hop distances: ``relay_hops[a]`` maps
-    (flow, dest, relay) -> h for every relay that action ``a`` has
-    forwarding, and the simulator's relay debt update reads it from here.
+    The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
+    relay queue q's hop distance when action ``a`` has its relay
+    forwarding, else None; the simulator's relay debt update reads it here.
     """
 
     def __init__(self, instance):
-        tracked = instance.tracked_pairs()
-        tracked_set = set(tracked)
-        dest_pairs = instance.dest_pairs()
+        self.tracked = tracked = instance.tracked_pairs()
+        row = {pair: r for r, pair in enumerate(tracked)}
+        self.dest_pairs = instance.dest_pairs()
+        self.dest_rows = [row[pair] for pair in self.dest_pairs]
         relays = {f.source: instance.relays(f) for f in instance.flows}
-        self.dist_keys = []  # distinct (pair, links) keys, destination pairs first
+        self.relay_keys = [(k, j, i) for (k, j) in self.dest_pairs for i in relays[k]]
+        # per relay queue: (destination position, destination row, relay row)
+        self.relays = [(self.dest_pairs.index((k, j)), row[(k, j)], row[(k, i)])
+                       for (k, j, i) in self.relay_keys]
+        self.dist_keys = []  # distinct (row, links) keys, destination pairs first
         dist_ids = {}
 
         def dist_id(pair, links):
-            key = (pair, links.get(pair, ()))
+            k = pair[0]
+            key = (row[pair], tuple((-1 if m == k else row[(k, m)], p)
+                                    for (m, p) in links.get(pair, ()) if m == k or (k, m) in row))
             if key not in dist_ids:
                 dist_ids[key] = len(self.dist_keys)
                 self.dist_keys.append(key)
             return dist_ids[key]
 
-        self.blocks = []    # (pair, dist id, ((relay, h or None), ...))
+        self.blocks = []    # (row, dist id, ((relay queue, relay row, h or None), ...))
         block_start = {}    # block -> flat position of its first term
         n_terms = 0
         action_links = []
@@ -80,24 +89,21 @@ class DriftEvaluator:
             # (node, flow) -> directed edges the node sends that flow on
             links, fwd = {}, {}
             for (tx, rx, k) in action:
-                if (k, rx) in tracked_set:
+                if (k, rx) in row:
                     links.setdefault((k, rx), []).append((tx, instance.edge_prob(tx, rx)))
                 fwd.setdefault((tx, k), []).append((tx, rx))
-            links = {pair: tuple(v) for pair, v in links.items()}
             action_links.append(links)
             col = []
-            hops = {}
-            for pair in dest_pairs:
+            hops = []
+            for pair in self.dest_pairs:
                 k, j = pair
                 relay_h = []
                 for i in relays[k]:
                     L = fwd.get((i, k))
-                    h = None
-                    if L:
-                        h = hops[(k, j, i)] = restricted_hop_distance(
-                            instance.adjacency, i, j, L)
-                    relay_h.append((i, h))
-                block = (pair, dist_id(pair, links), tuple(relay_h))
+                    h = restricted_hop_distance(instance.adjacency, i, j, L) if L else None
+                    relay_h.append((len(hops), row[(k, i)], h))
+                    hops.append(h)
+                block = (row[pair], dist_id(pair, links), tuple(relay_h))
                 if block not in block_start:
                     self.blocks.append(block)
                     block_start[block] = n_terms
@@ -107,25 +113,35 @@ class DriftEvaluator:
             index.append(col)
             self.relay_hops.append(hops)
         self.index = np.array(index, dtype=np.intp).T.copy()
-        self.n_scored = len(self.dist_keys)
-        # per action: distribution id of every tracked pair, in tracked order
+        self.scored_keys = list(self.dist_keys)
+        # per action: distribution id of every tracked pair, in row order
         self.action_dists = [[dist_id(pair, links) for pair in tracked]
                              for links in action_links]
 
+    def rows(self, debt, age, buffer, targets, cost_fns):
+        """The dict state of the public API as ``score``'s row arguments.
+        The evaluator reads only whether a node holds a packet, not its
+        stamp."""
+        d, tg, tables = [0.0] * len(self.tracked), [0.0] * len(self.tracked), {}
+        for pair, r in zip(self.dest_pairs, self.dest_rows):
+            d[r], tg[r], tables[r] = debt.dest[pair], targets[pair], as_table(cost_fns[pair])
+        return (d, [debt.intermediate.get(key) for key in self.relay_keys],
+                [age[pair] for pair in self.tracked],
+                [0 if (node, k) in buffer else -1 for (k, node) in self.tracked], tg, tables)
+
     @staticmethod
-    def next_age_dist(key, age, buffer):
-        """Distribution of the pair's next age given the links that can
-        deliver into it, key = (pair, links): [(next_age, prob)], prob
+    def next_age_dist(key, age, stamp):
+        """Distribution of the row's next age given the links that can
+        deliver into it, key = (row, links): [(next_age, prob)], prob
         summing to 1."""
-        pair, links = key
-        k, _ = pair
-        a_now = age[pair]
+        r, links = key
+        a_now = age[r]
         cands = []
         for (m, p) in links:
-            if m == k:
+            if m < 0:
                 cands.append((0, p))  # fresh stamp at transmission
-            elif (m, k) in buffer and (k, m) in age:
-                cands.append((age[(k, m)], p))
+            elif stamp[m] >= 0:
+                cands.append((age[m], p))
         if not cands:
             return ((a_now + 1, 1.0),)
         cands.sort()
@@ -143,37 +159,35 @@ class DriftEvaluator:
             merged[v] = merged.get(v, 0.0) + p
         return tuple(sorted(merged.items()))
 
-    def score(self, debt, age, buffer, targets, cost_fns):
+    def score(self, debt, relay_debt, age, stamp, targets, tables):
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
-        index, and the slot's next-age distributions of the scored keys."""
-        dists = [self.next_age_dist(key, age, buffer)
-                 for key in self.dist_keys[:self.n_scored]]
+        index, and the slot's next-age distributions of the scored keys.
+        A relay queue that is None (not kept by the run) adds a 0.0 term."""
+        dists = [self.next_age_dist(key, age, stamp) for key in self.scored_keys]
         terms = []
         add = terms.append
-        intermediate = debt.intermediate
-        for (pair, d, relay_h) in self.blocks:
-            k, j = pair
-            f = cost_fns[pair]
-            alpha = targets[pair]
+        for (r, d, relay_h) in self.blocks:
+            tab = tables[r]
+            alpha = targets[r]
             dist = dists[d]
-            q = debt.dest[pair]
+            q = debt[r]
             exp_sq = 0.0
             for (a_next, p) in dist:
-                nq = q + f(a_next) - alpha
+                nq = q + tab[a_next] - alpha
                 if nq > 0.0:
                     exp_sq += p * nq * nq
             add(exp_sq - q * q)
-            for (i, h) in relay_h:
-                qi = intermediate.get((k, j, i))
+            for (qr, ri, h) in relay_h:
+                qi = relay_debt[qr]
                 if qi is None:
                     add(0.0)  # run configured with destination-only debt
-                elif h is not None and (i, k) in buffer:
-                    nq = qi + f(min(age[(k, i)], age[pair]) + h) - alpha
+                elif h is not None and stamp[ri] >= 0:
+                    nq = qi + tab[min(age[ri], age[r]) + h] - alpha
                     add((nq * nq if nq > 0.0 else 0.0) - qi * qi)
                 else:
                     exp_sq = 0.0
                     for (a_next, p) in dist:
-                        nq = qi + f(a_next) - alpha
+                        nq = qi + tab[a_next] - alpha
                         if nq > 0.0:
                             exp_sq += p * nq * nq
                     add(exp_sq - qi * qi)
@@ -181,6 +195,25 @@ class DriftEvaluator:
         # accumulate is sequential for every shape, while a reduction over
         # a single action's column may sum pairwise
         return np.add.accumulate(np.array(terms)[self.index], axis=0)[-1].tolist(), dists
+
+    def decide(self, debt, relay_debt, age, stamp, targets, tables, tie_break, rng):
+        """Drift-minimizing action index (see ``age_debt_action``) and the
+        scores."""
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(f"unknown tie_break {tie_break!r}")
+        scores, dists = self.score(debt, relay_debt, age, stamp, targets, tables)
+        best = min(scores)
+        ties = [i for i, s in enumerate(scores) if s == best]
+        if len(ties) == 1 or tie_break == "first":
+            return ties[0], scores
+        if tie_break == "last":
+            return ties[-1], scores
+        if tie_break == "random":
+            if rng is None:
+                raise ValueError("random tie-break needs an rng")
+            return ties[int(rng.integers(len(ties)))], scores
+        dists += [self.next_age_dist(key, age, stamp) for key in self.dist_keys[len(dists):]]
+        return min((self.expected_age_sum(i, dists), i) for i in ties)[1], scores
 
     def expected_age_sum(self, action_idx, dists):
         """E[sum of all tracked ages next slot]; the freshness tie-breaker.
@@ -203,11 +236,11 @@ def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
     instance's action space, given as tuple or index)."""
     ev = get_drift_evaluator(instance)
     idx = action if isinstance(action, int) else instance.action_space.index[action]
-    return ev.score(debt, age, buffer, targets, cost_fns)[0][idx]
+    return ev.score(*ev.rows(debt, age, buffer, targets, cost_fns))[0][idx]
 
 
-def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
-                    tie_break="first", rng=None, evaluator=None):
+def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="first",
+                    rng=None):
     """Drift-minimizing action: argmin over the whole action space.
 
     Tie-breaking among exact co-minimizers:
@@ -219,52 +252,26 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance,
                   deadlock multihop cold starts, where no single-slot action
                   moves any queue; this one pushes fresh packets downstream.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    ev = evaluator if evaluator is not None else get_drift_evaluator(instance)
-    scores, dists = ev.score(debt, age, buffer, targets, cost_fns)
-    best = min(scores)
-    ties = [i for i, s in enumerate(scores) if s == best]
-    if len(ties) == 1 or tie_break == "first":
-        idx = ties[0]
-    elif tie_break == "last":
-        idx = ties[-1]
-    elif tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-break needs an rng")
-        idx = ties[int(rng.integers(len(ties)))]
-    else:  # freshest
-        dists += [ev.next_age_dist(key, age, buffer) for key in ev.dist_keys[len(dists):]]
-        idx = min((ev.expected_age_sum(i, dists), i) for i in ties)[1]
+    ev = get_drift_evaluator(instance)
+    idx, scores = ev.decide(*ev.rows(debt, age, buffer, targets, cost_fns), tie_break, rng)
     return PolicyDecision(idx, instance.action_space[idx], tuple(scores))
 
 
-def single_hop_age_debt_action(ages, debts, reliabilities, cost_fns):
-    """Closed-form drift bound minimizer for a single-hop star.
-
-    Sequences are aligned over the sources; returns the 0-based position of
-    argmax p_i * Q_i * (f_i(A_i + 1) - f_i(1)), lowest index on ties.
-    """
-    best_i = 0
-    best_s = None
-    for i, (a, q, p, f) in enumerate(zip(ages, debts, reliabilities, cost_fns)):
-        s = p * q * (f(a + 1) - f(1))
-        if best_s is None or s > best_s:
-            best_s = s
-            best_i = i
-    return best_i
+def single_hop_age_debt_action(ages, debts, reliabilities, tables):
+    """Closed-form drift bound minimizer for a single-hop star: the 0-based
+    position of argmax p_i * Q_i * (f_i(A_i + 1) - f_i(1)), lowest index on
+    ties. Sequences are aligned over the sources; ``tables`` holds their
+    cost tables (a ``CostFunction`` is one)."""
+    scores = [p * q * (tab[a + 1] - tab[1])
+              for a, q, p, tab in zip(ages, debts, reliabilities, tables)]
+    return scores.index(max(scores))  # the first maximum
 
 
 def max_weight_action(ages, reliabilities, weights):
-    """Single-hop max-weight baseline: argmax p_i * w_i * A_i * (A_i + 2)."""
-    best_i = 0
-    best_s = None
-    for i, (a, p, w) in enumerate(zip(ages, reliabilities, weights)):
-        s = p * w * a * (a + 2)
-        if best_s is None or s > best_s:
-            best_s = s
-            best_i = i
-    return best_i
+    """Single-hop max-weight baseline: argmax p_i * w_i * A_i * (A_i + 2),
+    lowest index on ties."""
+    scores = [p * w * a * (a + 2) for a, p, w in zip(ages, reliabilities, weights)]
+    return scores.index(max(scores))
 
 
 @dataclass
@@ -289,9 +296,7 @@ class RandomizedPolicy:
     def sample_index(self, rng):
         # inverse CDF on a scalar draw; rng.choice would rebuild its alias
         # tables every slot
-        idx = bisect.bisect_right(self._cum, rng.random())
-        n = len(self.probabilities)
-        return idx if idx < n else n - 1
+        return min(bisect.bisect_right(self._cum, rng.random()), len(self.probabilities) - 1)
 
 
 def _project_simplex(v):
@@ -336,13 +341,8 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
 
     candidates = [np.full(n, 1.0 / n)]
     if n > 1:
-        u = np.zeros(n)
-        u[1:] = 1.0 / (n - 1)
-        candidates.append(u)  # uniform over non-idle
-        for i in range(1, n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            candidates.append(e)
+        candidates.append(np.r_[0.0, np.full(n - 1, 1.0 / (n - 1))])  # uniform over non-idle
+        candidates.extend(np.eye(n)[1:])  # each non-idle action alone
 
     best_p, best_c = None, None
     for p in candidates:

@@ -14,6 +14,11 @@ Slot order, fixed and relied on by the tests:
      chosen action's hop distances from the drift evaluator
   8. metrics accumulation
 
+The state is the row layout of ``age.py``; ``_RowPlan`` also lists each
+action's links by row. Costs are read from ``CostFunction`` tables, grown
+(geometrically) only when the oldest age, which rises by at most one per
+slot, could reach their end.
+
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
 
@@ -25,24 +30,25 @@ max-plus recurrence over the slots (a source carries the slot's own stamp
 over an active, successful link, a relay the stamp it held the slot
 before), solved one channel block at a time by rounds of
 ``np.maximum.accumulate`` until nothing changes, and every age is
-t + 1 - stamp. Costs come from the same cost function calls on the same
-integer ages and are summed in slot order, and debts follow the same
-update, so the metrics are the same bits as the loop's.
+t + 1 - stamp. Costs come from the same tables at the same integer ages and
+are summed in slot order, and debts follow the same update, so the metrics
+are the same bits as the loop's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
-from .age import (advance_age, initial_age, initial_buffer, initial_debt,
-                  update_destination_debt, update_intermediate_debt)
+from .age import advance_age, update_destination_debt, update_intermediate_debt
 from .channels import _BLOCK, ChannelProcess
+from .costs import as_table
 from .network import canon_edge
-from .policies import (RandomizedPolicy, age_debt_action, get_drift_evaluator,
-                       max_weight_action, single_hop_age_debt_action)
+from .policies import (RandomizedPolicy, get_drift_evaluator, max_weight_action,
+                       single_hop_age_debt_action)
 from .targets import (FlowControlConfig, GradientDescentConfig,
                       flow_control_update, gd_epoch_update)
 
@@ -94,66 +100,50 @@ class RunMetrics:
 
 def star_structure(instance):
     """If the instance is a pure single-hop star (every flow unicast into one
-    hub, one directed source->hub assignment per non-idle action, no relay
-    nodes), return its source list and per-source data; else None."""
-    hubs = set()
-    for f in instance.flows:
-        if f.kind != "unicast":
-            return None
-        hubs |= f.destinations
-    if len(hubs) != 1:
+    hub, no relay nodes, one directed source->hub assignment per non-idle
+    action), return its hub, and its sources, their actions and
+    reliabilities in flow order, which is row order; else None."""
+    hubs = {j for f in instance.flows for j in f.destinations}
+    if len(hubs) != 1 or any(f.kind != "unicast" or instance.relays(f) for f in instance.flows):
         return None
-    hub = next(iter(hubs))
-    for f in instance.flows:
-        if instance.relays(f):
-            return None
-    sources = [f.source for f in instance.flows]
+    hub = hubs.pop()
     action_of = {}
     for idx, action in enumerate(instance.action_space):
-        if len(action) == 0:
+        if not action:
             continue
-        if len(action) > 1:
-            return None
-        (tx, rx, k) = action[0]
-        if rx != hub or tx != k or k not in instance.flow_by_source:
+        (tx, rx, k), *rest = action
+        if rest or (tx, rx) != (k, hub):
             return None
         action_of[k] = idx
+    sources = [f.source for f in instance.flows]
     if set(action_of) != set(sources):
         return None
     return {
         "hub": hub,
         "sources": sources,
-        "action_of": action_of,
+        "actions": [action_of[s] for s in sources],
         "probs": [instance.edge_prob(s, hub) for s in sources],
     }
 
 
 class _AgeDebtController:
-    def __init__(self, instance, cost_fns, cfg, rng):
-        self.instance = instance
-        self.cost_fns = cost_fns
+    def __init__(self, instance, cfg, rng, tables):
         self.tie_break = cfg.tie_break
         self.rng = rng
+        self.tables = tables
         variant = cfg.policy_params.get("variant", "auto")
         if variant not in ("auto", "exact"):
             raise ValueError(f"unknown age-debt variant {variant!r}")
         self.star = star_structure(instance) if variant == "auto" else None
         self.evaluator = get_drift_evaluator(instance) if self.star is None else None
 
-    def decide(self, t, age, buffer, debt, targets):
+    def decide(self, t, age, stamp, debt, relay_debt, targets):
         if self.star is not None:
-            hub = self.star["hub"]
-            srcs = self.star["sources"]
-            pos = single_hop_age_debt_action(
-                [age[(s, hub)] for s in srcs],
-                [debt.dest[(s, hub)] for s in srcs],
-                self.star["probs"],
-                [self.cost_fns[(s, hub)] for s in srcs])
-            return self.star["action_of"][srcs[pos]]
-        decision = age_debt_action(debt, age, buffer, targets, self.cost_fns,
-                                   self.instance, tie_break=self.tie_break,
-                                   rng=self.rng, evaluator=self.evaluator)
-        return decision.action_index
+            # a star's rows are its sources
+            return self.star["actions"][single_hop_age_debt_action(
+                age, debt, self.star["probs"], self.tables)]
+        return self.evaluator.decide(debt, relay_debt, age, stamp, targets, self.tables,
+                                     self.tie_break, self.rng)[0]
 
 
 class _MaxWeightController:
@@ -161,35 +151,25 @@ class _MaxWeightController:
         self.star = star_structure(instance)
         if self.star is None:
             raise ValueError("max-weight policy needs a single-hop star instance")
-        hub = self.star["hub"]
         weights = cfg.policy_params.get("weights")
-        if weights is None:
-            weights = {}
-            for s in self.star["sources"]:
-                f = cost_fns[(s, hub)]
-                weights[s] = f.weight if f.kind == "linear" else 1.0
-        self.weights = [weights[s] for s in self.star["sources"]]
+        fns = [cost_fns[(s, self.star["hub"])] for s in self.star["sources"]]
+        self.weights = ([weights[s] for s in self.star["sources"]] if weights is not None
+                        else [f.weight if f.kind == "linear" else 1.0 for f in fns])
 
-    def decide(self, t, age, buffer, debt, targets):
-        hub = self.star["hub"]
-        srcs = self.star["sources"]
-        pos = max_weight_action([age[(s, hub)] for s in srcs],
-                                self.star["probs"], self.weights)
-        return self.star["action_of"][srcs[pos]]
+    def decide(self, t, age, stamp, debt, relay_debt, targets):
+        return self.star["actions"][max_weight_action(age, self.star["probs"], self.weights)]
 
 
 class _RandomizedController:
     def __init__(self, instance, cfg, rng):
         params = cfg.policy_params
-        pol = params.get("policy")
-        if pol is None:
-            pol = RandomizedPolicy(tuple(params["probabilities"]))
+        pol = params.get("policy") or RandomizedPolicy(tuple(params["probabilities"]))
         if len(pol.probabilities) != len(instance.action_space):
             raise ValueError("randomized policy size does not match action space")
         self.policy = pol
         self.rng = rng
 
-    def decide(self, t, age, buffer, debt, targets):
+    def decide(self, t, age, stamp, debt, relay_debt, targets):
         return self.policy.sample_index(self.rng)
 
 
@@ -200,21 +180,28 @@ class _ConstantController:
             raise ValueError("constant policy needs a valid action_index")
         self.idx = idx
 
-    def decide(self, t, age, buffer, debt, targets):
+    def decide(self, t, age, stamp, debt, relay_debt, targets):
         return self.idx
 
 
 class _DpTableController:
+    """``DpSolution.action_for`` on rows, one stride per solution pair."""
+
     def __init__(self, instance, cfg):
-        self.solution = cfg.policy_params["solution"]
+        sol = cfg.policy_params["solution"]
+        row = {pair: r for r, pair in enumerate(instance.tracked_pairs())}
+        self.axes = [(row[pair], sol.a_cap ** (len(sol.pairs) - 1 - p))
+                     for p, pair in enumerate(sol.pairs)]
+        self.a_cap = sol.a_cap
+        self.policy = sol.policy.tolist()
 
-    def decide(self, t, age, buffer, debt, targets):
-        return self.solution.action_for(age)
+    def decide(self, t, age, stamp, debt, relay_debt, targets):
+        return self.policy[sum((min(age[r], self.a_cap) - 1) * s for r, s in self.axes)]
 
 
-def _build_controller(instance, cost_fns, cfg, rng):
+def _build_controller(instance, cost_fns, cfg, rng, tables=None):
     if cfg.policy == "age-debt":
-        return _AgeDebtController(instance, cost_fns, cfg, rng)
+        return _AgeDebtController(instance, cfg, rng, tables)
     if cfg.policy == "max-weight":
         return _MaxWeightController(instance, cost_fns, cfg)
     if cfg.policy == "randomized":
@@ -231,27 +218,20 @@ def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
             raise ValueError("flow-control mode needs a FlowControlConfig")
         return {pair: 1.0 for pair in dest_pairs}
     if mode == "gradient-descent":
-        gd = cfg.gradient_descent
-        if gd is None:
+        if cfg.gradient_descent is None:
             raise ValueError("gradient-descent mode needs a GradientDescentConfig")
-        init = gd.initial
-        if isinstance(init, (int, float)):
-            return {pair: float(init) for pair in dest_pairs}
-        missing = [p for p in dest_pairs if p not in init]
-        if missing:
-            raise ValueError(f"gradient-descent initial targets missing pairs {missing}")
-        return {pair: float(init[pair]) for pair in dest_pairs}
-    # fixed
-    tg = cfg.targets
-    if tg is None:
-        if cfg.policy == "age-debt":
-            raise ValueError("age-debt with fixed target mode needs targets")
-        tg = 0.0  # policies that ignore debts; queues become cost accumulators
+        tg, what = cfg.gradient_descent.initial, "gradient-descent initial targets"
+    else:
+        tg, what = cfg.targets, "targets"
+        if tg is None:
+            if cfg.policy == "age-debt":
+                raise ValueError("age-debt with fixed target mode needs targets")
+            tg = 0.0  # policies that ignore debts; queues become cost accumulators
     if isinstance(tg, (int, float)):
         return {pair: float(tg) for pair in dest_pairs}
     missing = [p for p in dest_pairs if p not in tg]
     if missing:
-        raise ValueError(f"targets missing pairs {missing}")
+        raise ValueError(f"{what} missing pairs {missing}")
     return {pair: float(tg[pair]) for pair in dest_pairs}
 
 
@@ -278,145 +258,168 @@ def run(instance, cost_fns, cfg):
 
 def _slot_loop(instance, cost_fns, cfg):
     """``run`` one slot at a time, for every kind of run."""
-    tracked = instance.tracked_pairs()
-    age = initial_age(tracked)
-    buffer = initial_buffer(instance.flows)
-    debt = initial_debt(instance)
-    dest_pairs = list(debt.dest)
+    plan = _row_plan(instance)
+    n_rows, dest_pairs, rows = plan.n_rows, plan.dest_pairs, plan.dest_rows
+    age = [1] * n_rows
+    stamp = [-1] * (n_rows + len(instance.flows))
+    debt = [0.0] * n_rows
+    targets = _by_row(_resolve_targets(instance, cost_fns, cfg, dest_pairs).values(), plan, 0.0)
+    fns = [as_table(cost_fns[pair]) for pair in dest_pairs]
+    tables = _by_row([f.table(0) for f in fns], plan, None)
 
-    targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
-    controller = _build_controller(instance, cost_fns, cfg, rng)
+    controller = _build_controller(instance, cost_fns, cfg, rng, tables)
     # relay queues are read only by the exact-drift policy, whose evaluator
     # also holds their hop distances
     evaluator = getattr(controller, "evaluator", None)
-    if evaluator is None or not cfg.use_intermediate_queues:
-        debt.intermediate = {}
+    keep = evaluator is not None and cfg.use_intermediate_queues
+    relays = evaluator.relays if keep else []
+    relay_debt = [0.0 if keep else None] * (len(evaluator.relays) if evaluator else 0)
     channels = ChannelProcess(instance, cfg.seed)
-    space = instance.action_space
-    edge_idx = instance.edge_index
+    links = plan.action_links
 
-    gd = cfg.gradient_descent
-    gd_floor = _gd_floor(cost_fns, gd) if cfg.target_mode == "gradient-descent" else None
-    target_history = [dict(targets)] if cfg.target_mode == "gradient-descent" else None
+    fc = cfg.flow_control if cfg.target_mode == "flow-control" else None
+    gd = cfg.gradient_descent if cfg.target_mode == "gradient-descent" else None
+    gd_floor = _gd_floor(cost_fns, gd) if gd is not None else None
+    target_history = [_by_pair(targets, plan)] if gd is not None else None
 
-    cost_sum = {pair: 0.0 for pair in dest_pairs}
+    cost_sum = [0.0] * len(rows)
     max_sum_debt = 0.0
     full_trace = cfg.trace_detail == "full"
     trace = [] if full_trace else None
     hists = {pair: {} for pair in dest_pairs} if full_trace else None
+    # a slot reads costs up to n + 1 ages past the oldest age: a + 1 for
+    # next ages, a + h with h <= n for a forwarding relay
+    margin = instance.node_count + 1
+    grow_at = 0
 
-    T = cfg.horizon
-    for t in range(T):
-        if cfg.target_mode == "flow-control":
-            targets = flow_control_update(debt.dest, cfg.flow_control)
+    for t in range(cfg.horizon):
+        if t == grow_at:
+            top = max(age) + margin
+            for f in fns:
+                f.table(2 * top)
+            grow_at = t + top  # until then no age can pass 2 * top - margin
+        if fc is not None:
+            flow_control_update(debt, targets, rows, fc)
         elif gd is not None and t > 0 and t % gd.epoch_length == 0:
-            targets = gd_epoch_update(targets, debt.dest, gd, floor=gd_floor)
-            target_history.append(dict(targets))
-            for pair in debt.dest:
-                debt.dest[pair] = 0.0
-            for key in debt.intermediate:
-                debt.intermediate[key] = 0.0
+            target_history.append(gd_epoch_update(_by_pair(targets, plan), _by_pair(debt, plan),
+                                                  gd, floor=gd_floor))
+            targets = _by_row(target_history[-1].values(), plan, 0.0)
+            debt = [0.0] * n_rows
+            relay_debt = [0.0 if keep else None] * len(relay_debt)
 
-        action_idx = controller.decide(t, age, buffer, debt, targets)
-        action = space[action_idx]
-
+        action_idx = controller.decide(t, age, stamp, debt, relay_debt, targets)
         bits = channels.slot(t)
         deliveries = []
-        forwarded = set()  # (relay, flow) pairs that sent a held packet
-        for (tx, rx, k) in action:
-            if tx == k:
-                t_g = t  # generate-at-will: stamp a fresh update now
-                buffer[(tx, k)] = t
-            else:
-                # only sources' own stamps change before advance_age, so
-                # this reads the relay's pre-slot buffer
-                t_g = buffer.get((tx, k))
-                if t_g is None:
+        for (r, m, e) in links[action_idx]:
+            if m < n_rows:
+                # only sources' own cells change before advance_age, so
+                # this reads the sender's pre-slot stamp
+                t_g = stamp[m]
+                if t_g < 0:
                     continue  # nothing to forward; no-op on the wire
-                forwarded.add((tx, k))
-            if bits[edge_idx[canon_edge(tx, rx)]]:
-                deliveries.append((k, rx, t_g))
+            else:
+                t_g = stamp[m] = t  # generate-at-will: stamp a fresh update now
+            if bits[e]:
+                deliveries.append((r, t_g))
 
-        age_next = advance_age(age, buffer, deliveries, t)
-        priced = update_destination_debt(debt, cost_fns, age_next, targets)
-        if debt.intermediate:
-            update_intermediate_debt(debt, age, forwarded, evaluator.relay_hops[action_idx],
-                                     targets, cost_fns, priced)
+        age_next = advance_age(age, stamp, deliveries, t)
+        priced = update_destination_debt(debt, tables, age_next, targets, rows)
+        if relays:
+            update_intermediate_debt(relay_debt, relays, evaluator.relay_hops[action_idx],
+                                     age, t, tables, targets, priced)
         age = age_next
 
         sum_debt = 0.0
-        for pair in dest_pairs:
-            c = priced[pair]
-            cost_sum[pair] += c
-            sum_debt += debt.dest[pair]
-            if full_trace:
-                a = age[pair]
-                h = hists[pair]
-                h[a] = h.get(a, 0) + 1
-                trace.append((t, pair, a, c, debt.dest[pair], targets[pair], action_idx))
+        for q in debt:  # relay rows hold 0.0, which adds nothing
+            sum_debt += q
         if sum_debt > max_sum_debt:
             max_sum_debt = sum_debt
+        cost_sum = list(map(add, cost_sum, priced))
+        if full_trace:
+            for pair, r, c in zip(dest_pairs, rows, priced):
+                a = age[r]
+                hists[pair][a] = hists[pair].get(a, 0) + 1
+                trace.append((t, pair, a, c, debt[r], targets[r], action_idx))
 
-        if (t & 4095) == 0 and max(age.values()) > cfg.runaway_age:
+        if (t & 4095) == 0 and max(age) > cfg.runaway_age:
             raise RuntimeError("runaway instance: age exceeded the abort bound")
 
-    per_pair_cost = {pair: cost_sum[pair] / T for pair in dest_pairs}
-    return RunMetrics(
-        horizon=T,
-        seed=cfg.seed,
-        per_pair_cost=per_pair_cost,
-        sum_cost=math.fsum(per_pair_cost.values()),
-        per_pair_debt_rate={pair: debt.dest[pair] / T for pair in dest_pairs},
-        max_sum_debt=max_sum_debt,
-        final_targets=dict(targets),
-        target_history=target_history,
-        age_histograms=hists,
-        trace=trace,
-    )
+    return _metrics(cfg, dest_pairs, cost_sum, [debt[r] for r in rows], max_sum_debt,
+                    _by_pair(targets, plan), target_history=target_history,
+                    age_histograms=hists, trace=trace)
 
 
-def _open_loop_plan(instance):
-    if instance._open_loop_plan is None:
-        instance._open_loop_plan = _OpenLoopPlan(instance)
-    return instance._open_loop_plan
+def _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, targets, **extra):
+    """A run's metrics from its per-pair cost sums and final debts, both in
+    ``dest_pairs`` order."""
+    T = cfg.horizon
+    per_pair_cost = {pair: c / T for pair, c in zip(dest_pairs, cost_sum)}
+    return RunMetrics(horizon=T, seed=cfg.seed, per_pair_cost=per_pair_cost,
+                      sum_cost=math.fsum(per_pair_cost.values()),
+                      per_pair_debt_rate={pair: q / T for pair, q in zip(dest_pairs, debt)},
+                      max_sum_debt=max_sum_debt, final_targets=dict(targets), **extra)
 
 
-class _OpenLoopPlan:
-    """An instance's links as arrays, for runs whose actions never read
-    state.
+def _by_pair(values, plan):
+    """A row list's destination entries as a dict keyed by pair."""
+    return {pair: values[r] for pair, r in zip(plan.dest_pairs, plan.dest_rows)}
 
-    Rows are the tracked (flow, node) pairs. A link is a (tx, rx, flow)
-    assignment that can raise a row's stamp: from the flow's source, which
-    carries the slot's own stamp, or from a tracked node of the flow, which
-    carries the stamp it held the slot before. Links into the flow's own
-    source change nothing, and a node that is not tracked for a flow never
-    holds its packets, so neither kind is kept. Links are sorted by
-    receiving row.
+
+def _by_row(values, plan, fill):
+    """One value per destination pair as a row list, ``fill`` on relay rows."""
+    out = [fill] * plan.n_rows
+    for r, v in zip(plan.dest_rows, values):
+        out[r] = v
+    return out
+
+
+def _row_plan(instance):
+    if instance._row_plan is None:
+        instance._row_plan = _RowPlan(instance)
+    return instance._row_plan
+
+
+class _RowPlan:
+    """An instance's rows and links, shared by the slot loop and the
+    open-loop arrays.
+
+    Rows are the tracked (flow, node) pairs, then one stamp cell per source.
+    A link is a (tx, rx, flow) assignment that can raise a row's stamp: from
+    the flow's source, which carries the slot's own stamp, or from a tracked
+    node of the flow, which carries the stamp it held the slot before.
+    Links into the flow's own source, or from a node that never holds the
+    flow, change nothing and are left out. ``action_links[a]`` lists action
+    a's links as (rx row, tx row or source cell, edge); the arrays list
+    every distinct link once, sorted by receiving row.
     """
 
     def __init__(self, instance):
         tracked = instance.tracked_pairs()
         row = {pair: i for i, pair in enumerate(tracked)}
-        self.n_rows = len(tracked)
+        self.n_rows = n_rows = len(tracked)
+        cell = {f.source: n_rows + i for i, f in enumerate(instance.flows)}
         self.dest_pairs = instance.dest_pairs()
-        self.dest_rows = np.array([row[pair] for pair in self.dest_pairs], dtype=np.intp)
-        links = {}  # (rx row, tx row or -1 for the source, edge) -> actions using it
+        self.dest_rows = [row[pair] for pair in self.dest_pairs]
+        self.action_links = []
+        links = {}  # (rx row, tx row or source cell, edge) -> actions using it
         for a, action in enumerate(instance.action_space):
+            kept = []
             for (tx, rx, k) in action:
                 r = row.get((k, rx))
-                m = -1 if tx == k else row.get((k, tx))
+                m = cell[k] if tx == k else row.get((k, tx))
                 if r is not None and m is not None:
-                    links.setdefault((r, m, instance.edge_index[canon_edge(tx, rx)]),
-                                     []).append(a)
+                    kept.append((r, m, instance.edge_index[canon_edge(tx, rx)]))
+                    links.setdefault(kept[-1], []).append(a)
+            self.action_links.append(kept)
         keys = sorted(links)
         self.active = np.zeros((len(instance.action_space), len(keys)), dtype=bool)
         for i, key in enumerate(keys):
             self.active[links[key], i] = True  # action x link
         self.edges = np.array([key[2] for key in keys], dtype=np.intp)
         tx_rows = np.array([key[1] for key in keys], dtype=np.intp)
-        self.from_source = tx_rows < 0
-        self.relay_links = np.flatnonzero(tx_rows >= 0)
+        self.from_source = tx_rows >= n_rows
+        self.relay_links = np.flatnonzero(tx_rows < n_rows)
         self.relay_from = tx_rows[self.relay_links]
         # receiving rows and the first link of each, for maximum.reduceat
         self.rows, self.starts = np.unique(
@@ -450,7 +453,7 @@ def _open_loop_blocks(instance, seed, horizon, randomized):
     """Per channel block of the run: the delivery bits of every open-loop
     link (link x slot) and, for a randomized policy, the block's uniforms
     from the policy stream (a block draw equals as many scalar draws)."""
-    edges = _open_loop_plan(instance).edges
+    edges = _row_plan(instance).edges
     channels = ChannelProcess(instance, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _POLICY_RNG_TAG)))
     for start in range(0, horizon, _BLOCK):
@@ -469,7 +472,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     """``run`` of a randomized or constant policy at fixed targets, metrics
     only, one channel block at a time. ``blocks`` are the run's
     ``_open_loop_blocks`` if already drawn."""
-    plan = _open_loop_plan(instance)
+    plan = _row_plan(instance)
     dest_pairs = plan.dest_pairs
     targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
     controller = _build_controller(instance, cost_fns, cfg, None)  # validates the policy
@@ -479,7 +482,6 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     if randomized:
         cum = np.asarray(controller.policy._cum)
 
-    T = cfg.horizon
     before = np.full(plan.n_rows, -1, dtype=np.int64)  # stamps before the block
     cost_sum = [0.0] * len(dest_pairs)
     debt = [0.0] * len(dest_pairs)
@@ -501,9 +503,9 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
         ages = t1 - block[plan.dest_rows]
         debts = np.empty(ages.shape)
         for p, pair in enumerate(dest_pairs):
-            f = cost_fns[pair]
             distinct, inverse = np.unique(ages[p], return_inverse=True)
-            priced = np.array([f(a) for a in distinct.tolist()], dtype=float)
+            tab = as_table(cost_fns[pair]).table(int(distinct[-1]) + 1)
+            priced = np.array([tab[a] for a in distinct.tolist()], dtype=float)
             costs = priced[inverse]
             cost_sum[p] = float(_running_sum(cost_sum[p], costs)[-1])
             alpha = targets[pair]
@@ -524,16 +526,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
             max_sum_debt = top
         start += n_slots
 
-    per_pair_cost = {pair: cost_sum[p] / T for p, pair in enumerate(dest_pairs)}
-    return RunMetrics(
-        horizon=T,
-        seed=cfg.seed,
-        per_pair_cost=per_pair_cost,
-        sum_cost=math.fsum(per_pair_cost.values()),
-        per_pair_debt_rate={pair: debt[p] / T for p, pair in enumerate(dest_pairs)},
-        max_sum_debt=max_sum_debt,
-        final_targets=dict(targets),
-    )
+    return _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, targets)
 
 
 def stability_diagnostic(metrics, delta=None, targets=None):
@@ -544,14 +537,8 @@ def stability_diagnostic(metrics, delta=None, targets=None):
     """
     if targets is None:
         targets = metrics.final_targets
-    out = {}
-    for pair, rate in metrics.per_pair_debt_rate.items():
-        if delta is not None:
-            d = delta
-        else:
-            d = max(0.01 * targets[pair], 0.1)
-        out[pair] = rate < d
-    return out
+    return {pair: rate < (delta if delta is not None else max(0.01 * targets[pair], 0.1))
+            for pair, rate in metrics.per_pair_debt_rate.items()}
 
 
 def export_trace(metrics, path):

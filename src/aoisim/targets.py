@@ -62,7 +62,9 @@ def gd_epoch_update(targets, debt_at_epoch_end, cfg, floor=None):
     return out
 
 
-def flow_control_update(debt_now, cfg):
-    """Per-slot threshold rule: alpha = alpha_max where Q > V, else 1."""
-    return {pair: (cfg.alpha_max if q > cfg.V else 1.0)
-            for pair, q in debt_now.items()}
+def flow_control_update(debt, targets, rows, cfg):
+    """Per-slot threshold rule, in place on ``targets``: alpha = alpha_max
+    for each row in ``rows`` whose debt exceeds V, else 1."""
+    high, v = cfg.alpha_max, cfg.V
+    for r in rows:
+        targets[r] = high if debt[r] > v else 1.0

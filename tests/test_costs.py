@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -68,3 +69,58 @@ def test_dict_round_trip():
     for f in (CostFunction.linear(2.5), CostFunction.power(3, cap=99.0),
               CostFunction.exponential(), CostFunction.indicator(7)):
         assert CostFunction.from_dict(f.to_dict()) == f
+
+
+def test_power_overflow_returns_cap():
+    f = CostFunction.power(100.0)
+    assert f(2000) == f.cap  # 2000.0 ** 100 overflows a float
+    g = CostFunction.power(2.5, cap=1e300)
+    assert g(7).hex() == (7.0 ** 2.5).hex()  # values below the cap keep their bits
+    assert g(10 ** 200) == 1e300
+
+
+KINDS = [
+    CostFunction.linear(0.7),
+    CostFunction.linear(3.0, cap=10.0),
+    CostFunction.power(1.5),
+    CostFunction.power(3, cap=50.0),
+    CostFunction.power(100.0),
+    CostFunction.exponential(),
+    CostFunction.exponential(cap=50.0),  # _exp_limit = log 50 = 3.91...
+    CostFunction.indicator(5),
+    CostFunction.indicator(2, cap=0.5),
+]
+
+
+@pytest.mark.parametrize("f", KINDS, ids=repr)
+def test_table_has_the_bits_of_call(f):
+    fresh = CostFunction.from_dict(f.to_dict())
+    # grow in uneven steps, then across the exponential cut-off and far out
+    for size in (2, 3, 7, 8, 40, 41, 3000):
+        tab = fresh.table(size)
+        assert len(tab) >= size
+        assert [v.hex() for v in tab[1:]] == [f(a).hex() for a in range(1, len(tab))]
+    assert fresh.table(5) is tab  # grows in place, never shrinks
+    limit = math.ceil(f._exp_limit) if f.kind == "exponential" else 4
+    for a in range(1, limit + 3):
+        assert fresh[a].hex() == f(a).hex()
+
+
+def test_table_growth_doubles():
+    f = CostFunction.power(2)
+    assert len(f.table(10)) == 10
+    assert len(f.table(11)) == 20
+    assert len(f.table(100)) == 100
+
+
+def test_grown_cost_function_pickles_compares_and_hashes_like_a_fresh_one():
+    for f in KINDS:
+        fresh = CostFunction.from_dict(f.to_dict())
+        grown = CostFunction.from_dict(f.to_dict())
+        grown.table(500)
+        assert grown == fresh and hash(grown) == hash(fresh)
+        assert grown.to_dict() == fresh.to_dict()
+        assert pickle.dumps(grown) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(grown))
+        assert back == fresh and len(back.table(0)) == 1
+        assert [back(a) for a in range(1, 50)] == [fresh(a) for a in range(1, 50)]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -151,3 +152,26 @@ def test_policy_lookup_clips_at_cap():
     inst, costs = gen_star(2, weight_rule="unit", reliability_rule="reliable")
     sol = dp_optimal(inst, costs, a_cap=5, tolerance=1e-6)
     assert sol.action_for({(1, 2): 500}) == sol.action_for({(1, 2): 5})
+
+
+# sha256 of the exported bytes, recorded from the row-by-row csv writer
+EXPORT_SHA256 = {
+    "star-n5-uniform-functions-of-age":
+        "f5a6bef632fb839f2ed980431c568e19385295884cb6e0c192081bd1c6c8ef9e",
+    "two-hop": "7975dcb86d6bf6cd00929848b6468701e620d411e0e0c7da53aaaa28c54df599",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_export_table_bytes_pinned(tmp_path, name):
+    if name == "two-hop":
+        inst = make_instance(3, {(1, 2): 1.0, (2, 3): 1.0}, [(1, {3})],
+                             interference="single-transmitter", eligibility="path")
+        sol = dp_optimal(inst, {(1, 3): CostFunction.power(1.5)}, a_cap=6, tolerance=1e-6)
+    else:
+        inst, costs = gen_star(5, reliability_rule="uniform", rng=np.random.default_rng(0),
+                               cost_rule="functions-of-age")
+        sol = dp_optimal(inst, costs, a_cap=5, tolerance=1e-4)
+    out = tmp_path / "table.csv"
+    export_table(sol, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[name]

@@ -9,7 +9,11 @@ recorded from the engine that still worked out relay hop distances in every
 slot and kept relay queues under every policy. The randomized broadcast and
 diamond cases were recorded from the slot loop before open-loop runs got
 their array path; every case is also checked metrics-only, which is the
-mode that takes that path.
+mode that takes that path. The unreliable max-weight star, the ten-source
+flow-control star and the two ``dp-table`` cases, and every case's
+``max_sum_debt`` and ``final_targets``, were recorded from the slot loop on
+dict state (kept as ``tests/dict_reference.py``) before the row-indexed
+loop replaced it; the fields recorded earlier came out unchanged.
 
 The connected-graph lists were recorded from the enumeration that tested
 every edge mask on n nodes for connectivity before canonicalizing; the
@@ -113,22 +117,53 @@ def _cases():
     cases["diamond-explicit-randomized"] = (_diamond, SimConfig(
         horizon=400, seed=11, policy="randomized",
         policy_params={"probabilities": (0.1, 0.5, 0.4)}))
+    # the star controllers on unreliable links, and flow control on ten sources
+    cases["star-n5-uniform-max-weight"] = (
+        lambda: gen_star(5, rng=np.random.default_rng(0)),
+        SimConfig(horizon=400, seed=7, policy="max-weight"))
+    cases["star-n10-closed-form-flow-control"] = (
+        lambda: gen_star(10, rng=np.random.default_rng(np.random.SeedSequence((0, 10)))),
+        SimConfig(horizon=600, seed=7, target_mode="flow-control",
+                  flow_control=FlowControlConfig(V=10.0, alpha_max=50.0)))
+    # DP tables read every tracked age, clipped at a_cap; the line also
+    # tracks relay ages
+    cases["star-n4-uniform-functions-of-age-dp-table"] = (
+        lambda: gen_star(4, rng=np.random.default_rng(0), cost_rule="functions-of-age"),
+        SimConfig(horizon=400, seed=7, policy="dp-table", policy_params={"a_cap": 8}))
+    cases["line-n4-parity-dp-table"] = (
+        lambda: gen_line(4, interference="parity"),
+        SimConfig(horizon=400, seed=7, policy="dp-table", policy_params={"a_cap": 8}))
     return cases
 
 
 CASES = _cases()
 
 
-def trajectory(name):
+def build_case(name):
+    """The case's instance, cost functions and config; a ``dp-table`` case
+    names its ``a_cap`` and gets the solution of its instance."""
     build, cfg = CASES[name]
     instance, cost_fns = build()
+    if cfg.policy == "dp-table":
+        sol = dp_optimal(instance, cost_fns, a_cap=cfg.policy_params["a_cap"], tolerance=1e-6)
+        cfg = replace(cfg, policy_params={"solution": sol})
+    return instance, cost_fns, cfg
+
+
+def _pair_reprs(values):
+    return {f"{k}-{j}": repr(v) for (k, j), v in values.items()}
+
+
+def trajectory(name):
+    instance, cost_fns, cfg = build_case(name)
     m = run(instance, cost_fns, replace(cfg, trace_detail="full"))
     actions = [row[6] for row in m.trace[::len(m.per_pair_cost)]]
     out = {
         "actions": actions,
-        "per_pair_cost": {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_cost.items()},
-        "per_pair_debt_rate": {f"{k}-{j}": repr(v)
-                               for (k, j), v in m.per_pair_debt_rate.items()},
+        "per_pair_cost": _pair_reprs(m.per_pair_cost),
+        "per_pair_debt_rate": _pair_reprs(m.per_pair_debt_rate),
+        "max_sum_debt": repr(m.max_sum_debt),
+        "final_targets": _pair_reprs(m.final_targets),
     }
     if m.target_history is not None:
         out["target_history"] = [{f"{k}-{j}": repr(v) for (k, j), v in tg.items()}
@@ -155,13 +190,11 @@ def test_golden_trajectory(golden, name):
 def test_golden_metrics_only(golden, name):
     # open-loop runs recorded in full-trace mode skip the slot loop when
     # run metrics-only; every run must report the same bits either way
-    build, cfg = CASES[name]
-    instance, cost_fns = build()
+    instance, cost_fns, cfg = build_case(name)
     m = run(instance, cost_fns, replace(cfg, trace_detail="metrics-only"))
-    assert {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_cost.items()} == \
-        golden[name]["per_pair_cost"]
-    assert {f"{k}-{j}": repr(v) for (k, j), v in m.per_pair_debt_rate.items()} == \
-        golden[name]["per_pair_debt_rate"]
+    for field in ("per_pair_cost", "per_pair_debt_rate", "final_targets"):
+        assert _pair_reprs(getattr(m, field)) == golden[name][field], field
+    assert repr(m.max_sum_debt) == golden[name]["max_sum_debt"]
 
 
 def _dp_cases():

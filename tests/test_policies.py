@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from aoisim import (CostFunction, DebtState, RandomizedPolicy, age_debt_action,
-                    expected_drift, initial_buffer, initial_debt, make_instance,
+                    expected_drift, make_instance,
                     max_weight_action, optimize_randomized, single_hop_age_debt_action)
-from aoisim.age import (advance_age, restricted_hop_distance, update_destination_debt,
-                        update_intermediate_debt)
+from aoisim.age import restricted_hop_distance
 from conftest import lyapunov
+from dict_reference import (advance_age, initial_buffer, initial_debt, update_destination_debt,
+                            update_intermediate_debt)
 
 
 # ---------------- expected drift ----------------
@@ -36,8 +37,8 @@ def test_two_hop_cold_start_all_actions_equal(two_hop):
 
 def monte_carlo_drift(action, debt, age, buffer, targets, cost_fns, instance,
                       n_samples, seed):
-    """Simulate one slot n_samples times; returns (mean, stderr) of the
-    Lyapunov change."""
+    """Simulate one slot n_samples times, with the dict form of the slot's
+    phases; returns (mean, stderr) of the Lyapunov change."""
     rng = np.random.default_rng(seed)
     # relays that send a held packet, and their first-hop-restricted hop
     # distances, worked out here rather than taken from the drift evaluator

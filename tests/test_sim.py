@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import (CostFunction, FlowControlConfig, SimConfig, broadcast_instance,
-                    enumerate_connected_graphs, gen_line, gen_star, make_instance, run,
-                    sim, stability_diagnostic)
+from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
+                    broadcast_instance, dp_optimal, enumerate_connected_graphs, gen_line,
+                    gen_star, make_instance, run, sim, stability_diagnostic)
+from dict_reference import dict_slot_loop
 
 
 def single_source(p=1.0):
@@ -60,10 +61,10 @@ def test_ages_never_below_one_and_delivery_only_helps():
 
 
 def test_age_buffer_consistency_invariant():
-    # replay the run and check A_ki == t - t_g for every held packet
-    from aoisim.age import advance_age, initial_age, initial_buffer
+    # replay the run and check A_ki == t - t_g for every held packet, and
+    # that a node that never received one is exactly t + 1 old
+    from aoisim.age import advance_age
     from aoisim.channels import ChannelProcess
-    from aoisim.network import canon_edge
 
     inst, costs = gen_line(5, interference="parity")
     cfg = SimConfig(horizon=400, seed=2, policy="age-debt",
@@ -73,23 +74,21 @@ def test_age_buffer_consistency_invariant():
 
     # independent replay with a fair-coin policy exercising the same invariant
     rng = np.random.default_rng(0)
-    age = initial_age(inst.tracked_pairs())
-    buffer = initial_buffer(inst.flows)
+    plan = sim._row_plan(inst)
+    age = [1] * plan.n_rows
+    stamp = [-1] * (plan.n_rows + len(inst.flows))
     channels = ChannelProcess(inst, 2)
     for t in range(400):
-        action = inst.action_space[int(rng.integers(len(inst.action_space)))]
+        links = plan.action_links[int(rng.integers(len(inst.action_space)))]
         bits = channels.slot(t)
         deliveries = []
-        for (tx, rx, k) in action:
-            t_g = t if tx == k else buffer.get((tx, k))
-            if tx == k:
-                buffer[(tx, k)] = t
-            if t_g is not None and bits[inst.edge_index[canon_edge(tx, rx)]]:
-                deliveries.append((k, rx, t_g))
-        age = advance_age(age, buffer, deliveries, t)
-        for (node, flow), t_g in buffer.items():
-            if (flow, node) in age:
-                assert age[(flow, node)] == t + 1 - t_g
+        for (r, m, e) in links:
+            t_g = t if m >= plan.n_rows else stamp[m]
+            if t_g >= 0 and bits[e]:
+                deliveries.append((r, t_g))
+        age = advance_age(age, stamp, deliveries, t)
+        for r in range(plan.n_rows):
+            assert age[r] == (t + 1 - stamp[r] if stamp[r] >= 0 else t + 2)
 
 
 def test_stability_diagnostic_thresholds():
@@ -273,3 +272,102 @@ def open_loop_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_open_loop_matches_slot_loop(case):
     assert_same_metrics(*case)
+
+
+# ---------------- the row loop against the dict reference ----------------
+
+@st.composite
+def closed_loop_cases(draw):
+    """Small stars, lines, broadcasts and general graphs, under every
+    closed-loop policy and target mode."""
+    shape = draw(st.sampled_from(["star", "line", "broadcast", "graph"]))
+    rel = draw(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=0.95)))
+    if shape == "star":
+        instance, cost_fns = gen_star(
+            draw(st.integers(min_value=2, max_value=6)),
+            reliability_rule=draw(st.sampled_from(["uniform", "reliable"])),
+            rng=np.random.default_rng(draw(st.integers(min_value=0, max_value=99))),
+            cost_rule=draw(st.sampled_from(["weighted-linear", "functions-of-age"])))
+    elif shape == "line":
+        instance, cost_fns = gen_line(
+            draw(st.integers(min_value=2, max_value=6)),
+            interference=draw(st.sampled_from(["parity", "single-transmitter"])),
+            reliability=rel)
+    elif shape == "broadcast":
+        n = draw(st.integers(min_value=2, max_value=4))
+        graphs = enumerate_connected_graphs(n)
+        instance, cost_fns = broadcast_instance(
+            n, graphs[draw(st.integers(min_value=0, max_value=len(graphs) - 1))],
+            reliability=rel)
+    else:
+        instance, cost_fns, _ = draw(open_loop_cases())
+    if draw(st.booleans()):
+        # every kind of cost, exponential ones capped low enough to bind
+        cost_fns = {pair: draw(st.sampled_from([
+            CostFunction.linear(1.5), CostFunction.power(2.0), CostFunction.power(0.5),
+            CostFunction.exponential(cap=60.0), CostFunction.indicator(3)]))
+            for pair in cost_fns}
+
+    is_star = sim.star_structure(instance) is not None
+    small = len(instance.tracked_pairs()) <= 3
+    policy = draw(st.sampled_from(["age-debt", "age-debt", "randomized", "constant"]
+                                  + ["max-weight"] * is_star + ["dp-table"] * small))
+    params = {}
+    if policy == "age-debt":
+        params = {"variant": draw(st.sampled_from(["auto", "exact"]))}
+    elif policy == "randomized":
+        n_actions = len(instance.action_space)
+        params = {"probabilities": tuple([1.0 / n_actions] * n_actions)}
+    elif policy == "constant":
+        params = {"action_index": draw(st.integers(0, len(instance.action_space) - 1))}
+    elif policy == "dp-table":
+        params = {"solution": dp_optimal(instance, cost_fns, a_cap=4, tolerance=1e-3)}
+
+    mode = draw(st.sampled_from(sim.TARGET_MODES))
+    kw = {}
+    if mode == "fixed":
+        kw["targets"] = draw(st.one_of(
+            st.floats(min_value=0.0, max_value=8.0),
+            st.fixed_dictionaries({pair: st.sampled_from([0.0, 1.5, 4.0])
+                                   for pair in instance.dest_pairs()})))
+    elif mode == "flow-control":
+        kw["flow_control"] = FlowControlConfig(
+            V=draw(st.sampled_from([0.5, 3.0, 10.0])),
+            alpha_max=draw(st.sampled_from([1, 6.0, 40])))
+    else:
+        kw["gradient_descent"] = GradientDescentConfig(
+            epoch_length=draw(st.integers(min_value=3, max_value=40)), epochs=8,
+            step=draw(st.sampled_from([0.25, 1.0])), threshold=0.05,
+            initial=draw(st.sampled_from([1.0, 4.0])))
+    cfg = SimConfig(horizon=draw(st.integers(min_value=1, max_value=200)),
+                    seed=draw(st.integers(min_value=0, max_value=2 ** 20)),
+                    policy=policy, policy_params=params, target_mode=mode,
+                    tie_break=draw(st.sampled_from(["first", "last", "random", "freshest"])),
+                    use_intermediate_queues=draw(st.booleans()),
+                    trace_detail=draw(st.sampled_from(["metrics-only", "full"])), **kw)
+    return instance, cost_fns, cfg
+
+
+@given(closed_loop_cases())
+@settings(max_examples=150, deadline=None)
+def test_run_matches_dict_reference_loop(case):
+    instance, cost_fns, cfg = case
+    a = run(instance, cost_fns, cfg)
+    b = dict_slot_loop(instance, cost_fns, cfg)
+    for f in fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+def test_run_matches_dict_reference_past_table_growth():
+    # ages far beyond the first table sizes, on a slow star and a long line
+    star, star_costs = gen_star(6, rng=np.random.default_rng(3), cost_rule="functions-of-age")
+    line, line_costs = gen_line(6, interference="single-transmitter", reliability=0.6)
+    line_costs = {pair: CostFunction.power(1.5) for pair in line_costs}
+    for instance, cost_fns, cfg in (
+            (star, star_costs, SimConfig(horizon=3000, seed=1, targets=500.0)),
+            (line, line_costs, SimConfig(horizon=3000, seed=2, target_mode="flow-control",
+                                         flow_control=FlowControlConfig(V=5.0, alpha_max=30.0)))):
+        a = run(instance, cost_fns, cfg)
+        b = dict_slot_loop(instance, cost_fns, cfg)
+        for f in fields(a):
+            assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name

@@ -62,11 +62,23 @@ def test_gd_single_source_descends_to_serve_always_optimum():
     assert max(tail) - min(tail) <= 1.0 + 1e-9  # oscillation of order eta
 
 
+def rule(debt_now, cfg):
+    """The threshold rule's targets for every pair of ``debt_now``; the
+    update writes targets in place, by row, and a pair serves as a row."""
+    targets = {}
+    flow_control_update(debt_now, targets, list(debt_now), cfg)
+    return targets
+
+
 def test_flow_control_threshold_rule():
     cfg = FlowControlConfig(V=10.0, alpha_max=50.0)
-    assert flow_control_update({(1, 9): 12.0}, cfg) == {(1, 9): 50.0}
-    assert flow_control_update({(1, 9): 10.0}, cfg) == {(1, 9): 1.0}  # boundary
-    assert flow_control_update({(1, 9): 0.0}, cfg) == {(1, 9): 1.0}
+    assert rule({(1, 9): 12.0}, cfg) == {(1, 9): 50.0}
+    assert rule({(1, 9): 10.0}, cfg) == {(1, 9): 1.0}  # boundary
+    assert rule({(1, 9): 0.0}, cfg) == {(1, 9): 1.0}
+    # rows outside ``rows`` keep their targets
+    targets = [7.0, 7.0]
+    flow_control_update([12.0, 12.0], targets, [1], cfg)
+    assert targets == [7.0, 50.0]
 
 
 def test_flow_control_output_always_extreme():
@@ -74,7 +86,7 @@ def test_flow_control_output_always_extreme():
     cfg = FlowControlConfig(V=7.0, alpha_max=33.0)
     for _ in range(100):
         debt = {(k, 9): float(rng.uniform(0, 20)) for k in range(1, 6)}
-        out = flow_control_update(debt, cfg)
+        out = rule(debt, cfg)
         assert set(out.values()) <= {1.0, 33.0}
 
 
@@ -86,12 +98,12 @@ def closed_form_matches_program(debt_now, cfg, grid_points=1000):
     minimum sits at a box corner; a fine grid over the box must not beat the
     rule's choice.
     """
-    rule = flow_control_update(debt_now, cfg)
+    chosen_alpha = rule(debt_now, cfg)
     lo, hi = 1.0, cfg.alpha_max
     step = (hi - lo) / max(grid_points - 1, 1)
     for pair, q in debt_now.items():
         coeff = cfg.V - q
-        chosen = coeff * rule[pair]
+        chosen = coeff * chosen_alpha[pair]
         best = min(coeff * (lo + step * g) for g in range(grid_points))
         if chosen > best + 1e-12 * max(1.0, abs(best)):
             return False
