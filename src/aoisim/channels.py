@@ -23,11 +23,15 @@ def _edge_key(seed, edge_idx):
 
 
 class ChannelProcess:
-    """Random-access success bits for every edge of an instance."""
+    """Random-access success bits for every edge of an instance.
 
-    def __init__(self, instance, seed):
+    With a ``horizon``, ``slot`` serves only slots below it and draws no
+    rows past it; the bits are the same as without one."""
+
+    def __init__(self, instance, seed, horizon=None):
         self.instance = instance
         self.seed = int(seed)
+        self.horizon = horizon
         self.n_edges = len(instance.edges)
         self._keys = [_edge_key(seed, i) for i in range(self.n_edges)]
         self._probs = np.array([instance.reliability[e] for e in instance.edges])
@@ -49,10 +53,11 @@ class ChannelProcess:
     def slot(self, t):
         """Success bits of slot t, a list of bools indexed like
         instance.edges (one block is converted to lists at a time)."""
-        if t < 0:
-            raise ValueError("slot must be >= 0")
+        if t < 0 or (self.horizon is not None and t >= self.horizon):
+            raise ValueError(f"slot {t} is not in the run (0 <= t < horizon)")
         start = (t // _BLOCK) * _BLOCK
         if start != self._block_start:
-            self._block = self._rows(start, start + _BLOCK).tolist()
+            stop = start + _BLOCK if self.horizon is None else min(start + _BLOCK, self.horizon)
+            self._block = self._rows(start, stop).tolist()
             self._block_start = start
         return self._block[t - start]

@@ -12,11 +12,11 @@ outcome distribution.
 
 One pass per slot scores every action. A pair's drift terms depend on the
 action only through its block: the links that can deliver into the pair and
-each relay's hop distance when it forwards. Actions share blocks, so a slot
-computes each distinct next-age distribution and block once and gathers the
-terms into a (term x action) table. The table's rows are added in order,
-as a per-action running sum would: the argmin breaks ties on exact float
-equality, so another summation order would silently change trajectories.
+each relay's hop distance when it forwards. Blocks are compiled once per
+instance; a block with at most one link is scored inline, with the walk's
+bits, and only two or more links build a distribution. The (term x action)
+table is summed row by row, as a per-action running sum would: the argmin
+ties on exact float equality, so another order would change trajectories.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ class DriftEvaluator:
     """Exact expected drift of every action, scored in one pass per slot.
 
     Built once per instance from the action space and topology, on the row
-    state of ``age.py``; cost tables are passed to ``score``. ``index``
-    gathers the slot's flat term list into the (term x action) table; its
-    rows are each pair's destination term, then its relay terms, pair after
-    pair, the order of the per-action sum. A distribution key is (row,
-    links), each link (sender row, or -1 for the source; p_edge).
+    state of ``age.py``; cost tables are passed to ``score``. A distribution
+    key is (row, links), each link (sender row, or -1 for the source; p_edge).
+    A block is (row, m, p, g, queues): its key's single link (m, p), m None
+    if it has none, or g, the key's position in ``general_keys`` if it has
+    more; then its terms as (relay queue, relay row, h or None), with the
+    destination's (None, row, None) first. ``index`` gathers the slot's
+    terms into the (term x action) table in per-action sum order.
 
     The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
     relay queue q's hop distance when action ``a`` has its relay
@@ -78,7 +80,7 @@ class DriftEvaluator:
                 self.dist_keys.append(key)
             return dist_ids[key]
 
-        self.blocks = []    # (row, dist id, ((relay queue, relay row, h or None), ...))
+        self.blocks = []    # (row, dist id, relay terms), compiled below
         block_start = {}    # block -> flat position of its first term
         n_terms = 0
         action_links = []
@@ -113,7 +115,13 @@ class DriftEvaluator:
             index.append(col)
             self.relay_hops.append(hops)
         self.index = np.array(index, dtype=np.intp).T.copy()
-        self.scored_keys = list(self.dist_keys)
+        general = {}  # keys with two or more links, by position in general_keys
+        for b, (r, d, relay_h) in enumerate(self.blocks):
+            links = self.dist_keys[d][1]
+            g = general.setdefault(self.dist_keys[d], len(general)) if len(links) > 1 else None
+            self.blocks[b] = (r, *(links[0] if len(links) == 1 else (None, 0.0)), g,
+                              ((None, r, None),) + relay_h)
+        self.general_keys = list(general)
         # per action: distribution id of every tracked pair, in row order
         self.action_dists = [[dist_id(pair, links) for pair in tracked]
                              for links in action_links]
@@ -136,14 +144,11 @@ class DriftEvaluator:
         summing to 1."""
         r, links = key
         a_now = age[r]
-        cands = []
-        for (m, p) in links:
-            if m < 0:
-                cands.append((0, p))  # fresh stamp at transmission
-            elif stamp[m] >= 0:
-                cands.append((age[m], p))
-        if not cands:
-            return ((a_now + 1, 1.0),)
+        # a source sends a fresh stamp (age 0), a relay only a packet it holds
+        cands = [(age[m] if m >= 0 else 0, p) for (m, p) in links if m < 0 or stamp[m] >= 0]
+        if len(cands) <= 1:  # what the walk below returns, without the walk
+            g, p = cands[0] if cands else (a_now, 0.0)
+            return ((g + 1, p), (a_now + 1, 1.0 - p)) if g < a_now else ((a_now + 1, 1.0),)
         cands.sort()
         out = []
         stay = 1.0
@@ -161,47 +166,40 @@ class DriftEvaluator:
 
     def score(self, debt, relay_debt, age, stamp, targets, tables):
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
-        index, and the slot's next-age distributions of the scored keys.
-        A relay queue that is None (not kept by the run) adds a 0.0 term."""
-        dists = [self.next_age_dist(key, age, stamp) for key in self.scored_keys]
+        index. A relay queue that is None (not kept by the run) adds a 0.0
+        term."""
+        dists = [self.next_age_dist(key, age, stamp) for key in self.general_keys]
         terms = []
         add = terms.append
-        for (r, d, relay_h) in self.blocks:
-            tab = tables[r]
-            alpha = targets[r]
-            dist = dists[d]
-            q = debt[r]
-            exp_sq = 0.0
-            for (a_next, p) in dist:
-                nq = q + tab[a_next] - alpha
-                if nq > 0.0:
-                    exp_sq += p * nq * nq
-            add(exp_sq - q * q)
-            for (qr, ri, h) in relay_h:
-                qi = relay_debt[qr]
+        for (r, m, p, d, queues) in self.blocks:
+            tab, alpha, a = tables[r], targets[r], age[r]
+            # one link or none: next age g + 1 w.p. p if the sender is fresher, else a + 1
+            g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
+            outs = ((tab[g + 1], p), (tab[a + 1], 1.0 - p)) if g < a else ((tab[a + 1], 1.0),)
+            if d is not None:  # two or more links (m is None)
+                outs = [(tab[v], w) for (v, w) in dists[d]]
+            for (qr, ri, h) in queues:
+                qi = debt[r] if qr is None else relay_debt[qr]
                 if qi is None:
                     add(0.0)  # run configured with destination-only debt
                 elif h is not None and stamp[ri] >= 0:
-                    nq = qi + tab[min(age[ri], age[r]) + h] - alpha
+                    nq = qi + tab[min(age[ri], a) + h] - alpha
                     add((nq * nq if nq > 0.0 else 0.0) - qi * qi)
                 else:
                     exp_sq = 0.0
-                    for (a_next, p) in dist:
-                        nq = qi + tab[a_next] - alpha
+                    for (c, w) in outs:
+                        nq = qi + c - alpha
                         if nq > 0.0:
-                            exp_sq += p * nq * nq
+                            exp_sq += w * nq * nq
                     add(exp_sq - qi * qi)
         # add the rows in order, as a per-action `total += term` loop would;
         # accumulate is sequential for every shape, while a reduction over
         # a single action's column may sum pairwise
-        return np.add.accumulate(np.array(terms)[self.index], axis=0)[-1].tolist(), dists
+        return np.add.accumulate(np.array(terms)[self.index], axis=0)[-1].tolist()
 
     def decide(self, debt, relay_debt, age, stamp, targets, tables, tie_break, rng):
-        """Drift-minimizing action index (see ``age_debt_action``) and the
-        scores."""
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {tie_break!r}")
-        scores, dists = self.score(debt, relay_debt, age, stamp, targets, tables)
+        """The drift-minimizing action index (see ``age_debt_action``), and the scores."""
+        scores = self.score(debt, relay_debt, age, stamp, targets, tables)
         best = min(scores)
         ties = [i for i, s in enumerate(scores) if s == best]
         if len(ties) == 1 or tie_break == "first":
@@ -212,7 +210,7 @@ class DriftEvaluator:
             if rng is None:
                 raise ValueError("random tie-break needs an rng")
             return ties[int(rng.integers(len(ties)))], scores
-        dists += [self.next_age_dist(key, age, stamp) for key in self.dist_keys[len(dists):]]
+        dists = [self.next_age_dist(key, age, stamp) for key in self.dist_keys]
         return min((self.expected_age_sum(i, dists), i) for i in ties)[1], scores
 
     def expected_age_sum(self, action_idx, dists):
@@ -236,7 +234,7 @@ def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
     instance's action space, given as tuple or index)."""
     ev = get_drift_evaluator(instance)
     idx = action if isinstance(action, int) else instance.action_space.index[action]
-    return ev.score(*ev.rows(debt, age, buffer, targets, cost_fns))[0][idx]
+    return ev.score(*ev.rows(debt, age, buffer, targets, cost_fns))[idx]
 
 
 def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="first",
@@ -252,6 +250,8 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="f
                   deadlock multihop cold starts, where no single-slot action
                   moves any queue; this one pushes fresh packets downstream.
     """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     ev = get_drift_evaluator(instance)
     idx, scores = ev.decide(*ev.rows(debt, age, buffer, targets, cost_fns), tie_break, rng)
     return PolicyDecision(idx, instance.action_space[idx], tuple(scores))

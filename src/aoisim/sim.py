@@ -47,7 +47,7 @@ from .age import advance_age, update_destination_debt, update_intermediate_debt
 from .channels import _BLOCK, ChannelProcess
 from .costs import as_table
 from .network import canon_edge
-from .policies import (RandomizedPolicy, get_drift_evaluator, max_weight_action,
+from .policies import (TIE_BREAKS, RandomizedPolicy, get_drift_evaluator, max_weight_action,
                        single_hop_age_debt_action)
 from .targets import (FlowControlConfig, GradientDescentConfig,
                       flow_control_update, gd_epoch_update)
@@ -76,12 +76,10 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.target_mode not in TARGET_MODES:
-            raise ValueError(f"unknown target_mode {self.target_mode!r}")
-        if self.trace_detail not in ("metrics-only", "full"):
-            raise ValueError(f"unknown trace_detail {self.trace_detail!r}")
+        for name, ok in (("policy", POLICIES), ("target_mode", TARGET_MODES),
+                         ("tie_break", TIE_BREAKS), ("trace_detail", ("metrics-only", "full"))):
+            if getattr(self, name) not in ok:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
 
 @dataclass
@@ -275,7 +273,7 @@ def _slot_loop(instance, cost_fns, cfg):
     keep = evaluator is not None and cfg.use_intermediate_queues
     relays = evaluator.relays if keep else []
     relay_debt = [0.0 if keep else None] * (len(evaluator.relays) if evaluator else 0)
-    channels = ChannelProcess(instance, cfg.seed)
+    channels = ChannelProcess(instance, cfg.seed, cfg.horizon)
     links = plan.action_links
 
     fc = cfg.flow_control if cfg.target_mode == "flow-control" else None

@@ -13,7 +13,10 @@ mode that takes that path. The unreliable max-weight star, the ten-source
 flow-control star and the two ``dp-table`` cases, and every case's
 ``max_sum_debt`` and ``final_targets``, were recorded from the slot loop on
 dict state (kept as ``tests/dict_reference.py``) before the row-indexed
-loop replaced it; the fields recorded earlier came out unchanged.
+loop replaced it; the fields recorded earlier came out unchanged. The two
+exact-drift diamond cases were recorded from the evaluator that built every
+next-age distribution as a sorted tuple, before it scored blocks with at
+most one link inline.
 
 The connected-graph lists were recorded from the enumeration that tested
 every edge mask on n nodes for connectivity before canonicalizing; the
@@ -25,9 +28,10 @@ state-sized flat index array per outcome. They pin every ``DpSolution``
 field: the ``repr`` of the gain, residual span and per-pair averages, the
 iteration count, and sha256 digests of the policy and relative-value bytes.
 
-Record all golden data again only for a deliberate change of results:
-
-    PYTHONPATH=src python tests/test_golden.py
+``PYTHONPATH=src python tests/test_golden.py`` records the cases missing
+from the data files. If any existing entry would come out different, it
+prints the differing names, writes nothing and exits 1. Record all golden
+data again only for a deliberate change of results, with ``--rerecord``.
 """
 
 import hashlib
@@ -41,6 +45,7 @@ import pytest
 from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
                     broadcast_instance, dp_optimal, enumerate_connected_graphs, gen_line,
                     gen_star, make_instance, run)
+from conftest import diamond, diamond_direct
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
 DP_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_dp.json")
@@ -51,16 +56,6 @@ def _two_hop():
     instance = make_instance(3, {(1, 2): 1.0, (2, 3): 1.0}, [(1, {3})],
                              interference="single-transmitter", eligibility="path")
     return instance, {(1, 3): CostFunction.linear(1.0)}
-
-
-def _diamond():
-    """1 -> {2, 3} -> 4, one flow 1 -> 4; each non-idle action drives both
-    links of one stage at once."""
-    instance = make_instance(
-        4, {(1, 2): 0.9, (1, 3): 0.6, (2, 4): 0.7, (3, 4): 0.8}, [(1, {4})],
-        interference="explicit",
-        explicit_actions=[[(1, 2, 1), (1, 3, 1)], [(2, 4, 1), (3, 4, 1)]])
-    return instance, {(1, 4): CostFunction.power(2.0)}
 
 
 def _broadcast(gid, reliability):
@@ -114,9 +109,17 @@ def _cases():
             SimConfig(horizon=400, seed=3, policy="randomized",
                       policy_params={"probabilities": uniform21}))
     # two relays deliver into the destination in the same slot
-    cases["diamond-explicit-randomized"] = (_diamond, SimConfig(
+    cases["diamond-explicit-randomized"] = (diamond, SimConfig(
         horizon=400, seed=11, policy="randomized",
         policy_params={"probabilities": (0.1, 0.5, 0.4)}))
+    # exact drift with two links into the destination in one action, often
+    # from relays holding packets of the same age
+    fc_diamond = FlowControlConfig(V=10.0, alpha_max=40.0)
+    cases["diamond-explicit-age-debt"] = (diamond, SimConfig(
+        horizon=400, seed=11, target_mode="flow-control", flow_control=fc_diamond))
+    cases["diamond-direct-explicit-age-debt-first"] = (diamond_direct, SimConfig(
+        horizon=400, seed=11, target_mode="flow-control", flow_control=fc_diamond,
+        tie_break="first"))
     # the star controllers on unreliable links, and flow control on ten sources
     cases["star-n5-uniform-max-weight"] = (
         lambda: gen_star(5, rng=np.random.default_rng(0)),
@@ -265,10 +268,45 @@ def test_golden_graphs():
         assert graph_classes(size) == golden_graphs[size], size
 
 
-if __name__ == "__main__":
+def record_missing(rerecord=False):
+    """Record the golden cases missing from the data files and return the
+    names of existing entries that the checked-out code would change.
+    Nothing is written while any entry would change, unless ``rerecord``
+    asks for every file to be written again from the checked-out code."""
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    out, changed = {}, []
     for path, cases, record in ((DATA, CASES, trajectory), (DP_DATA, DP_CASES, dp_fingerprint),
                                 (GRAPH_DATA, GRAPH_SIZES, graph_classes)):
+        old = {}
+        if os.path.exists(path):
+            with open(path) as fh:
+                old = json.load(fh)
+        new = {name: record(name) for name in sorted(cases)}
+        changed += [f"{os.path.basename(path)}: {name}" for name in sorted(new)
+                    if name in old and old[name] != new[name]]
+        if rerecord or new.keys() != old.keys():
+            out[path] = new
+    if changed and not rerecord:
+        return changed
+    for path, data in out.items():
         with open(path, "w") as fh:
-            json.dump({name: record(name) for name in sorted(cases)}, fh, indent=1)
+            json.dump(data, fh, indent=1)
             fh.write("\n")
+    return changed
+
+
+if __name__ == "__main__":
+    import argparse
+    import sys
+
+    parser = argparse.ArgumentParser(description="Record missing golden cases.")
+    parser.add_argument("--rerecord", action="store_true",
+                        help="write every golden entry again from the checked-out code")
+    args = parser.parse_args()
+    changed = record_missing(args.rerecord)
+    if changed:
+        print("\n".join(changed))
+    if changed and not args.rerecord:
+        print(f"{len(changed)} golden entries would change; nothing written "
+              "(--rerecord writes them)", file=sys.stderr)
+        sys.exit(1)

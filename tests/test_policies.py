@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aoisim import (CostFunction, DebtState, RandomizedPolicy, age_debt_action,
-                    expected_drift, make_instance,
-                    max_weight_action, optimize_randomized, single_hop_age_debt_action)
+from aoisim import (CostFunction, DebtState, RandomizedPolicy, SimConfig, age_debt_action,
+                    broadcast_instance, enumerate_connected_graphs, expected_drift, gen_line,
+                    make_instance, max_weight_action, optimize_randomized,
+                    single_hop_age_debt_action)
 from aoisim.age import restricted_hop_distance
-from conftest import lyapunov
-from dict_reference import (advance_age, initial_buffer, initial_debt, update_destination_debt,
-                            update_intermediate_debt)
+from aoisim.policies import TIE_BREAKS, DriftEvaluator
+from conftest import diamond, diamond_direct, explicit_instances, lyapunov
+from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
+                            update_destination_debt, update_intermediate_debt)
 
 
 # ---------------- expected drift ----------------
@@ -182,6 +186,79 @@ def test_idle_among_minimizers_when_quiet(two_hop):
                                tie_break="first")
     assert decision.action == ()
     assert min(decision.scores) == decision.scores[0]
+
+
+def test_unknown_tie_break_is_rejected(two_hop):
+    # by the run's config before any slot, and by the public argmin
+    with pytest.raises(ValueError, match="tie_break 'bogus'"):
+        SimConfig(horizon=100, tie_break="bogus", targets=1.0)
+    instance, cost_fns = two_hop
+    with pytest.raises(ValueError, match="tie_break 'bogus'"):
+        age_debt_action(initial_debt(instance), {(1, 3): 1, (1, 2): 1},
+                        initial_buffer(instance.flows), {(1, 3): 1.0}, cost_fns, instance,
+                        tie_break="bogus")
+
+
+@st.composite
+def drift_states(draw):
+    """An instance (broadcast, line, two-hop, diamond or explicit actions)
+    and a random dict state on it, relay queues kept or not."""
+    shape = draw(st.sampled_from(["broadcast", "line", "two-hop", "diamond", "explicit"]))
+    rel = draw(st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=0.95)))
+    if shape == "broadcast":
+        n = draw(st.integers(min_value=3, max_value=5))
+        graphs = enumerate_connected_graphs(n)
+        instance, _ = broadcast_instance(n, graphs[draw(st.integers(0, len(graphs) - 1))],
+                                         reliability=rel)
+    elif shape == "line":
+        instance, _ = gen_line(draw(st.integers(min_value=3, max_value=7)),
+                               interference=draw(st.sampled_from(["parity",
+                                                                  "single-transmitter"])),
+                               reliability=rel)
+    elif shape == "two-hop":
+        instance = make_instance(3, {(1, 2): rel, (2, 3): 1.0}, [(1, {3})],
+                                 interference="single-transmitter", eligibility="path")
+    elif shape == "diamond":
+        instance, _ = draw(st.sampled_from([diamond, diamond_direct]))()
+    else:
+        instance = draw(explicit_instances())
+    pairs = instance.dest_pairs()
+    cost_fns = {pair: draw(st.sampled_from([
+        CostFunction.linear(1.5), CostFunction.power(2.0), CostFunction.power(0.5),
+        CostFunction.exponential(cap=60.0), CostFunction.indicator(3)])) for pair in pairs}
+    # small ages make senders' ages tie; zero debts and high targets make
+    # actions tie
+    age = {pair: draw(st.integers(min_value=1, max_value=5)) for pair in instance.tracked_pairs()}
+    buffer = initial_buffer(instance.flows)
+    for (k, i) in instance.tracked_pairs():
+        if draw(st.integers(min_value=0, max_value=3)):
+            buffer[(i, k)] = 0  # holds a packet
+    queue = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0))
+    debt = initial_debt(instance)
+    debt.dest = {pair: draw(queue) for pair in pairs}
+    debt.intermediate = ({key: draw(queue) for key in debt.intermediate}
+                         if draw(st.booleans()) else {})
+    targets = {pair: draw(st.sampled_from([0.0, 1.0, 2.5, 40.0])) for pair in pairs}
+    return instance, debt, age, buffer, targets, cost_fns
+
+
+@given(drift_states())
+@settings(max_examples=300, deadline=None)
+def test_score_and_decision_match_dict_reference(state):
+    instance, debt, age, buffer, targets, cost_fns = state
+    ev, ref = DriftEvaluator(instance), DictDriftEvaluator(instance)
+    rows = ev.rows(debt, age, buffer, targets, cost_fns)
+    want = ref.score(debt, age, buffer, targets, cost_fns)[0]
+    assert [s.hex() for s in ev.score(*rows)] == [s.hex() for s in want]
+    # the next-age distributions the freshest tie-break reads, action by action
+    dists = [ev.next_age_dist(key, rows[2], rows[3]) for key in ev.dist_keys]
+    ref_dists = [ref.next_age_dist(key, age, buffer) for key in ref.dist_keys]
+    for ids, ref_ids in zip(ev.action_dists, ref.action_dists):
+        assert [dists[d] for d in ids] == [ref_dists[d] for d in ref_ids]
+    for tie_break in TIE_BREAKS:
+        got = ev.decide(*rows, tie_break, np.random.default_rng(5))[0]
+        assert got == ref.decide(debt, age, buffer, targets, cost_fns, tie_break,
+                                 np.random.default_rng(5)), tie_break
 
 
 # ---------------- single-hop closed form ----------------

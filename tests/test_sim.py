@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import fields, replace
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
                     broadcast_instance, dp_optimal, enumerate_connected_graphs, gen_line,
                     gen_star, make_instance, run, sim, stability_diagnostic)
+from conftest import explicit_instances, graphs_with_flows
 from dict_reference import dict_slot_loop
 
 
@@ -167,6 +167,36 @@ def test_slot_loop_prices_each_pair_once_per_slot():
     assert m.per_pair_cost == run(inst, costs, cfg).per_pair_cost
 
 
+@pytest.mark.parametrize("horizon", [300, 4096, 4200])
+def test_slot_loop_draws_full_block_bits_for_its_slots_only(monkeypatch, horizon):
+    # below, at and across the first block boundary: the loop's channel
+    # process draws rows only up to the horizon, with the full blocks' bits
+    from aoisim.channels import ChannelProcess
+
+    procs, seen = [], []
+
+    class Recording(ChannelProcess):
+        def __init__(self, *args):
+            super().__init__(*args)
+            procs.append(self)
+
+        def slot(self, t):
+            seen.append((t, super().slot(t)))
+            return seen[-1][1]
+
+    inst = make_instance(3, {(1, 2): 0.5, (2, 3): 0.3}, [(1, {3})])
+    monkeypatch.setattr(sim, "ChannelProcess", Recording)
+    sim._slot_loop(inst, {(1, 3): CostFunction.linear(1.0)}, SimConfig(
+        horizon=horizon, seed=5, policy="constant", policy_params={"action_index": 1},
+        targets=1.0))
+    full = ChannelProcess(inst, seed=5)
+    assert [t for t, _ in seen] == list(range(horizon))
+    assert all(bits == full.slot(t) for t, bits in seen)
+    assert len(procs[0]._block) == horizon - (horizon - 1) // 4096 * 4096
+    with pytest.raises(ValueError, match="not in the run"):
+        procs[0].slot(horizon)
+
+
 def test_flow_control_targets_move_every_slot(two_hop):
     instance, cost_fns = two_hop
     cfg = SimConfig(horizon=300, seed=0, policy="age-debt",
@@ -216,26 +246,7 @@ def test_open_loop_matches_slot_loop_across_blocks(build):
 
 @st.composite
 def open_loop_cases(draw):
-    n = draw(st.integers(min_value=3, max_value=6))
-    tree = [(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)]
-    extras = draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
-                          max_size=2))
-    edges = sorted(set(tree) | extras)
-    rel = {e: draw(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=0.9)))
-           for e in edges}
-    flows = []
-    for src in sorted(draw(st.sets(st.integers(min_value=1, max_value=n),
-                                   min_size=1, max_size=2))):
-        others = [v for v in range(1, n + 1) if v != src]
-        kind = draw(st.sampled_from(["unicast", "multicast", "broadcast"]))
-        if kind == "unicast":
-            dests = {draw(st.sampled_from(others))}
-        elif kind == "multicast":
-            dests = set(draw(st.lists(st.sampled_from(others), min_size=1,
-                                      max_size=len(others))))
-        else:
-            dests = set(others)
-        flows.append((src, dests))
+    n, rel, flows = draw(graphs_with_flows())
     instance = make_instance(
         n, rel, flows,
         interference=draw(st.sampled_from(["single-transmitter", "matching"])),
@@ -278,9 +289,9 @@ def test_open_loop_matches_slot_loop(case):
 
 @st.composite
 def closed_loop_cases(draw):
-    """Small stars, lines, broadcasts and general graphs, under every
-    closed-loop policy and target mode."""
-    shape = draw(st.sampled_from(["star", "line", "broadcast", "graph"]))
+    """Small stars, lines, broadcasts, general graphs and explicit action
+    lists, under every closed-loop policy and target mode."""
+    shape = draw(st.sampled_from(["star", "line", "broadcast", "graph", "explicit"]))
     rel = draw(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=0.95)))
     if shape == "star":
         instance, cost_fns = gen_star(
@@ -299,8 +310,11 @@ def closed_loop_cases(draw):
         instance, cost_fns = broadcast_instance(
             n, graphs[draw(st.integers(min_value=0, max_value=len(graphs) - 1))],
             reliability=rel)
-    else:
+    elif shape == "graph":
         instance, cost_fns, _ = draw(open_loop_cases())
+    else:
+        instance = draw(explicit_instances())
+        cost_fns = {pair: CostFunction.power(1.5) for pair in instance.dest_pairs()}
     if draw(st.booleans()):
         # every kind of cost, exponential ones capped low enough to bind
         cost_fns = {pair: draw(st.sampled_from([
