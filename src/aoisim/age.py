@@ -1,14 +1,14 @@
 """Age processes, packet buffers, and the virtual debt queue machinery.
 
 State layout (flat lists owned by one simulation run, indexed by row: a
-tracked (flow, node) pair, in ``NetworkInstance.tracked_pairs`` order):
+tracked (flow, node) pair of the instance's ``RowPlan``, which owns it):
 
   age         row -> age of the node's information about the flow's source
   stamp       row -> generation slot of the freshest packet of the flow held
               at the node (-1 for none); then one cell per source, flow order
   debt        row -> destination queue Q_kj >= 0 (relay rows stay 0.0)
-  relay_debt  intermediate queues (flow, dest, relay) in ``DriftEvaluator.
-              relay_keys`` order; None where a run does not keep them
+  relay_debt  intermediate queues in ``RowPlan.relay_keys`` order; None
+              where a run does not keep them
   targets     row -> alpha_kj, and tables row -> the pair's cost table
 
 Ages advance once per slot: +1 without a delivery, min(age, t - t_g) + 1 when
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .network import bfs_distances
+import numpy as np
+
+from .network import bfs_distances, canon_edge
 
 
 @dataclass
@@ -110,3 +112,87 @@ def update_intermediate_debt(relay_debt, relays, hops, age, t, tables, targets, 
             term = priced[p]
         nq = relay_debt[q] + term - targets[rd]
         relay_debt[q] = nq if nq > 0.0 else 0.0
+
+
+def row_plan(instance):
+    """The instance's ``RowPlan``, built on first use and kept on it."""
+    if instance._row_plan is None:
+        instance._row_plan = RowPlan(instance)
+    return instance._row_plan
+
+
+class RowPlan:
+    """An instance's rows, relay queues and links, for every reader of the
+    row state: the slot loop, the open-loop arrays, the drift evaluator and
+    the DP oracle.
+
+    Rows are the ``tracked`` (flow, node) pairs (stamps add one cell per
+    source after them); ``dest_rows`` are the rows of ``dest_pairs``. Relay
+    queue q is ``relay_keys[q]`` = (flow, dest, relay), and ``relays[q]`` =
+    (dest position in ``dest_pairs``, dest row, relay row).
+
+    A link is a (tx, rx, flow) assignment that can raise a row's stamp: from
+    the flow's source, which carries the slot's own stamp, or from a tracked
+    node of the flow, which carries the stamp it held the slot before.
+    Links into the flow's own source, or from a node that never holds the
+    flow, change nothing and are left out. ``action_links[a]`` lists action
+    a's links as (rx row, tx row or source cell, edge), in assignment order;
+    the arrays list every distinct link once, sorted by receiving row.
+    """
+
+    def __init__(self, instance):
+        self.tracked = tracked = instance.tracked_pairs()
+        row = {pair: i for i, pair in enumerate(tracked)}
+        self.n_rows = n_rows = len(tracked)
+        cell = {f.source: n_rows + i for i, f in enumerate(instance.flows)}
+        self.dest_pairs = instance.dest_pairs()
+        self.dest_rows = [row[pair] for pair in self.dest_pairs]
+        # a flow's relays are its tracked nodes that are not destinations
+        relay_rows = sorted(set(range(n_rows)) - set(self.dest_rows))
+        self.relays = [(p, rd, ri) for p, rd in enumerate(self.dest_rows) for ri in relay_rows
+                       if tracked[ri][0] == tracked[rd][0]]
+        self.relay_keys = [(*tracked[rd], tracked[ri][1]) for (_, rd, ri) in self.relays]
+        self.action_links = []
+        links = {}  # (rx row, tx row or source cell, edge) -> actions using it
+        for a, action in enumerate(instance.action_space):
+            kept = []
+            for (tx, rx, k) in action:
+                r = row.get((k, rx))
+                m = cell[k] if tx == k else row.get((k, tx))
+                if r is not None and m is not None:
+                    kept.append((r, m, instance.edge_index[canon_edge(tx, rx)]))
+                    links.setdefault(kept[-1], []).append(a)
+            self.action_links.append(kept)
+        keys = sorted(links)
+        self.active = np.zeros((len(instance.action_space), len(keys)), dtype=bool)
+        for i, key in enumerate(keys):
+            self.active[links[key], i] = True  # action x link
+        rx_rows, tx_rows, self.edges = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        self.from_source = tx_rows >= n_rows
+        self.relay_links = np.flatnonzero(tx_rows < n_rows)
+        self.relay_from = tx_rows[self.relay_links]
+        # receiving rows and the first link of each, for maximum.reduceat
+        self.rows, self.starts = np.unique(rx_rows, return_index=True)
+
+    def stamps(self, before, start, on):
+        """Every row's buffer stamp (-1 for none) after each slot of a
+        block that starts at slot ``start``; ``before`` holds the stamps
+        before it, and ``on`` (link x slot) marks the active links whose
+        channel delivered."""
+        n_slots = on.shape[1]
+        carried = np.empty(on.shape, dtype=np.int64)
+        carried[self.from_source] = np.arange(start, start + n_slots)
+        carried[self.relay_links, 0] = before[self.relay_from]
+        floor = np.broadcast_to(before[:, None], (self.n_rows, n_slots))
+        stamps = floor
+        # each round carries every stamp one more hop; the freshest stamp
+        # reaches a node along a simple path, so at most n - 1 rounds
+        # change anything
+        while True:
+            carried[self.relay_links, 1:] = stamps[self.relay_from, :-1]
+            nxt = np.full((self.n_rows, n_slots), -1, dtype=np.int64)
+            nxt[self.rows] = np.maximum.reduceat(np.where(on, carried, -1), self.starts, axis=0)
+            nxt = np.maximum(np.maximum.accumulate(nxt, axis=1), floor)
+            if np.array_equal(nxt, stamps):
+                return stamps
+            stamps = nxt

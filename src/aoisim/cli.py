@@ -31,8 +31,8 @@ def _parser():
                                 description="Age-of-information scheduling experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, help="JSON config path")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--seed", type=int, help="override: run only this seed")
         sp.add_argument("--horizon", type=int, help="override sim.horizon")
         sp.add_argument("--out", help="output CSV path")
@@ -44,7 +44,8 @@ def _parser():
     common(sub.add_parser("run", help="run a single experiment"))
     common(sub.add_parser("sweep", help="run a scenario sweep"))
     dp = sub.add_parser("dp", help="solve the DP oracle and export targets")
-    common(dp)
+    dp.add_argument("--config", required=True, help="JSON config path")
+    dp.add_argument("--out", help="policy table CSV path")
     dp.add_argument("--a-cap", type=int, default=30, dest="a_cap",
                     help="age cap per tracked pair")
     dp.add_argument("--tolerance", type=float, default=1e-3)
@@ -108,8 +109,7 @@ def cmd_sweep(args):
 def cmd_dp(args):
     from .dp import dp_optimal, export_table
 
-    config = _apply_overrides(_load(args.config), args)
-    scenarios = expand_scenarios(config)
+    scenarios = expand_scenarios(_load(args.config))
     if len(scenarios) != 1:
         print("config error: 'dp' needs a single scenario", file=sys.stderr)
         return CONFIG_ERROR

@@ -1,11 +1,13 @@
 """Average-cost dynamic programming oracle.
 
 Solves the age process as an average-cost MDP by relative value iteration
-over the joint vector of tracked ages (destinations and relay nodes, each
-capped at ``a_cap``). The model matches the simulator's steady state: a
-source always has fresh content (delivering age 1), and a node holds a
-packet of each flow exactly as old as its tracked age coordinate, so a
-successful link (m -> i) moves pair (k, i) to min(A_ki, A_km) + 1.
+over the joint vector of tracked ages. Its state axes are the rows of the
+instance's ``age.RowPlan`` (destinations and relay nodes, each capped at
+``a_cap``), and its channel outcomes are those of the plan's action links.
+The model matches the simulator's steady state: a source always has fresh
+content (delivering age 1), and a node holds a packet of each flow exactly
+as old as its tracked age coordinate, so a successful link (m -> i) moves
+pair (k, i) to min(A_ki, A_km) + 1.
 
 Iteration uses the standard laziness transform (mix each action's kernel
 with a self-loop) so periodic optimal cycles cannot stall convergence; the
@@ -42,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .age import row_plan
+
 
 class StateSpaceError(ValueError):
     """Raised when the joint age state space would exceed the cap."""
@@ -73,27 +77,6 @@ class DpSolution:
         """Action index prescribed for the given age map (ages clip at the cap)."""
         return int(self.policy[self.state_index(age)])
 
-    def export_rows(self):
-        """(age per pair ..., action index, relative value) rows, state order."""
-        dims = (self.a_cap,) * len(self.pairs)
-        ages = np.stack(np.unravel_index(np.arange(self.policy.size), dims), axis=1) + 1
-        for age, a_i, value in zip(ages.tolist(), self.policy.tolist(),
-                                   self.relative_values.tolist()):
-            yield (*age, a_i, value)
-
-
-def _action_links(instance, action, tracked_set):
-    """Links of the action that can actually deliver: (m, i, k, p) with the
-    receiving pair tracked and the transmitter able to hold the flow."""
-    links = []
-    for (tx, rx, k) in action:
-        if (k, rx) not in tracked_set:
-            continue
-        if tx != k and (k, tx) not in tracked_set:
-            continue  # transmitter can never hold this flow
-        links.append((tx, rx, k, instance.edge_prob(tx, rx)))
-    return links
-
 
 def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
                state_cap=5_000_000, max_iter=30_000, laziness=0.9):
@@ -118,52 +101,46 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     those compact blocks. The stationary stage reads successors of the
     reached states from the same maps.
     """
-    pairs = instance.tracked_pairs()
-    tracked_set = set(pairs)
-    n = len(pairs)
+    plan = row_plan(instance)
+    n = plan.n_rows
     n_states = a_cap ** n
     if n_states > state_cap:
         raise StateSpaceError(
             f"state space too large: {a_cap}^{n} = {n_states} > cap {state_cap}")
 
-    dest_pairs = set(instance.dest_pairs())
     dims = (a_cap,) * n
     grids = np.ix_(*([np.arange(a_cap)] * n))  # broadcastable per-axis indices
 
     ages = np.arange(1, a_cap + 1, dtype=float)
     cost = np.zeros(dims)
-    pair_costs = {}  # destination pair -> (coordinate, cost by age index)
-    for p, pair in enumerate(pairs):
-        if pair in dest_pairs:
-            f = cost_fns[pair]
-            vals = np.array([f(int(a)) for a in ages])
-            cost = cost + vals[grids[p]]
-            pair_costs[pair] = (p, vals)
+    pair_costs = {}  # destination pair -> (axis, cost by age index)
+    # dest_rows ascend, so the costs are added in axis order
+    for pair, r in zip(plan.dest_pairs, plan.dest_rows):
+        f = cost_fns[pair]
+        vals = np.array([f(int(a)) for a in ages])
+        cost = cost + vals[grids[r]]
+        pair_costs[pair] = (r, vals)
 
-    pair_pos = {pair: p for p, pair in enumerate(pairs)}
-    actions = list(instance.action_space.actions)
+    probs = [instance.reliability[e] for e in instance.edges]
     maps = []      # compact flat next-state index arrays, one per successor map
     map_pos = {}   # per-axis successor rule -> position in ``maps``
     outcomes_per_action = []  # per action: [(outcome probability, map position)]
-    for action in actions:
-        links = _action_links(instance, action, tracked_set)
+    for links in plan.action_links:
         outs = []
         for success in itertools.product((False, True), repeat=len(links)):
             w = 1.0
-            delivering = {}
-            for ok, (tx, rx, k, p_edge) in zip(success, links):
-                w *= p_edge if ok else (1.0 - p_edge)
+            senders = {}  # row -> delivering rows and source cells
+            for ok, (r, m, e) in zip(success, links):
+                w *= probs[e] if ok else (1.0 - probs[e])
                 if ok:
-                    delivering.setdefault((k, rx), []).append(tx)
+                    senders.setdefault(r, []).append(m)
             if w == 0.0:
                 continue
             # per axis: None advances the age, "source" resets it to age 1,
             # a tuple names the relay axes whose packets it may receive
-            rule = tuple(
-                None if not delivering.get(pair)
-                else "source" if pair[0] in delivering[pair]
-                else tuple(sorted(pair_pos[(pair[0], m)] for m in delivering[pair]))
-                for pair in pairs)
+            rule = tuple(None if r not in senders
+                         else "source" if max(senders[r]) >= n
+                         else tuple(sorted(senders[r])) for r in range(n))
             if rule not in map_pos:
                 map_pos[rule] = len(maps)
                 maps.append(_successor_map(rule, grids, a_cap))
@@ -175,9 +152,9 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     del cost  # free the state-sized cost table before the next stage
     per_pair = _stationary_averages(policy, outcomes_per_action, maps, pair_costs,
                                     dims, laziness, max_iter)
-    return DpSolution(gain=gain, per_pair_average=per_pair, pairs=pairs,
+    return DpSolution(gain=gain, per_pair_average=per_pair, pairs=list(plan.tracked),
                       a_cap=a_cap, policy=policy,
-                      relative_values=h, actions=actions,
+                      relative_values=h, actions=list(instance.action_space.actions),
                       residual_span=span, iterations=len(span_history),
                       span_history=span_history)
 

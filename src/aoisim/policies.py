@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .age import restricted_hop_distance
+from .age import restricted_hop_distance, row_plan
 from .costs import as_table
 
 TIE_BREAKS = ("first", "last", "random", "freshest")
@@ -44,13 +44,14 @@ class PolicyDecision:
 class DriftEvaluator:
     """Exact expected drift of every action, scored in one pass per slot.
 
-    Built once per instance from the action space and topology, on the row
-    state of ``age.py``; cost tables are passed to ``score``. A distribution
-    key is (row, links), each link (sender row, or -1 for the source; p_edge).
-    A block is (row, m, p, g, queues): its key's single link (m, p), m None
-    if it has none, or g, the key's position in ``general_keys`` if it has
-    more; then its terms as (relay queue, relay row, h or None), with the
-    destination's (None, row, None) first. ``index`` gathers the slot's
+    Built once per instance on its ``age.RowPlan`` (``plan``), which owns
+    the rows, the relay queues and each action's links; cost tables are
+    passed to ``score``. A distribution key is (row, links), each link
+    (sender row, or -1 for the source; p_edge), in the action's assignment
+    order. A block is (row, m, p, g, queues): its key's single link (m, p),
+    m None if it has none, or g, the key's position in ``general_keys`` if
+    it has more; then its terms as (relay queue, relay row, h or None), with
+    the destination's (None, row, None) first. ``index`` gathers the slot's
     terms into the (term x action) table in per-action sum order.
 
     The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
@@ -59,22 +60,16 @@ class DriftEvaluator:
     """
 
     def __init__(self, instance):
-        self.tracked = tracked = instance.tracked_pairs()
-        row = {pair: r for r, pair in enumerate(tracked)}
-        self.dest_pairs = instance.dest_pairs()
-        self.dest_rows = [row[pair] for pair in self.dest_pairs]
-        relays = {f.source: instance.relays(f) for f in instance.flows}
-        self.relay_keys = [(k, j, i) for (k, j) in self.dest_pairs for i in relays[k]]
-        # per relay queue: (destination position, destination row, relay row)
-        self.relays = [(self.dest_pairs.index((k, j)), row[(k, j)], row[(k, i)])
-                       for (k, j, i) in self.relay_keys]
-        self.dist_keys = []  # distinct (row, links) keys, destination pairs first
+        self.plan = plan = row_plan(instance)
+        probs = [instance.reliability[e] for e in instance.edges]
+        queues = [[] for _ in plan.dest_pairs]  # per destination: (queue, relay row)
+        for q, (p, _, ri) in enumerate(plan.relays):
+            queues[p].append((q, ri))
+        self.dist_keys = []  # distinct (row, links) keys
         dist_ids = {}
 
-        def dist_id(pair, links):
-            k = pair[0]
-            key = (row[pair], tuple((-1 if m == k else row[(k, m)], p)
-                                    for (m, p) in links.get(pair, ()) if m == k or (k, m) in row))
+        def dist_id(r, links):
+            key = (r, tuple(links.get(r, ())))
             if key not in dist_ids:
                 dist_ids[key] = len(self.dist_keys)
                 self.dist_keys.append(key)
@@ -83,29 +78,25 @@ class DriftEvaluator:
         self.blocks = []    # (row, dist id, relay terms), compiled below
         block_start = {}    # block -> flat position of its first term
         n_terms = 0
-        action_links = []
         index = []          # per action: flat term position of each row
+        self.action_dists = []  # per action: distribution id of every row
         self.relay_hops = []
-        for action in instance.action_space.actions:
-            # pair -> links (m, p_edge) that can deliver its flow to it, and
-            # (node, flow) -> directed edges the node sends that flow on
-            links, fwd = {}, {}
+        for action, kept in zip(instance.action_space.actions, plan.action_links):
+            links = {}  # row -> links that can deliver its flow to it
+            for (r, m, e) in kept:
+                links.setdefault(r, []).append((-1 if m >= plan.n_rows else m, probs[e]))
+            # (node, flow) -> directed edges the node sends that flow on, from
+            # the whole action: a first hop back into the source counts too
+            fwd = {}
             for (tx, rx, k) in action:
-                if (k, rx) in row:
-                    links.setdefault((k, rx), []).append((tx, instance.edge_prob(tx, rx)))
                 fwd.setdefault((tx, k), []).append((tx, rx))
-            action_links.append(links)
+            hops = [restricted_hop_distance(instance.adjacency, i, j, fwd[(i, k)])
+                    if (i, k) in fwd else None for (k, j, i) in plan.relay_keys]
+            ids = [dist_id(r, links) for r in range(plan.n_rows)]
             col = []
-            hops = []
-            for pair in self.dest_pairs:
-                k, j = pair
-                relay_h = []
-                for i in relays[k]:
-                    L = fwd.get((i, k))
-                    h = restricted_hop_distance(instance.adjacency, i, j, L) if L else None
-                    relay_h.append((len(hops), row[(k, i)], h))
-                    hops.append(h)
-                block = (row[pair], dist_id(pair, links), tuple(relay_h))
+            for r, qs in zip(plan.dest_rows, queues):
+                relay_h = tuple((q, ri, hops[q]) for (q, ri) in qs)
+                block = (r, ids[r], relay_h)
                 if block not in block_start:
                     self.blocks.append(block)
                     block_start[block] = n_terms
@@ -113,6 +104,7 @@ class DriftEvaluator:
                 start = block_start[block]
                 col.extend(range(start, start + 1 + len(relay_h)))
             index.append(col)
+            self.action_dists.append(ids)
             self.relay_hops.append(hops)
         self.index = np.array(index, dtype=np.intp).T.copy()
         general = {}  # keys with two or more links, by position in general_keys
@@ -122,20 +114,18 @@ class DriftEvaluator:
             self.blocks[b] = (r, *(links[0] if len(links) == 1 else (None, 0.0)), g,
                               ((None, r, None),) + relay_h)
         self.general_keys = list(general)
-        # per action: distribution id of every tracked pair, in row order
-        self.action_dists = [[dist_id(pair, links) for pair in tracked]
-                             for links in action_links]
 
     def rows(self, debt, age, buffer, targets, cost_fns):
         """The dict state of the public API as ``score``'s row arguments.
         The evaluator reads only whether a node holds a packet, not its
         stamp."""
-        d, tg, tables = [0.0] * len(self.tracked), [0.0] * len(self.tracked), {}
-        for pair, r in zip(self.dest_pairs, self.dest_rows):
+        plan = self.plan
+        d, tg, tables = [0.0] * plan.n_rows, [0.0] * plan.n_rows, {}
+        for pair, r in zip(plan.dest_pairs, plan.dest_rows):
             d[r], tg[r], tables[r] = debt.dest[pair], targets[pair], as_table(cost_fns[pair])
-        return (d, [debt.intermediate.get(key) for key in self.relay_keys],
-                [age[pair] for pair in self.tracked],
-                [0 if (node, k) in buffer else -1 for (k, node) in self.tracked], tg, tables)
+        return (d, [debt.intermediate.get(key) for key in plan.relay_keys],
+                [age[pair] for pair in plan.tracked],
+                [0 if (node, k) in buffer else -1 for (k, node) in plan.tracked], tg, tables)
 
     @staticmethod
     def next_age_dist(key, age, stamp):

@@ -97,38 +97,18 @@ def gen_line(n, interference="parity", reliability=1.0):
     return instance, cost_fns
 
 
-def broadcast_instance(n, edges, reliability=1.0, weights=None):
+def broadcast_instance(n, edges, reliability=1.0):
     """All-to-all broadcast instance on an explicit topology: every node is a
-    broadcast source, one transmitter-edge per slot, linear costs (optionally
-    weighted per source)."""
+    broadcast source, one transmitter-edge per slot, unit linear costs."""
     rel = {e: float(reliability) for e in edges}
     flows = [(s, set(range(1, n + 1)) - {s}) for s in range(1, n + 1)]
     instance = make_instance(n, rel, flows,
                              interference="single-transmitter", eligibility="path")
-    weights = weights or {}
-    cost_fns = {(k, j): CostFunction.linear(float(weights.get(k, 1.0)))
-                for (k, j) in instance.dest_pairs()}
-    return instance, cost_fns
+    return instance, {pair: CostFunction.linear(1.0) for pair in instance.dest_pairs()}
 
 
 def _edge_list(n):
     return list(itertools.combinations(range(n), 2))
-
-
-def canonical_mask(n, mask, perm_maps=None):
-    """Minimum adjacency bit-string over all vertex permutations."""
-    edges = _edge_list(n)
-    if perm_maps is None:
-        perm_maps = _permutation_maps(n)
-    bits = [b for b in range(len(edges)) if mask >> b & 1]
-    best = None
-    for pm in perm_maps:
-        m = 0
-        for b in bits:
-            m |= 1 << pm[b]
-        if best is None or m < best:
-            best = m
-    return best
 
 
 def _permutation_maps(n):

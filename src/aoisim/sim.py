@@ -14,10 +14,10 @@ Slot order, fixed and relied on by the tests:
      chosen action's hop distances from the drift evaluator
   8. metrics accumulation
 
-The state is the row layout of ``age.py``; ``_RowPlan`` also lists each
-action's links by row. Costs are read from ``CostFunction`` tables, grown
-(geometrically) only when the oldest age, which rises by at most one per
-slot, could reach their end.
+The state is the row layout of ``age.RowPlan``, which also lists each
+action's links and the relay queues by row. Costs are read from
+``CostFunction`` tables, grown (geometrically) only when the oldest age,
+which rises by at most one per slot, could reach their end.
 
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
@@ -43,10 +43,9 @@ from operator import add
 
 import numpy as np
 
-from .age import advance_age, update_destination_debt, update_intermediate_debt
+from .age import advance_age, row_plan, update_destination_debt, update_intermediate_debt
 from .channels import _BLOCK, ChannelProcess
 from .costs import as_table
-from .network import canon_edge
 from .policies import (TIE_BREAKS, RandomizedPolicy, get_drift_evaluator, max_weight_action,
                        single_hop_age_debt_action)
 from .targets import (FlowControlConfig, GradientDescentConfig,
@@ -98,11 +97,11 @@ class RunMetrics:
 
 def star_structure(instance):
     """If the instance is a pure single-hop star (every flow unicast into one
-    hub, no relay nodes, one directed source->hub assignment per non-idle
-    action), return its hub, and its sources, their actions and
+    hub, one directed source->hub assignment per non-idle action, so no
+    node relays), return its hub, and its sources, their actions and
     reliabilities in flow order, which is row order; else None."""
     hubs = {j for f in instance.flows for j in f.destinations}
-    if len(hubs) != 1 or any(f.kind != "unicast" or instance.relays(f) for f in instance.flows):
+    if len(hubs) != 1:
         return None
     hub = hubs.pop()
     action_of = {}
@@ -183,18 +182,19 @@ class _ConstantController:
 
 
 class _DpTableController:
-    """``DpSolution.action_for`` on rows, one stride per solution pair."""
+    """``DpSolution.action_for`` on rows: the solution's axes are the rows."""
 
     def __init__(self, instance, cfg):
         sol = cfg.policy_params["solution"]
-        row = {pair: r for r, pair in enumerate(instance.tracked_pairs())}
-        self.axes = [(row[pair], sol.a_cap ** (len(sol.pairs) - 1 - p))
-                     for p, pair in enumerate(sol.pairs)]
+        tracked = row_plan(instance).tracked
+        if sol.pairs != tracked:
+            raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
+        self.strides = [sol.a_cap ** (len(tracked) - 1 - r) for r in range(len(tracked))]
         self.a_cap = sol.a_cap
         self.policy = sol.policy.tolist()
 
     def decide(self, t, age, stamp, debt, relay_debt, targets):
-        return self.policy[sum((min(age[r], self.a_cap) - 1) * s for r, s in self.axes)]
+        return self.policy[sum((min(a, self.a_cap) - 1) * s for a, s in zip(age, self.strides))]
 
 
 def _build_controller(instance, cost_fns, cfg, rng, tables=None):
@@ -256,7 +256,7 @@ def run(instance, cost_fns, cfg):
 
 def _slot_loop(instance, cost_fns, cfg):
     """``run`` one slot at a time, for every kind of run."""
-    plan = _row_plan(instance)
+    plan = row_plan(instance)
     n_rows, dest_pairs, rows = plan.n_rows, plan.dest_pairs, plan.dest_rows
     age = [1] * n_rows
     stamp = [-1] * (n_rows + len(instance.flows))
@@ -268,11 +268,10 @@ def _slot_loop(instance, cost_fns, cfg):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
     controller = _build_controller(instance, cost_fns, cfg, rng, tables)
     # relay queues are read only by the exact-drift policy, whose evaluator
-    # also holds their hop distances
+    # holds their hop distances
     evaluator = getattr(controller, "evaluator", None)
-    keep = evaluator is not None and cfg.use_intermediate_queues
-    relays = evaluator.relays if keep else []
-    relay_debt = [0.0 if keep else None] * (len(evaluator.relays) if evaluator else 0)
+    keep = evaluator is not None and cfg.use_intermediate_queues and bool(plan.relays)
+    relay_debt = [0.0 if keep else None] * len(plan.relays)
     channels = ChannelProcess(instance, cfg.seed, cfg.horizon)
     links = plan.action_links
 
@@ -323,8 +322,8 @@ def _slot_loop(instance, cost_fns, cfg):
 
         age_next = advance_age(age, stamp, deliveries, t)
         priced = update_destination_debt(debt, tables, age_next, targets, rows)
-        if relays:
-            update_intermediate_debt(relay_debt, relays, evaluator.relay_hops[action_idx],
+        if keep:
+            update_intermediate_debt(relay_debt, plan.relays, evaluator.relay_hops[action_idx],
                                      age, t, tables, targets, priced)
         age = age_next
 
@@ -372,86 +371,11 @@ def _by_row(values, plan, fill):
     return out
 
 
-def _row_plan(instance):
-    if instance._row_plan is None:
-        instance._row_plan = _RowPlan(instance)
-    return instance._row_plan
-
-
-class _RowPlan:
-    """An instance's rows and links, shared by the slot loop and the
-    open-loop arrays.
-
-    Rows are the tracked (flow, node) pairs, then one stamp cell per source.
-    A link is a (tx, rx, flow) assignment that can raise a row's stamp: from
-    the flow's source, which carries the slot's own stamp, or from a tracked
-    node of the flow, which carries the stamp it held the slot before.
-    Links into the flow's own source, or from a node that never holds the
-    flow, change nothing and are left out. ``action_links[a]`` lists action
-    a's links as (rx row, tx row or source cell, edge); the arrays list
-    every distinct link once, sorted by receiving row.
-    """
-
-    def __init__(self, instance):
-        tracked = instance.tracked_pairs()
-        row = {pair: i for i, pair in enumerate(tracked)}
-        self.n_rows = n_rows = len(tracked)
-        cell = {f.source: n_rows + i for i, f in enumerate(instance.flows)}
-        self.dest_pairs = instance.dest_pairs()
-        self.dest_rows = [row[pair] for pair in self.dest_pairs]
-        self.action_links = []
-        links = {}  # (rx row, tx row or source cell, edge) -> actions using it
-        for a, action in enumerate(instance.action_space):
-            kept = []
-            for (tx, rx, k) in action:
-                r = row.get((k, rx))
-                m = cell[k] if tx == k else row.get((k, tx))
-                if r is not None and m is not None:
-                    kept.append((r, m, instance.edge_index[canon_edge(tx, rx)]))
-                    links.setdefault(kept[-1], []).append(a)
-            self.action_links.append(kept)
-        keys = sorted(links)
-        self.active = np.zeros((len(instance.action_space), len(keys)), dtype=bool)
-        for i, key in enumerate(keys):
-            self.active[links[key], i] = True  # action x link
-        self.edges = np.array([key[2] for key in keys], dtype=np.intp)
-        tx_rows = np.array([key[1] for key in keys], dtype=np.intp)
-        self.from_source = tx_rows >= n_rows
-        self.relay_links = np.flatnonzero(tx_rows < n_rows)
-        self.relay_from = tx_rows[self.relay_links]
-        # receiving rows and the first link of each, for maximum.reduceat
-        self.rows, self.starts = np.unique(
-            np.array([key[0] for key in keys], dtype=np.intp), return_index=True)
-
-    def stamps(self, before, start, on):
-        """Every row's buffer stamp (-1 for none) after each slot of a
-        block that starts at slot ``start``; ``before`` holds the stamps
-        before it, and ``on`` (link x slot) marks the active links whose
-        channel delivered."""
-        n_slots = on.shape[1]
-        carried = np.empty(on.shape, dtype=np.int64)
-        carried[self.from_source] = np.arange(start, start + n_slots)
-        carried[self.relay_links, 0] = before[self.relay_from]
-        floor = np.broadcast_to(before[:, None], (self.n_rows, n_slots))
-        stamps = floor
-        # each round carries every stamp one more hop; the freshest stamp
-        # reaches a node along a simple path, so at most n - 1 rounds
-        # change anything
-        while True:
-            carried[self.relay_links, 1:] = stamps[self.relay_from, :-1]
-            nxt = np.full((self.n_rows, n_slots), -1, dtype=np.int64)
-            nxt[self.rows] = np.maximum.reduceat(np.where(on, carried, -1), self.starts, axis=0)
-            nxt = np.maximum(np.maximum.accumulate(nxt, axis=1), floor)
-            if np.array_equal(nxt, stamps):
-                return stamps
-            stamps = nxt
-
-
 def _open_loop_blocks(instance, seed, horizon, randomized):
     """Per channel block of the run: the delivery bits of every open-loop
     link (link x slot) and, for a randomized policy, the block's uniforms
     from the policy stream (a block draw equals as many scalar draws)."""
-    edges = _row_plan(instance).edges
+    edges = row_plan(instance).edges
     channels = ChannelProcess(instance, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _POLICY_RNG_TAG)))
     for start in range(0, horizon, _BLOCK):
@@ -470,7 +394,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     """``run`` of a randomized or constant policy at fixed targets, metrics
     only, one channel block at a time. ``blocks`` are the run's
     ``_open_loop_blocks`` if already drawn."""
-    plan = _row_plan(instance)
+    plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
     targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
     controller = _build_controller(instance, cost_fns, cfg, None)  # validates the policy

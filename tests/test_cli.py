@@ -146,6 +146,9 @@ def test_dp_subcommand(tmp_path, capsys):
     assert table.exists()
     targets = json.loads((tmp_path / "table.csv.targets.json").read_text())
     assert targets == {"1-3": 1.5, "2-3": 1.5}
+    # dp reads only the config's network: no run options
+    with pytest.raises(SystemExit):
+        main(["dp", "--config", str(p), "--jobs", "2"])
 
 
 def test_runtime_error_exit_code(config_path):

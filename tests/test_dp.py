@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from aoisim import (ConvergenceError, CostFunction, StateSpaceError,
-                    dp_optimal, export_table, gen_star, make_instance)
+                    dp_optimal, export_table, gen_line, gen_star, make_instance)
+from aoisim.age import row_plan
 
 
 def test_single_source_serves_every_slot():
@@ -146,6 +147,12 @@ def test_export_table_shape(tmp_path):
     assert lines[0] == "age_1_4,age_2_4,age_3_4,action_index,relative_value"
     assert len(lines) == 1 + 5 ** 3
     _check_table_rows(sol, lines[1:])
+
+
+@pytest.mark.parametrize("build", [lambda: gen_star(4), lambda: gen_line(4)])
+def test_state_axes_are_the_row_plan_rows(build):
+    inst, costs = build()
+    assert dp_optimal(inst, costs, a_cap=6).pairs == row_plan(inst).tracked
 
 
 def test_policy_lookup_clips_at_cap():

@@ -9,8 +9,8 @@ from aoisim import (CostFunction, DebtState, RandomizedPolicy, SimConfig, age_de
                     broadcast_instance, enumerate_connected_graphs, expected_drift, gen_line,
                     make_instance, max_weight_action, optimize_randomized,
                     single_hop_age_debt_action)
-from aoisim.age import restricted_hop_distance
-from aoisim.policies import TIE_BREAKS, DriftEvaluator
+from aoisim.age import restricted_hop_distance, row_plan
+from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
 from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
                             update_destination_debt, update_intermediate_debt)
@@ -199,11 +199,34 @@ def test_unknown_tie_break_is_rejected(two_hop):
                         tie_break="bogus")
 
 
+def any_line(rel=0.9):
+    """The 3-node line under ``any`` eligibility: its actions include the
+    relay sending the flow back into its source."""
+    return make_instance(3, {(1, 2): rel, (2, 3): 0.8}, [(1, {3})],
+                         interference="single-transmitter", eligibility="any")
+
+
+def test_relay_hops_count_first_hops_into_the_source():
+    # a first hop back into the flow's source delivers to no tracked row,
+    # but it still starts a walk to the destination: (2, 1, 1) gives 2-1-2-3
+    instance = any_line()
+    ev = get_drift_evaluator(instance)
+    for action, hops in zip(instance.action_space.actions, ev.relay_hops):
+        want = []
+        for (k, j, i) in row_plan(instance).relay_keys:
+            first = [(tx, rx) for (tx, rx, f) in action if (tx, f) == (i, k)]
+            want.append(restricted_hop_distance(instance.adjacency, i, j, first)
+                        if first else None)
+        assert hops == want
+    assert ev.relay_hops[instance.action_space.index[((2, 1, 1),)]] == [3]
+
+
 @st.composite
 def drift_states(draw):
-    """An instance (broadcast, line, two-hop, diamond or explicit actions)
-    and a random dict state on it, relay queues kept or not."""
-    shape = draw(st.sampled_from(["broadcast", "line", "two-hop", "diamond", "explicit"]))
+    """An instance (broadcast, line, two-hop, any-line, diamond or explicit
+    actions) and a random dict state on it, relay queues kept or not."""
+    shape = draw(st.sampled_from(["broadcast", "line", "two-hop", "any-line", "diamond",
+                                  "explicit"]))
     rel = draw(st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=0.95)))
     if shape == "broadcast":
         n = draw(st.integers(min_value=3, max_value=5))
@@ -218,6 +241,8 @@ def drift_states(draw):
     elif shape == "two-hop":
         instance = make_instance(3, {(1, 2): rel, (2, 3): 1.0}, [(1, {3})],
                                  interference="single-transmitter", eligibility="path")
+    elif shape == "any-line":  # the relay may send the flow back to its source
+        instance = any_line(rel)
     elif shape == "diamond":
         instance, _ = draw(st.sampled_from([diamond, diamond_direct]))()
     else:

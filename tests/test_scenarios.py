@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aoisim import enumerate_connected_graphs, gen_line, gen_star
-from aoisim.scenarios import broadcast_instance
+from aoisim.scenarios import _edge_list, _permutation_maps, broadcast_instance
 
 
 # ---------------- star generator ----------------
@@ -157,8 +157,21 @@ def test_representatives_pairwise_non_isomorphic():
             for p in itertools.permutations(nodes))
 
 
+def canonical_mask(n, mask, perm_maps):
+    """Minimum adjacency bit-string over all vertex permutations, one mask
+    at a time: the scalar form of the enumeration's canonical form."""
+    bits = [b for b in range(len(_edge_list(n))) if mask >> b & 1]
+    best = None
+    for pm in perm_maps:
+        m = 0
+        for b in bits:
+            m |= 1 << pm[b]
+        if best is None or m < best:
+            best = m
+    return best
+
+
 def test_scalar_canonical_form_agrees_with_enumeration():
-    from aoisim.scenarios import _edge_list, _permutation_maps, canonical_mask
     n = 4
     edges = _edge_list(n)
     perm_maps = _permutation_maps(n)

@@ -63,7 +63,7 @@ def test_ages_never_below_one_and_delivery_only_helps():
 def test_age_buffer_consistency_invariant():
     # replay the run and check A_ki == t - t_g for every held packet, and
     # that a node that never received one is exactly t + 1 old
-    from aoisim.age import advance_age
+    from aoisim.age import advance_age, row_plan
     from aoisim.channels import ChannelProcess
 
     inst, costs = gen_line(5, interference="parity")
@@ -74,7 +74,7 @@ def test_age_buffer_consistency_invariant():
 
     # independent replay with a fair-coin policy exercising the same invariant
     rng = np.random.default_rng(0)
-    plan = sim._row_plan(inst)
+    plan = row_plan(inst)
     age = [1] * plan.n_rows
     stamp = [-1] * (plan.n_rows + len(inst.flows))
     channels = ChannelProcess(inst, 2)
@@ -89,6 +89,15 @@ def test_age_buffer_consistency_invariant():
         age = advance_age(age, stamp, deliveries, t)
         for r in range(plan.n_rows):
             assert age[r] == (t + 1 - stamp[r] if stamp[r] >= 0 else t + 2)
+
+
+def test_dp_table_rejects_another_instances_solution():
+    inst3, costs3 = gen_star(3, reliability_rule="reliable")
+    inst4, costs4 = gen_star(4, reliability_rule="reliable")
+    cfg = SimConfig(horizon=10, policy="dp-table",
+                    policy_params={"solution": dp_optimal(inst3, costs3, a_cap=6)})
+    with pytest.raises(ValueError, match="tracked pairs"):
+        run(inst4, costs4, cfg)
 
 
 def test_stability_diagnostic_thresholds():
