@@ -22,13 +22,22 @@ delivery resets its axis to index 0, so on a star the map of a successful
 transmission gathers an (a_cap^(n-1))-state block that broadcasts along
 that axis; a relay's delivery keeps the axes it reads. Outcomes with the
 same per-axis rule share one map (on an unreliable star, every failed
-transmission and the idle action advance all ages), and each sweep gathers
-every distinct map once into a preallocated buffer.
+transmission and the idle action advance all ages).
+
+A sweep runs one slab of leading-axis indices at a time, about 64k states,
+so that a slab's gathered blocks and action scores stay in a core's cache
+instead of a dozen state-sized arrays streaming through memory. Each full
+map is gathered slab by slab into buffers allocated once per solve; a map
+of length 1 on the leading axis is gathered once per sweep and broadcasts
+against every slab.
 
 The sweep's arithmetic is pinned: ``cost + (1 - tau) h``, then ``+ tau
 best``, then ``th - th[0]``, with each action's outcomes summed in their
-enumeration order. The solution is checked bit for bit against recorded
-fingerprints (``tests/test_golden.py``); floating-point addition is not
+enumeration order. Every state gets the same operations in the same order
+whatever slab it falls in, and the minimum and maximum are exact under any
+split, so slab order leaves every value unchanged. The solution is checked
+bit for bit against recorded fingerprints (``tests/test_golden.py``), also
+with the states cut into several slabs; floating-point addition is not
 associative, so any reordering can move the relative values, and with
 them the tie-broken policy, in the last bits. Multiplying by a weight of
 exactly 1.0 is skipped, which changes no value.
@@ -45,6 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import row_plan
+
+# states per sweep slab: at a_cap 30 on a 4-source star, 2 of the 30
+# leading-axis indices, whose slab buffers fit in a core's L2 cache
+_SLAB_STATES = 1 << 16
 
 
 class StateSpaceError(ValueError):
@@ -98,9 +111,18 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     Each sweep gathers the relative values once per distinct successor map
     (see the module docstring), cut to the axes the map depends on, and
     takes the minimum over the actions' expected values broadcast against
-    those compact blocks. The stationary stage reads successors of the
-    reached states from the same maps.
+    those compact blocks, one slab of states at a time. The stationary stage
+    reads successors of the reached states from the same maps.
+
+    Raises ``ValueError``, before any work, for ``a_cap < 1``, a ``tolerance``
+    that is not positive or a ``laziness`` outside (0, 1].
     """
+    if a_cap < 1:
+        raise ValueError(f"a_cap must be at least 1, got {a_cap}")
+    if not tolerance > 0:  # NaN too: no span is ever below it
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < laziness <= 1:
+        raise ValueError(f"laziness must be in (0, 1], got {laziness}")
     plan = row_plan(instance)
     n = plan.n_rows
     n_states = a_cap ** n
@@ -164,51 +186,59 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, tau, tolerance,
     """Lazy RVI sweeps until the span of the value differences is below
     ``tolerance``, then the greedy policy, lowest action index on ties.
 
-    Each sweep gathers every distinct successor map once and scores the
-    actions into preallocated state-shaped buffers. Returns the flat
-    relative values and policy, the gain, the last span and the span after
-    each sweep; the buffers are freed on return.
+    The sweeps and the policy pass run slab by slab (see the module
+    docstring); each sweep writes its relative values to a second state
+    array, swapped in after it, whose slab is scratch space until then.
+    Returns the flat relative values and policy, the gain, the last span and
+    the span after each sweep; the slab buffers are freed on return.
     """
     dims = cost.shape
-    h = np.zeros(dims)
-    h_flat = h.reshape(-1)
-    gathered = [np.empty(m.shape) for m in maps]
-    best = np.empty(dims)
-    acc = np.empty(dims)
-    spare = np.empty(h.size)
+    rows = max(1, min(dims[0], _SLAB_STATES // cost[0].size))
+    gathered = [np.empty(m.shape if m.shape[0] == 1 else (rows,) + m.shape[1:]) for m in maps]
+    best = np.empty((rows,) + dims[1:])
+    spare = np.empty(best.size)
+    # state arrays last: the one freed on return is reused by the stationary
+    # stage, which holds the solve's peak (the lowest peak RSS measured)
+    policy = np.zeros(dims, dtype=np.int32)
+    h, h_next = np.zeros(dims), np.empty(dims)
+    lows, highs = np.empty((2, len(range(0, dims[0], rows))))
     span_history = []
     span = float("inf")  # reported if max_iter allows no sweep at all
     for _ in range(max_iter):
-        _gather(h_flat, maps, gathered)
-        np.copyto(best, _expected(outcomes_per_action[0], gathered, acc, spare))
-        for outs in outcomes_per_action[1:]:
-            np.minimum(best, _expected(outs, gathered, acc, spare), out=best)
-        # th = cost + (1 - tau) h + tau best, in that order (see the module
-        # docstring); acc holds th and best then holds th - h
-        th = np.multiply(h, 1.0 - tau, out=acc)
-        np.add(cost, th, out=th)
-        np.add(th, np.multiply(best, tau, out=best), out=th)
-        delta = np.subtract(th, h, out=best)
-        lo, hi = float(delta.min()), float(delta.max())
+        for k, (s, views, b) in enumerate(_slabs(h, maps, gathered, best)):
+            th = h_next[s]  # scratch until it takes the slab's new values
+            e = _expected(outcomes_per_action[0], views, b, spare)
+            for outs in outcomes_per_action[1:]:
+                e = np.minimum(e, _expected(outs, views, th, spare), out=b)
+            # th = cost + (1 - tau) h + tau best, in that order (see the module
+            # docstring); best then holds th - h
+            np.multiply(h[s], 1.0 - tau, out=th)
+            np.add(cost[s], th, out=th)
+            np.add(th, np.multiply(e, tau, out=b), out=th)
+            delta = np.subtract(th, h[s], out=b)
+            lows[k], highs[k] = delta.min(), delta.max()
+            if k == 0:
+                th0 = th.flat[0]  # state 0 opens the first slab
+            np.subtract(th, th0, out=th)
+        h, h_next = h_next, h
+        lo, hi = float(lows.min()), float(highs.max())
         span = hi - lo
         span_history.append(span)
         gain = 0.5 * (lo + hi)
-        np.subtract(th, th.flat[0], out=h)
         if span < tolerance:
             break
     else:
         raise ConvergenceError(
             f"not converged within iteration cap ({max_iter} iterations, span {span:g})")
 
-    _gather(h_flat, maps, gathered)
-    policy = np.zeros(dims, dtype=np.int32)
-    np.copyto(best, _expected(outcomes_per_action[0], gathered, acc, spare))
-    for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
-        e = _expected(outs, gathered, acc, spare)
-        better = np.less(e, best)
-        np.copyto(best, e, where=better)
-        policy[better] = a_i
-    return h_flat, policy.reshape(-1), gain, span, span_history
+    for s, views, b in _slabs(h, maps, gathered, best):
+        np.copyto(b, _expected(outcomes_per_action[0], views, h_next[s], spare))
+        for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
+            e = _expected(outs, views, h_next[s], spare)
+            better = np.less(e, b)
+            np.copyto(b, e, where=better)
+            policy[s][better] = a_i
+    return h.reshape(-1), policy.reshape(-1), gain, span, span_history
 
 
 def _successor_map(rule, grids, a_cap):
@@ -238,15 +268,25 @@ def _successor_map(rule, grids, a_cap):
     return flat
 
 
-def _gather(h_flat, maps, gathered):
-    """Gather the relative values of every map's successors, in place.
+def _slabs(h, maps, gathered, best):
+    """Per slab of ``len(best)`` leading-axis indices (the last may be
+    shorter), yield its slice, the relative values of every map's
+    successors, gathered from ``h`` into ``gathered``, and its rows of ``best``.
 
-    Every index is in range by construction; ``mode="clip"`` skips the
-    buffered copy that ``np.take`` makes for ``out=`` under the default
-    ``mode="raise"``.
+    A map of length 1 on the leading axis is the same for every slab: it is
+    gathered once, whole, and broadcasts against each slab. Every index is
+    in range by construction; ``mode="clip"`` skips the buffered copy that
+    ``take`` makes for ``out=`` under the default ``mode="raise"``.
     """
+    h_flat = h.reshape(-1)
     for m, g in zip(maps, gathered):
-        np.take(h_flat, m, out=g, mode="clip")
+        if m.shape[0] == 1:
+            h_flat.take(m, out=g, mode="clip")
+    for i0 in range(0, h.shape[0], len(best)):
+        s = slice(i0, min(i0 + len(best), h.shape[0]))
+        n = s.stop - i0
+        yield s, [g if m.shape[0] == 1 else h_flat.take(m[s], out=g[:n], mode="clip")
+                  for m, g in zip(maps, gathered)], best[:n]
 
 
 def _expected(outs, gathered, out, spare):

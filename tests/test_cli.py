@@ -149,6 +149,9 @@ def test_dp_subcommand(tmp_path, capsys):
     # dp reads only the config's network: no run options
     with pytest.raises(SystemExit):
         main(["dp", "--config", str(p), "--jobs", "2"])
+    # a tolerance no span can go below is a config error, not a long spin
+    assert main(["dp", "--config", str(p), "--tolerance", "0"]) == 1
+    assert "config error: tolerance must be positive" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(config_path):

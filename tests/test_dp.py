@@ -111,6 +111,30 @@ def test_iteration_cap_raises():
         dp_optimal(inst, costs, a_cap=12, tolerance=1e-4, max_iter=60)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"a_cap": 0}, "a_cap must be at least 1"),
+    ({"a_cap": -3}, "a_cap must be at least 1"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": -1e-3}, "tolerance must be positive"),
+    ({"tolerance": float("nan")}, "tolerance must be positive"),
+    ({"laziness": 0.0}, r"laziness must be in \(0, 1\]"),
+    ({"laziness": 1.5}, r"laziness must be in \(0, 1\]"),
+    ({"laziness": float("nan")}, r"laziness must be in \(0, 1\]"),
+])
+def test_arguments_that_can_only_spin_fail_fast(kwargs, match):
+    # raised before any work: a_cap < 1 leaves no state, and with the others
+    # the sweeps would run to max_iter without the span going below tolerance
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        dp_optimal(inst, costs, **kwargs)
+
+
+def test_full_laziness_is_allowed():
+    inst, costs = gen_star(3, weight_rule="unit", reliability_rule="reliable")
+    sol = dp_optimal(inst, costs, a_cap=8, tolerance=1e-6, laziness=1.0)
+    assert sol.gain == pytest.approx(3.0, abs=1e-4)
+
+
 def test_two_hop_dp_alternates(two_hop):
     # tiny multihop: optimal relay schedule alternates, destination age
     # averages 2.5

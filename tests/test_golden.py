@@ -24,9 +24,12 @@ enumeration by vertex augmentation that replaced it must return the same
 lists in the same order.
 
 The DP fingerprints were recorded from the solver that gathered one
-state-sized flat index array per outcome. They pin every ``DpSolution``
-field: the ``repr`` of the gain, residual span and per-pair averages, the
-iteration count, and sha256 digests of the policy and relative-value bytes.
+state-sized flat index array per outcome, over the whole state space at
+once. They pin every ``DpSolution`` field: the ``repr`` of the gain,
+residual span and per-pair averages, the iteration count, and sha256
+digests of the policy and relative-value bytes. The value-iteration sweeps
+that run one slab of the leading state axis at a time must reproduce them,
+and the span after every sweep, however the states are cut into slabs.
 
 ``PYTHONPATH=src python tests/test_golden.py`` records the cases missing
 from the data files. If any existing entry would come out different, it
@@ -42,9 +45,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aoisim.dp
 from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
                     broadcast_instance, dp_optimal, enumerate_connected_graphs, gen_line,
                     gen_star, make_instance, run)
+from aoisim.age import row_plan
 from conftest import diamond, diamond_direct
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
@@ -226,7 +231,10 @@ DP_CASES = _dp_cases()
 
 def dp_fingerprint(name):
     build, params = DP_CASES[name]
-    sol = dp_optimal(*build(), **params)
+    return _fingerprint(dp_optimal(*build(), **params))
+
+
+def _fingerprint(sol):
     return {
         "gain": repr(sol.gain),
         "residual_span": repr(sol.residual_span),
@@ -251,6 +259,21 @@ def test_golden_dp_covers_every_case(golden_dp):
 @pytest.mark.parametrize("name", sorted(DP_CASES))
 def test_golden_dp_solution(golden_dp, name):
     assert dp_fingerprint(name) == golden_dp[name]
+
+
+@pytest.mark.parametrize("name", sorted(DP_CASES))
+def test_golden_dp_solution_in_slabs(golden_dp, name, monkeypatch):
+    # every case fits in one sweep slab; cut it into one leading-axis index
+    # per slab, then into slabs of 5 that leave a short last one
+    build, params = DP_CASES[name]
+    instance, cost_fns = build()
+    whole = dp_optimal(instance, cost_fns, **params)
+    row_states = params["a_cap"] ** (row_plan(instance).n_rows - 1)
+    for rows in (1, 5):
+        monkeypatch.setattr(aoisim.dp, "_SLAB_STATES", rows * row_states)
+        sol = dp_optimal(instance, cost_fns, **params)
+        assert _fingerprint(sol) == golden_dp[name], rows
+        assert sol.span_history == whole.span_history, rows
 
 
 GRAPH_SIZES = [str(n) for n in range(2, 7)]
