@@ -31,7 +31,7 @@ _POLICY_KEYS = {"name", "label", "variant", "tie_break", "target_mode",
                 "targets", "V", "alpha_max", "epoch_length", "epochs", "step",
                 "threshold", "initial", "floor", "a_cap", "tolerance",
                 "probabilities", "budget", "tuning_horizon", "tuning_seed",
-                "action_index", "weights", "use_intermediate_queues"}
+                "action_index", "use_intermediate_queues"}
 _SIM_KEYS = {"horizon", "seeds", "trace_detail", "use_intermediate_queues"}
 _COST_SECTION_KEYS = {"default", "per_pair", "cap"}
 _COST_KEYS = {"kind", "weight", "exponent", "threshold", "cap"}

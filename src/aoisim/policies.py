@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import restricted_hop_distance, row_plan
-from .costs import as_table
 
 TIE_BREAKS = ("first", "last", "random", "freshest")
 
@@ -118,11 +117,11 @@ class DriftEvaluator:
     def rows(self, debt, age, buffer, targets, cost_fns):
         """The dict state of the public API as ``score``'s row arguments.
         The evaluator reads only whether a node holds a packet, not its
-        stamp."""
+        stamp. Each pair's cost function is its table, read as ``f[age]``."""
         plan = self.plan
         d, tg, tables = [0.0] * plan.n_rows, [0.0] * plan.n_rows, {}
         for pair, r in zip(plan.dest_pairs, plan.dest_rows):
-            d[r], tg[r], tables[r] = debt.dest[pair], targets[pair], as_table(cost_fns[pair])
+            d[r], tg[r], tables[r] = debt.dest[pair], targets[pair], cost_fns[pair]
         return (d, [debt.intermediate.get(key) for key in plan.relay_keys],
                 [age[pair] for pair in plan.tracked],
                 [0 if (node, k) in buffer else -1 for (k, node) in plan.tracked], tg, tables)
@@ -251,7 +250,8 @@ def single_hop_age_debt_action(ages, debts, reliabilities, tables):
     """Closed-form drift bound minimizer for a single-hop star: the 0-based
     position of argmax p_i * Q_i * (f_i(A_i + 1) - f_i(1)), lowest index on
     ties. Sequences are aligned over the sources; ``tables`` holds their
-    cost tables (a ``CostFunction`` is one)."""
+    costs indexed by age: a run's cost tables, or ``CostFunction``s, whose
+    ``f[age]`` is ``f(age)``."""
     scores = [p * q * (tab[a + 1] - tab[1])
               for a, q, p, tab in zip(ages, debts, reliabilities, tables)]
     return scores.index(max(scores))  # the first maximum

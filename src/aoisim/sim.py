@@ -15,9 +15,9 @@ Slot order, fixed and relied on by the tests:
   8. metrics accumulation
 
 The state is the row layout of ``age.RowPlan``, which also lists each
-action's links and the relay queues by row. Costs are read from
-``CostFunction`` tables, grown (geometrically) only when the oldest age,
-which rises by at most one per slot, could reach their end.
+action's links and the relay queues by row. The run keeps a table of each
+pair's costs, filled by calling its cost function and grown only when the
+oldest age, which rises by at most one per slot, could reach its end.
 
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
@@ -30,14 +30,15 @@ max-plus recurrence over the slots (a source carries the slot's own stamp
 over an active, successful link, a relay the stamp it held the slot
 before), solved one channel block at a time by rounds of
 ``np.maximum.accumulate`` until nothing changes, and every age is
-t + 1 - stamp. Costs come from the same tables at the same integer ages and
-are summed in slot order, and debts follow the same update, so the metrics
-are the same bits as the loop's.
+t + 1 - stamp. Costs are the same calls on the same integer ages (one per
+distinct age of a block), summed in slot order, and debts follow the same
+update, so the metrics are the same bits as the loop's.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from operator import add
 
@@ -45,7 +46,6 @@ import numpy as np
 
 from .age import advance_age, row_plan, update_destination_debt, update_intermediate_debt
 from .channels import _BLOCK, ChannelProcess
-from .costs import as_table
 from .policies import (TIE_BREAKS, RandomizedPolicy, get_drift_evaluator, max_weight_action,
                        single_hop_age_debt_action)
 from .targets import (FlowControlConfig, GradientDescentConfig,
@@ -144,14 +144,12 @@ class _AgeDebtController:
 
 
 class _MaxWeightController:
-    def __init__(self, instance, cost_fns, cfg):
+    def __init__(self, instance, cost_fns):
         self.star = star_structure(instance)
         if self.star is None:
             raise ValueError("max-weight policy needs a single-hop star instance")
-        weights = cfg.policy_params.get("weights")
         fns = [cost_fns[(s, self.star["hub"])] for s in self.star["sources"]]
-        self.weights = ([weights[s] for s in self.star["sources"]] if weights is not None
-                        else [f.weight if f.kind == "linear" else 1.0 for f in fns])
+        self.weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
 
     def decide(self, t, age, stamp, debt, relay_debt, targets):
         return self.star["actions"][max_weight_action(age, self.star["probs"], self.weights)]
@@ -201,7 +199,7 @@ def _build_controller(instance, cost_fns, cfg, rng, tables=None):
     if cfg.policy == "age-debt":
         return _AgeDebtController(instance, cfg, rng, tables)
     if cfg.policy == "max-weight":
-        return _MaxWeightController(instance, cost_fns, cfg)
+        return _MaxWeightController(instance, cost_fns)
     if cfg.policy == "randomized":
         return _RandomizedController(instance, cfg, rng)
     if cfg.policy == "constant":
@@ -262,8 +260,8 @@ def _slot_loop(instance, cost_fns, cfg):
     stamp = [-1] * (n_rows + len(instance.flows))
     debt = [0.0] * n_rows
     targets = _by_row(_resolve_targets(instance, cost_fns, cfg, dest_pairs).values(), plan, 0.0)
-    fns = [as_table(cost_fns[pair]) for pair in dest_pairs]
-    tables = _by_row([f.table(0) for f in fns], plan, None)
+    by_age = [array("d", [math.nan]) for _ in dest_pairs]  # per pair: index a holds f(a)
+    tables = _by_row(by_age, plan, None)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
     controller = _build_controller(instance, cost_fns, cfg, rng, tables)
@@ -293,8 +291,8 @@ def _slot_loop(instance, cost_fns, cfg):
     for t in range(cfg.horizon):
         if t == grow_at:
             top = max(age) + margin
-            for f in fns:
-                f.table(2 * top)
+            for pair, tab in zip(dest_pairs, by_age):
+                tab.extend(map(cost_fns[pair], range(len(tab), 2 * top)))
             grow_at = t + top  # until then no age can pass 2 * top - margin
         if fc is not None:
             flow_control_update(debt, targets, rows, fc)
@@ -426,8 +424,8 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
         debts = np.empty(ages.shape)
         for p, pair in enumerate(dest_pairs):
             distinct, inverse = np.unique(ages[p], return_inverse=True)
-            tab = as_table(cost_fns[pair]).table(int(distinct[-1]) + 1)
-            priced = np.array([tab[a] for a in distinct.tolist()], dtype=float)
+            f = cost_fns[pair]
+            priced = np.array([f(a) for a in distinct.tolist()], dtype=float)
             costs = priced[inverse]
             cost_sum[p] = float(_running_sum(cost_sum[p], costs)[-1])
             alpha = targets[pair]

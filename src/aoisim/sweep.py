@@ -138,8 +138,6 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
     gd = None
     if name == "age-debt":
         params["variant"] = pol.get("variant", "auto")
-    if name == "max-weight" and "weights" in pol:
-        params["weights"] = {int(k): float(v) for k, v in pol["weights"].items()}
     if name == "constant":
         params["action_index"] = pol["action_index"]
     if name == "randomized":

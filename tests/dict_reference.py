@@ -258,14 +258,11 @@ class _AgeDebt:
 
 
 class _MaxWeight:
-    def __init__(self, instance, cost_fns, cfg):
+    def __init__(self, instance, cost_fns):
         self.star = star_structure(instance)
         hub = self.star["hub"]
-        weights = cfg.policy_params.get("weights")
-        if weights is None:
-            weights = {s: (cost_fns[(s, hub)].weight if cost_fns[(s, hub)].kind == "linear"
-                           else 1.0) for s in self.star["sources"]}
-        self.weights = [weights[s] for s in self.star["sources"]]
+        fns = [cost_fns[(s, hub)] for s in self.star["sources"]]
+        self.weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
 
     def decide(self, t, age, buffer, debt, targets):
         hub = self.star["hub"]
@@ -304,7 +301,7 @@ def _controller(instance, cost_fns, cfg, rng):
     if cfg.policy == "age-debt":
         return _AgeDebt(instance, cost_fns, cfg, rng)
     if cfg.policy == "max-weight":
-        return _MaxWeight(instance, cost_fns, cfg)
+        return _MaxWeight(instance, cost_fns)
     if cfg.policy == "randomized":
         return _Randomized(cfg, rng)
     if cfg.policy == "constant":

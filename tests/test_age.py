@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from aoisim import (CostFunction, DebtState, SimConfig, advance_age, restricted_hop_distance, run,
                     update_destination_debt, update_intermediate_debt)
-from aoisim.costs import as_table
 from aoisim.network import adjacency_map, bfs_distances
 from conftest import lyapunov
 from dict_reference import initial_age, initial_buffer, initial_debt
@@ -200,10 +199,11 @@ def test_case2_reuses_the_slot_prices():
     # without a forwarded packet, every queue takes the destination's price
     # from the slot's priced costs and prices nothing itself; a relay that
     # never received a packet is t + 1 old and forwards nothing
-    def unpriced(age):
-        raise AssertionError(f"priced age {age} again")
+    class Unpriced:
+        def __getitem__(self, age):
+            raise AssertionError(f"priced age {age} again")
 
-    tables = {(1, 3): as_table(unpriced)}
+    tables = {(1, 3): Unpriced()}
     for hops, age in (([None], {(1, 3): 9, (1, 2): 9}), ([1], {(1, 3): 9, (1, 2): 21})):
         relay_debt = [0.0]
         update_intermediate_debt(relay_debt, RELAYS, hops, age, 20, tables,

@@ -48,6 +48,11 @@ def test_unknown_keys_rejected():
     assert any("typo_key" in e for e in errors)
 
 
+def test_max_weight_weights_key_rejected():
+    _, errors = parse_config(cfg_text(policies=[{"name": "max-weight", "weights": {"1": 2.0}}]))
+    assert any("unknown key 'weights'" in e for e in errors)
+
+
 def test_policy_validation():
     _, errors = parse_config(cfg_text(policies=[{"name": "nope"}]))
     assert any("policies[0].name" in e for e in errors)

@@ -94,33 +94,22 @@ KINDS = [
 
 @pytest.mark.parametrize("f", KINDS, ids=repr)
 def test_table_has_the_bits_of_call(f):
+    # f[a] reads f as a cost table: the call's bits, across the exponential
+    # cut-off and far out
     fresh = CostFunction.from_dict(f.to_dict())
-    # grow in uneven steps, then across the exponential cut-off and far out
-    for size in (2, 3, 7, 8, 40, 41, 3000):
-        tab = fresh.table(size)
-        assert len(tab) >= size
-        assert [v.hex() for v in tab[1:]] == [f(a).hex() for a in range(1, len(tab))]
-    assert fresh.table(5) is tab  # grows in place, never shrinks
     limit = math.ceil(f._exp_limit) if f.kind == "exponential" else 4
-    for a in range(1, limit + 3):
+    for a in [*range(1, limit + 3), 40, 3000]:
         assert fresh[a].hex() == f(a).hex()
 
 
-def test_table_growth_doubles():
-    f = CostFunction.power(2)
-    assert len(f.table(10)) == 10
-    assert len(f.table(11)) == 20
-    assert len(f.table(100)) == 100
-
-
-def test_grown_cost_function_pickles_compares_and_hashes_like_a_fresh_one():
+def test_cost_function_pickles_compares_and_hashes_by_value():
+    assert len(set(KINDS)) == len(KINDS)
     for f in KINDS:
+        for a in range(1, 500):
+            f(a)  # pricing leaves nothing behind
         fresh = CostFunction.from_dict(f.to_dict())
-        grown = CostFunction.from_dict(f.to_dict())
-        grown.table(500)
-        assert grown == fresh and hash(grown) == hash(fresh)
-        assert grown.to_dict() == fresh.to_dict()
-        assert pickle.dumps(grown) == pickle.dumps(fresh)
-        back = pickle.loads(pickle.dumps(grown))
-        assert back == fresh and len(back.table(0)) == 1
-        assert [back(a) for a in range(1, 50)] == [fresh(a) for a in range(1, 50)]
+        back = pickle.loads(pickle.dumps(f))
+        assert f == fresh == back and hash(f) == hash(fresh) == hash(back)
+        assert back.to_dict() == f.to_dict()
+        assert pickle.dumps(f) == pickle.dumps(fresh)
+        assert [back(a).hex() for a in range(1, 50)] == [f(a).hex() for a in range(1, 50)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -155,25 +156,56 @@ def test_replicate_runs_all_seeds():
     assert len({m.sum_cost for m in out}) > 1
 
 
-def test_slot_loop_prices_each_pair_once_per_slot():
-    class Counting:
-        def __init__(self, f):
-            self.f = f
-            self.calls = 0
+def test_slot_loop_prices_each_age_once_per_run():
+    # a plain callable goes into the run's tables like a CostFunction: no
+    # (pair, age) is priced twice, by the debts, the metrics or the trace
+    priced = []
 
-        def __call__(self, age):
-            self.calls += 1
-            return self.f(age)
+    def recording(pair, f):
+        def cost(age):
+            priced.append((pair, age))
+            return f(age)
+        return cost
 
     inst, costs = gen_star(5, rng=np.random.default_rng(0))
-    counting = {pair: Counting(f) for pair, f in costs.items()}
     n = len(inst.action_space)
     cfg = SimConfig(horizon=1000, seed=0, policy="randomized",
                     policy_params={"probabilities": tuple([1.0 / n] * n)},
                     trace_detail="full")
-    m = run(inst, counting, cfg)
-    assert sum(c.calls for c in counting.values()) == len(costs) * 1000
+    m = run(inst, {pair: recording(pair, f) for pair, f in costs.items()}, cfg)
+    assert priced and len(set(priced)) == len(priced)
     assert m.per_pair_cost == run(inst, costs, cfg).per_pair_cost
+
+
+@pytest.mark.parametrize("horizon, kw", [
+    (200_000, {"targets": 0.0}),  # the open-loop path
+    # the slot loop runs ~25x slower under tracemalloc
+    (50_000, {"target_mode": "flow-control",
+              "flow_control": FlowControlConfig(V=1e18, alpha_max=1.0)}),
+])
+def test_idle_run_leaves_nothing_on_its_cost_function(horizon, kw):
+    # idle slots age the source without bound: the run's cost tables, one
+    # float per age reached, go with the run
+    inst, costs = single_source()
+    cfg = SimConfig(horizon=10, policy="constant", policy_params={"action_index": 0}, **kw)
+    run(inst, costs, cfg)  # builds the instance's row plan
+    fresh = {(1, 2): CostFunction.linear(1.0)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(inst, fresh, replace(cfg, horizon=horizon))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+
+
+def test_max_weight_reads_plain_costs_as_unit_weights():
+    inst, _ = gen_star(3)
+    cfg = SimConfig(horizon=100, policy="max-weight")
+    plain = run(inst, {pair: (lambda a: a) for pair in inst.dest_pairs()}, cfg)
+    unit = run(inst, {pair: CostFunction.linear(1.0) for pair in inst.dest_pairs()}, cfg)
+    assert repr(plain) == repr(unit)
 
 
 @pytest.mark.parametrize("horizon", [300, 4096, 4200])
@@ -228,6 +260,11 @@ def test_open_loop_runaway_abort():
 
 
 # ---------------- open-loop runs against the slot loop ----------------
+
+def as_plain(cost_fns):
+    """The costs as plain callables, which the run must tabulate itself."""
+    return {pair: (lambda a, f=f: f(a)) for pair, f in cost_fns.items()}
+
 
 def assert_same_metrics(instance, cost_fns, cfg):
     a = run(instance, cost_fns, cfg)
@@ -288,10 +325,11 @@ def open_loop_cases(draw):
     return instance, cost_fns, cfg
 
 
-@given(open_loop_cases())
+@given(open_loop_cases(), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_open_loop_matches_slot_loop(case):
-    assert_same_metrics(*case)
+def test_open_loop_matches_slot_loop(case, plain):
+    instance, cost_fns, cfg = case
+    assert_same_metrics(instance, as_plain(cost_fns) if plain else cost_fns, cfg)
 
 
 # ---------------- the row loop against the dict reference ----------------
@@ -371,10 +409,12 @@ def closed_loop_cases(draw):
     return instance, cost_fns, cfg
 
 
-@given(closed_loop_cases())
+@given(closed_loop_cases(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_run_matches_dict_reference_loop(case):
+def test_run_matches_dict_reference_loop(case, plain):
     instance, cost_fns, cfg = case
+    if plain:
+        cost_fns = as_plain(cost_fns)
     a = run(instance, cost_fns, cfg)
     b = dict_slot_loop(instance, cost_fns, cfg)
     for f in fields(a):
