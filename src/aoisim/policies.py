@@ -10,13 +10,16 @@ enumeration). Intermediate queues are deterministic given the action when
 the relay is forwarding, and otherwise shadow their destination queue's
 outcome distribution.
 
-One pass per slot scores every action. A pair's drift terms depend on the
-action only through its block: the links that can deliver into the pair and
-each relay's hop distance when it forwards. Blocks are compiled once per
-instance; a block with at most one link is scored inline, with the walk's
+One pass per slot scores every action. A destination's drift terms depend
+on the action only through its outcome key, the links that can deliver into
+it, and through each relay's hop distance when it forwards. Each distinct
+destination key is one group, compiled once per instance: per slot it reads
+its outcome costs once, then scores the destination and each distinct relay
+term under that key; at most one link is scored inline, with the walk's
 bits, and only two or more links build a distribution. The (term x action)
 table is summed row by row, as a per-action running sum would: the argmin
 ties on exact float equality, so another order would change trajectories.
+The freshest tie-break prices only the rows of the tied actions.
 """
 
 from __future__ import annotations
@@ -47,11 +50,16 @@ class DriftEvaluator:
     the rows, the relay queues and each action's links; cost tables are
     passed to ``score``. A distribution key is (row, links), each link
     (sender row, or -1 for the source; p_edge), in the action's assignment
-    order. A block is (row, m, p, g, queues): its key's single link (m, p),
-    m None if it has none, or g, the key's position in ``general_keys`` if
-    it has more; then its terms as (relay queue, relay row, h or None), with
-    the destination's (None, row, None) first. ``index`` gathers the slot's
-    terms into the (term x action) table in per-action sum order.
+    order; ``action_dists[a]`` lists action a's key id for every row, and
+    ``outcomes[k]`` is key k compiled as (row, m, p, 1 - p, walk): its
+    single link (m, p), m None if it has none, or walk True for two or more.
+
+    A group is one destination key: (row, m, p, 1 - p, g, terms), with g
+    the key's position in ``general_keys`` if it has two or more links,
+    else None. Its terms are (relay queue, relay row, h or None), the
+    destination's (None, row, None) first, then each distinct relay term
+    that an action with this key reads. ``index`` gathers the slot's terms
+    into the (term x action) table in per-action sum order.
 
     The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
     relay queue q's hop distance when action ``a`` has its relay
@@ -74,10 +82,8 @@ class DriftEvaluator:
                 self.dist_keys.append(key)
             return dist_ids[key]
 
-        self.blocks = []    # (row, dist id, relay terms), compiled below
-        block_start = {}    # block -> flat position of its first term
-        n_terms = 0
-        index = []          # per action: flat term position of each row
+        groups = {}  # destination key id -> {relay term: position after the destination's}
+        cols = []    # per action: (key id, position in its group) of each term, in sum order
         self.action_dists = []  # per action: distribution id of every row
         self.relay_hops = []
         for action, kept in zip(instance.action_space.actions, plan.action_links):
@@ -94,24 +100,27 @@ class DriftEvaluator:
             ids = [dist_id(r, links) for r in range(plan.n_rows)]
             col = []
             for r, qs in zip(plan.dest_rows, queues):
-                relay_h = tuple((q, ri, hops[q]) for (q, ri) in qs)
-                block = (r, ids[r], relay_h)
-                if block not in block_start:
-                    self.blocks.append(block)
-                    block_start[block] = n_terms
-                    n_terms += 1 + len(relay_h)
-                start = block_start[block]
-                col.extend(range(start, start + 1 + len(relay_h)))
-            index.append(col)
+                d, terms = ids[r], groups.setdefault(ids[r], {})
+                col.append((d, 0))
+                col.extend((d, terms.setdefault((q, ri, hops[q]), len(terms) + 1))
+                           for (q, ri) in qs)
+            cols.append(col)
             self.action_dists.append(ids)
             self.relay_hops.append(hops)
-        self.index = np.array(index, dtype=np.intp).T.copy()
+        sizes = [1 + len(terms) for terms in groups.values()]
+        start = dict(zip(groups, np.cumsum([0] + sizes).tolist()))  # flat position
+        self.index = np.array([[start[d] + i for (d, i) in col] for col in cols],
+                              dtype=np.intp).reshape(len(cols), -1).T.copy()
+        self.outcomes = []
+        for (r, links) in self.dist_keys:
+            m, p = links[0] if len(links) == 1 else (None, 0.0)
+            self.outcomes.append((r, m, p, 1.0 - p, len(links) > 1))
         general = {}  # keys with two or more links, by position in general_keys
-        for b, (r, d, relay_h) in enumerate(self.blocks):
-            links = self.dist_keys[d][1]
-            g = general.setdefault(self.dist_keys[d], len(general)) if len(links) > 1 else None
-            self.blocks[b] = (r, *(links[0] if len(links) == 1 else (None, 0.0)), g,
-                              ((None, r, None),) + relay_h)
+        self.groups = []
+        for d, terms in groups.items():
+            *link, walk = self.outcomes[d]
+            g = general.setdefault(self.dist_keys[d], len(general)) if walk else None
+            self.groups.append((*link, g, ((None, link[0], None), *terms)))
         self.general_keys = list(general)
 
     def rows(self, debt, age, buffer, targets, cost_fns):
@@ -134,11 +143,7 @@ class DriftEvaluator:
         r, links = key
         a_now = age[r]
         # a source sends a fresh stamp (age 0), a relay only a packet it holds
-        cands = [(age[m] if m >= 0 else 0, p) for (m, p) in links if m < 0 or stamp[m] >= 0]
-        if len(cands) <= 1:  # what the walk below returns, without the walk
-            g, p = cands[0] if cands else (a_now, 0.0)
-            return ((g + 1, p), (a_now + 1, 1.0 - p)) if g < a_now else ((a_now + 1, 1.0),)
-        cands.sort()
+        cands = sorted((age[m] if m >= 0 else 0, p) for (m, p) in links if m < 0 or stamp[m] >= 0)
         out = []
         stay = 1.0
         for (g, p) in cands:
@@ -160,13 +165,15 @@ class DriftEvaluator:
         dists = [self.next_age_dist(key, age, stamp) for key in self.general_keys]
         terms = []
         add = terms.append
-        for (r, m, p, d, queues) in self.blocks:
+        for (r, m, p, p_stay, d, queues) in self.groups:
             tab, alpha, a = tables[r], targets[r], age[r]
-            # one link or none: next age g + 1 w.p. p if the sender is fresher, else a + 1
-            g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
-            outs = ((tab[g + 1], p), (tab[a + 1], 1.0 - p)) if g < a else ((tab[a + 1], 1.0),)
-            if d is not None:  # two or more links (m is None)
+            stay = tab[a + 1]  # the cost if nothing fresher arrives
+            if d is not None:  # two or more links: walk the distribution
                 outs = [(tab[v], w) for (v, w) in dists[d]]
+            else:  # one link or none: age g + 1 w.p. p if the sender is fresher
+                outs = None
+                g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
+                fresh, w_stay = (tab[g + 1], p_stay) if g < a else (None, 1.0)
             for (qr, ri, h) in queues:
                 qi = debt[r] if qr is None else relay_debt[qr]
                 if qi is None:
@@ -174,6 +181,15 @@ class DriftEvaluator:
                 elif h is not None and stamp[ri] >= 0:
                     nq = qi + tab[min(age[ri], a) + h] - alpha
                     add((nq * nq if nq > 0.0 else 0.0) - qi * qi)
+                elif outs is None:
+                    # the two-outcome sum in either order, as the walk adds it
+                    nq = qi + stay - alpha
+                    exp_sq = w_stay * nq * nq if nq > 0.0 else 0.0
+                    if fresh is not None:
+                        nq = qi + fresh - alpha
+                        if nq > 0.0:
+                            exp_sq += p * nq * nq
+                    add(exp_sq - qi * qi)
                 else:
                     exp_sq = 0.0
                     for (c, w) in outs:
@@ -196,19 +212,34 @@ class DriftEvaluator:
         if tie_break == "last":
             return ties[-1], scores
         if tie_break == "random":
-            if rng is None:
-                raise ValueError("random tie-break needs an rng")
             return ties[int(rng.integers(len(ties)))], scores
-        dists = [self.next_age_dist(key, age, stamp) for key in self.dist_keys]
-        return min((self.expected_age_sum(i, dists), i) for i in ties)[1], scores
+        walks = {}
+        return min((self.expected_age_sum(i, age, stamp, walks), i) for i in ties)[1], scores
 
-    def expected_age_sum(self, action_idx, dists):
+    def expected_age_sum(self, action_idx, age, stamp, walks):
         """E[sum of all tracked ages next slot]; the freshness tie-breaker.
-        ``dists`` must cover every distribution key."""
+        Adds p * next_age over the action's rows, then outcomes, in order.
+        A key with two or more links is walked once per slot, into
+        ``walks``; the others are priced from their compiled outcome."""
         total = 0.0
-        for d in self.action_dists[action_idx]:
-            for (a_next, p) in dists[d]:
-                total += p * a_next
+        outcomes = self.outcomes
+        for k in self.action_dists[action_idx]:
+            r, m, p, p_stay, walk = outcomes[k]
+            a = age[r]
+            if walk:
+                terms = walks.get(k)
+                if terms is None:
+                    terms = walks[k] = [w * v for (v, w)
+                                        in self.next_age_dist(self.dist_keys[k], age, stamp)]
+                for x in terms:
+                    total += x
+                continue
+            g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
+            if g < a:
+                total += p * (g + 1)
+                total += p_stay * (a + 1)
+            else:
+                total += a + 1  # 1.0 * (a + 1)
         return total
 
 
@@ -241,6 +272,8 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="f
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
+    if tie_break == "random" and rng is None:
+        raise ValueError("random tie-break needs an rng")
     ev = get_drift_evaluator(instance)
     idx, scores = ev.decide(*ev.rows(debt, age, buffer, targets, cost_fns), tie_break, rng)
     return PolicyDecision(idx, instance.action_space[idx], tuple(scores))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,8 +229,11 @@ def run_sweep(config, out_path, jobs=1, timing=False):
 
     Scenarios and each (scenario, policy) SimConfig, tuned policies and DP
     tables included, are built once here; every task, serial or in a
-    worker process, runs on those prebuilt objects.
+    worker process, runs on those prebuilt objects. At most one worker
+    process starts per task.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = config.sim["seeds"]
     horizon = config.sim["horizon"]
     seen = set()
@@ -243,7 +245,12 @@ def run_sweep(config, out_path, jobs=1, timing=False):
             tasks.extend((scenario, label, replace(base, seed=seed), out_path, timing)
                          for seed in seeds)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here: loading the process pool costs every import of the
+        # package tens of milliseconds, and only parallel sweeps use it
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_worker, tasks))
     else:
         results = [_worker(task) for task in tasks]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,53 @@ def test_export_trace_library_function(tmp_path):
                                     targets=2.0))
     with pytest.raises(ValueError):
         export_trace(m2, tmp_path / "no.csv")
+
+
+def test_sweep_jobs_below_one_is_a_config_error(config_path, tmp_path, capsys):
+    out = tmp_path / "j0.csv"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--jobs", "0"]) == 1
+    assert "config error: jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_task(config_path, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["sweep", "--config", str(config_path), "--out", str(serial)]) == 0
+    assert started == []  # jobs=1 runs in this process
+    # two policies x two seeds: four tasks
+    assert main(["sweep", "--config", str(config_path), "--out", str(pooled),
+                 "--jobs", "64"]) == 0
+    assert started == [4]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_import_does_not_load_the_process_pool():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, aoisim; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.strip() == "[]"

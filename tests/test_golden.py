@@ -16,7 +16,9 @@ dict state (kept as ``tests/dict_reference.py``) before the row-indexed
 loop replaced it; the fields recorded earlier came out unchanged. The two
 exact-drift diamond cases were recorded from the evaluator that built every
 next-age distribution as a sorted tuple, before it scored blocks with at
-most one link inline.
+most one link inline. The two ``freshest`` cases on unreliable links were
+recorded from the evaluator that scored blocks, before it scored one group
+per destination outcome and compiled the tie-break.
 
 The connected-graph lists were recorded from the enumeration that tested
 every edge mask on n nodes for connectivity before canonicalizing; the
@@ -88,6 +90,17 @@ def _cases():
                 lambda n=n, inter=inter: gen_line(n, interference=inter),
                 SimConfig(horizon=400, seed=7, target_mode="flow-control",
                           flow_control=fc_line, use_intermediate_queues=relay))
+    # unreliable links under the freshest tie-break: on the line each relay
+    # term is scored against the destination's one unreliable link
+    cases["line-n6-single-transmitter-p0.7-freshest"] = (
+        lambda: gen_line(6, interference="single-transmitter", reliability=0.7),
+        SimConfig(horizon=400, seed=7, target_mode="flow-control",
+                  flow_control=FlowControlConfig(V=10.0, alpha_max=24.0),
+                  use_intermediate_queues=True, tie_break="freshest"))
+    cases["broadcast-g9-p0.9-freshest"] = (
+        lambda: _broadcast(9, 0.9),
+        SimConfig(horizon=200, seed=3, target_mode="flow-control",
+                  flow_control=fc_broadcast, tie_break="freshest"))
     # policies that never read relay queues, run with relay queues on
     line5 = lambda: gen_line(5, interference="parity")
     cases["line-n5-parity-randomized"] = (line5, SimConfig(

@@ -167,6 +167,20 @@ def test_tie_breaks_first_last_random(two_hop):
     assert picks == {0, 1, 2}
 
 
+def test_random_tie_break_without_rng_is_rejected_in_any_state(two_hop):
+    instance, cost_fns = two_hop
+    tied = (initial_debt(instance), {(1, 3): 1, (1, 2): 1}, initial_buffer(instance.flows),
+            {(1, 3): 10.0})
+    age = {(1, 3): 5, (1, 2): 2}
+    untied = (DebtState(dest={(1, 3): 1.5}, intermediate={(1, 3, 2): 0.5}), age,
+              consistent_state(instance, age), {(1, 3): 2.5})
+    for state, n_min in ((tied, 3), (untied, 1)):
+        scores = age_debt_action(*state, cost_fns, instance).scores
+        assert scores.count(min(scores)) == n_min
+        with pytest.raises(ValueError, match="random tie-break needs an rng"):
+            age_debt_action(*state, cost_fns, instance, tie_break="random")
+
+
 def test_freshest_tie_break_pushes_packets_downstream(two_hop):
     instance, cost_fns = two_hop
     debt = initial_debt(instance)
@@ -280,6 +294,12 @@ def test_score_and_decision_match_dict_reference(state):
     ref_dists = [ref.next_age_dist(key, age, buffer) for key in ref.dist_keys]
     for ids, ref_ids in zip(ev.action_dists, ref.action_dists):
         assert [dists[d] for d in ids] == [ref_dists[d] for d in ref_ids]
+    # the freshest tie-break's sum for every action, tied or not; it prices
+    # keys with at most one link from their compiled outcome, not a walk
+    walks = {}
+    for i in range(len(instance.action_space)):
+        assert (ev.expected_age_sum(i, rows[2], rows[3], walks).hex()
+                == ref.expected_age_sum(i, ref_dists).hex()), i
     for tie_break in TIE_BREAKS:
         got = ev.decide(*rows, tie_break, np.random.default_rng(5))[0]
         assert got == ref.decide(debt, age, buffer, targets, cost_fns, tie_break,
