@@ -31,13 +31,23 @@ map is gathered slab by slab into buffers allocated once per solve; a map
 of length 1 on the leading axis is gathered once per sweep and broadcasts
 against every slab.
 
+A solve of more than one slab runs on one thread per CPU the process may
+use, started and joined inside the solve. Each thread sweeps a contiguous
+run of slabs with its own buffers; the one that owns slab 0 publishes the
+new value of state 0, which every slab subtracts. The power iteration of
+the stationary stage splits the closed-loop transitions by destination
+range, so each thread adds up the flows into its own states.
+
 The sweep's arithmetic is pinned: ``cost + (1 - tau) h``, then ``+ tau
 best``, then ``th - th[0]``, with each action's outcomes summed in their
 enumeration order. Every state gets the same operations in the same order
-whatever slab it falls in, and the minimum and maximum are exact under any
-split, so slab order leaves every value unchanged. The solution is checked
-bit for bit against recorded fingerprints (``tests/test_golden.py``), also
-with the states cut into several slabs; floating-point addition is not
+whatever slab or thread it falls in, and the minimum and maximum are exact
+under any split, so slab order leaves every value unchanged. Likewise each
+state of the power iteration adds its inflows in the same order under any
+destination split, and the L1 step is summed once over the whole array.
+The solution is checked bit for bit against recorded fingerprints
+(``tests/test_golden.py``), also with the states cut into several slabs
+and split between two threads; floating-point addition is not
 associative, so any reordering can move the relative values, and with
 them the tie-broken policy, in the last bits. Multiplying by a weight of
 exactly 1.0 is skipped, which changes no value.
@@ -48,7 +58,10 @@ explicit cap.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +71,9 @@ from .age import row_plan
 # states per sweep slab: at a_cap 30 on a 4-source star, 2 of the 30
 # leading-axis indices, whose slab buffers fit in a core's L2 cache
 _SLAB_STATES = 1 << 16
+# threads per solve of more than one slab: one per CPU this process may use
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class StateSpaceError(ValueError):
@@ -112,10 +128,12 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     (see the module docstring), cut to the axes the map depends on, and
     takes the minimum over the actions' expected values broadcast against
     those compact blocks, one slab of states at a time. The stationary stage
-    reads successors of the reached states from the same maps.
+    reads successors of the reached states from the same maps. A solve of
+    more than one slab runs both stages on one thread per CPU, with the
+    same bits as on one; every thread is joined before it returns or raises.
 
     Raises ``ValueError``, before any work, for ``a_cap < 1``, a ``tolerance``
-    that is not positive or a ``laziness`` outside (0, 1].
+    that is not positive, a ``laziness`` outside (0, 1] or ``max_iter < 1``.
     """
     if a_cap < 1:
         raise ValueError(f"a_cap must be at least 1, got {a_cap}")
@@ -123,6 +141,8 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if not 0 < laziness <= 1:
         raise ValueError(f"laziness must be in (0, 1], got {laziness}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     plan = row_plan(instance)
     n = plan.n_rows
     n_states = a_cap ** n
@@ -169,11 +189,22 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
             outs.append((w, map_pos[rule]))
         outcomes_per_action.append(outs)
 
-    h, policy, gain, span, span_history = _relative_value_iteration(
-        cost, maps, outcomes_per_action, laziness, tolerance, max_iter)
-    del cost  # free the state-sized cost table before the next stage
-    per_pair = _stationary_averages(policy, outcomes_per_action, maps, pair_costs,
-                                    dims, laziness, max_iter)
+    rows = max(1, min(a_cap, _SLAB_STATES // a_cap ** (n - 1)))
+    slabs = [slice(i, min(i + rows, a_cap)) for i in range(0, a_cap, rows)]
+    n_parts = min(_THREADS, len(slabs))
+    pool = None
+    if n_parts > 1:
+        # imported here, so that ``import aoisim`` stays light
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(n_parts - 1, thread_name_prefix="aoisim-dp")
+    # the workers live for this solve only: ``run_sweep`` may fork after it
+    with pool or contextlib.nullcontext():
+        h, policy, gain, span, span_history = _relative_value_iteration(
+            cost, maps, outcomes_per_action, slabs, n_parts, pool,
+            laziness, tolerance, max_iter)
+        del cost  # free the state-sized cost table before the next stage
+        per_pair = _stationary_averages(policy, outcomes_per_action, maps, pair_costs,
+                                        dims, n_parts, pool, laziness, max_iter)
     return DpSolution(gain=gain, per_pair_average=per_pair, pairs=list(plan.tracked),
                       a_cap=a_cap, policy=policy,
                       relative_values=h, actions=list(instance.action_space.actions),
@@ -181,45 +212,86 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
                       span_history=span_history)
 
 
-def _relative_value_iteration(cost, maps, outcomes_per_action, tau, tolerance,
-                              max_iter):
+def _run_parts(pool, body, parts):
+    """``body(part)`` for every part: the first on the calling thread, each
+    other one on ``pool``. Returns once every part has finished, and
+    re-raises the first part's error, else the first failed worker's."""
+    futures = [pool.submit(body, part) for part in parts[1:]]
+    try:
+        body(parts[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits for the part to finish
+    for f in futures:
+        f.result()
+
+
+def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, pool,
+                              tau, tolerance, max_iter):
     """Lazy RVI sweeps until the span of the value differences is below
     ``tolerance``, then the greedy policy, lowest action index on ties.
 
     The sweeps and the policy pass run slab by slab (see the module
-    docstring); each sweep writes its relative values to a second state
-    array, swapped in after it, whose slab is scratch space until then.
-    Returns the flat relative values and policy, the gain, the last span and
-    the span after each sweep; the slab buffers are freed on return.
+    docstring), each of ``n_parts`` threads over a contiguous run of
+    ``slabs`` with its own slab buffers; each sweep writes its relative
+    values to a second state array, swapped in after it, whose slab is
+    scratch space until then. Returns the flat relative values and policy,
+    the gain, the last span and the span after each sweep; the slab buffers
+    are freed on return.
     """
     dims = cost.shape
-    rows = max(1, min(dims[0], _SLAB_STATES // cost[0].size))
-    gathered = [np.empty(m.shape if m.shape[0] == 1 else (rows,) + m.shape[1:]) for m in maps]
-    best = np.empty((rows,) + dims[1:])
-    spare = np.empty(best.size)
+    rows = slabs[0].stop
+    # maps of length 1 on the leading axis: gathered whole, shared by all parts
+    whole = {i: np.empty(m.shape) for i, m in enumerate(maps) if m.shape[0] == 1}
+    parts = []  # per thread: its (index, slice) slabs, gather buffers, best, spare
+    for i in range(n_parts):
+        run = range(len(slabs) * i // n_parts, len(slabs) * (i + 1) // n_parts)
+        parts.append(([(k, slabs[k]) for k in run],
+                      [whole[j] if j in whole else np.empty((rows,) + m.shape[1:])
+                       for j, m in enumerate(maps)],
+                      np.empty((rows,) + dims[1:]), np.empty(rows * cost[0].size)))
     # state arrays last: the one freed on return is reused by the stationary
     # stage, which holds the solve's peak (the lowest peak RSS measured)
     policy = np.zeros(dims, dtype=np.int32)
     h, h_next = np.zeros(dims), np.empty(dims)
-    lows, highs = np.empty((2, len(range(0, dims[0], rows))))
+    lows, highs = np.empty((2, len(slabs)))
     span_history = []
-    span = float("inf")  # reported if max_iter allows no sweep at all
+    published = threading.Event()  # set when th0, the new value of state 0, is known
+    th0 = None
+
+    def sweep(part):
+        nonlocal th0
+        own, gathered, best, spare = part
+        try:
+            for k, s, views, b in _slabs(h, maps, own, gathered, best):
+                th = h_next[s]  # scratch until it takes the slab's new values
+                e = _expected(outcomes_per_action[0], views, b, spare)
+                for outs in outcomes_per_action[1:]:
+                    e = np.minimum(e, _expected(outs, views, th, spare), out=b)
+                # th = cost + (1 - tau) h + tau best, in that order (see the
+                # module docstring); best then holds th - h
+                np.multiply(h[s], 1.0 - tau, out=th)
+                np.add(cost[s], th, out=th)
+                np.add(th, np.multiply(e, tau, out=b), out=th)
+                delta = np.subtract(th, h[s], out=b)
+                lows[k], highs[k] = delta.min(), delta.max()
+                if k == 0:  # state 0 opens the first slab
+                    th0 = th.flat[0]
+                    published.set()
+                else:
+                    published.wait()
+                    if th0 is None:
+                        return  # slab 0 failed, and its error re-raises in the caller
+                np.subtract(th, th0, out=th)
+        finally:
+            if part is parts[0]:
+                published.set()  # no waiter is left behind when slab 0 fails
+
     for _ in range(max_iter):
-        for k, (s, views, b) in enumerate(_slabs(h, maps, gathered, best)):
-            th = h_next[s]  # scratch until it takes the slab's new values
-            e = _expected(outcomes_per_action[0], views, b, spare)
-            for outs in outcomes_per_action[1:]:
-                e = np.minimum(e, _expected(outs, views, th, spare), out=b)
-            # th = cost + (1 - tau) h + tau best, in that order (see the module
-            # docstring); best then holds th - h
-            np.multiply(h[s], 1.0 - tau, out=th)
-            np.add(cost[s], th, out=th)
-            np.add(th, np.multiply(e, tau, out=b), out=th)
-            delta = np.subtract(th, h[s], out=b)
-            lows[k], highs[k] = delta.min(), delta.max()
-            if k == 0:
-                th0 = th.flat[0]  # state 0 opens the first slab
-            np.subtract(th, th0, out=th)
+        _gather_whole(h, maps, whole)
+        th0 = None
+        published.clear()
+        _run_parts(pool, sweep, parts)
         h, h_next = h_next, h
         lo, hi = float(lows.min()), float(highs.max())
         span = hi - lo
@@ -231,13 +303,18 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, tau, tolerance,
         raise ConvergenceError(
             f"not converged within iteration cap ({max_iter} iterations, span {span:g})")
 
-    for s, views, b in _slabs(h, maps, gathered, best):
-        np.copyto(b, _expected(outcomes_per_action[0], views, h_next[s], spare))
-        for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
-            e = _expected(outs, views, h_next[s], spare)
-            better = np.less(e, b)
-            np.copyto(b, e, where=better)
-            policy[s][better] = a_i
+    def settle(part):
+        own, gathered, best, spare = part
+        for _k, s, views, b in _slabs(h, maps, own, gathered, best):
+            np.copyto(b, _expected(outcomes_per_action[0], views, h_next[s], spare))
+            for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
+                e = _expected(outs, views, h_next[s], spare)
+                better = np.less(e, b)
+                np.copyto(b, e, where=better)
+                policy[s][better] = a_i
+
+    _gather_whole(h, maps, whole)
+    _run_parts(pool, settle, parts)
     return h.reshape(-1), policy.reshape(-1), gain, span, span_history
 
 
@@ -268,25 +345,30 @@ def _successor_map(rule, grids, a_cap):
     return flat
 
 
-def _slabs(h, maps, gathered, best):
-    """Per slab of ``len(best)`` leading-axis indices (the last may be
-    shorter), yield its slice, the relative values of every map's
-    successors, gathered from ``h`` into ``gathered``, and its rows of ``best``.
+def _gather_whole(h, maps, whole):
+    """Gather from ``h`` the relative values of the successors under each
+    map of length 1 on the leading axis, into ``whole[map position]``: such
+    a block is the same for every slab, so it is gathered once per pass and
+    broadcasts against each slab."""
+    h_flat = h.reshape(-1)
+    for j, g in whole.items():
+        h_flat.take(maps[j], out=g, mode="clip")
 
-    A map of length 1 on the leading axis is the same for every slab: it is
-    gathered once, whole, and broadcasts against each slab. Every index is
-    in range by construction; ``mode="clip"`` skips the buffered copy that
-    ``take`` makes for ``out=`` under the default ``mode="raise"``.
+
+def _slabs(h, maps, slabs, gathered, best):
+    """Per (index, slice) in ``slabs``, yield the index, the slice, the
+    relative values of every map's successors, and the slab's rows of
+    ``best``. A map of length 1 on the leading axis reads its ``whole``
+    block (see ``_gather_whole``); every other map is gathered from ``h``
+    into its buffer in ``gathered``. Every index is in range by
+    construction; ``mode="clip"`` skips the buffered copy that ``take``
+    makes for ``out=`` under the default ``mode="raise"``.
     """
     h_flat = h.reshape(-1)
-    for m, g in zip(maps, gathered):
-        if m.shape[0] == 1:
-            h_flat.take(m, out=g, mode="clip")
-    for i0 in range(0, h.shape[0], len(best)):
-        s = slice(i0, min(i0 + len(best), h.shape[0]))
-        n = s.stop - i0
-        yield s, [g if m.shape[0] == 1 else h_flat.take(m[s], out=g[:n], mode="clip")
-                  for m, g in zip(maps, gathered)], best[:n]
+    for k, s in slabs:
+        n = s.stop - s.start
+        yield k, s, [g if m.shape[0] == 1 else h_flat.take(m[s], out=g[:n], mode="clip")
+                     for m, g in zip(maps, gathered)], best[:n]
 
 
 def _expected(outs, gathered, out, spare):
@@ -319,8 +401,8 @@ def _successors(flat_map, coords):
     return np.broadcast_to(flat_map[idx], coords[0].shape)
 
 
-def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, tau,
-                         max_iter):
+def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_parts,
+                         pool, tau, max_iter):
     """Per-pair long-run average costs of the closed loop that starts with
     every age at 1 (flat index 0), over the states the policy reaches from
     there through outcomes of positive probability.
@@ -329,7 +411,8 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
     channels) ends in a cycle, and the average is the mean over that cycle.
     Otherwise the lazy power iteration pi <- (1 - tau) pi + tau pi P runs
     until pi moves by less than 1e-10 in L1 norm; on a cycle it would leave
-    last-bit noise where the cycle mean is exact.
+    last-bit noise where the cycle mean is exact. Each of ``n_parts``
+    threads computes the new weights of one range of reached states.
     ``pair_costs`` maps each pair to its (coordinate, cost by age index).
     """
     reached = np.zeros(policy.size, dtype=bool)
@@ -348,25 +431,12 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
         reached[frontier] = True
     states = np.flatnonzero(reached)  # state 0 stays at position 0
 
-    # closed-loop transitions into ``dst``, as positions in ``states``,
-    # grouped by action, then outcome, then source position: the mass they
-    # carry is, per action a, the outer product of its outcome weights and
-    # the weights at ``pos[a]``, gathered once per step
-    acts = policy[states]
-    coords = np.unravel_index(states, dims)
-    pos, dst, out_w = [], [], []
-    for a_i, outs in enumerate(outcomes_per_action):
-        pos.append(np.flatnonzero(acts == a_i))
-        sub = tuple(c[pos[-1]] for c in coords)
-        dst.extend(np.searchsorted(states, _successors(maps[m], sub)) for (_w, m) in outs)
-        out_w.append(np.array([w for (w, _m) in outs]))
-    dst = np.concatenate(dst)
-    order = np.concatenate(pos)  # every position once, grouped by action
-
+    parts = _transitions(states, policy, outcomes_per_action, maps, dims, n_parts)
     weights = np.zeros(states.size)
-    if dst.size == states.size:
-        successor = np.empty_like(dst)
-        successor[order] = dst
+    if sum(src.size for _lo, _hi, _runs, src, _dst, _flow in parts) == states.size:
+        successor = np.empty(states.size, dtype=np.intp)
+        for lo, _hi, _runs, src, dst, _flow in parts:
+            successor[src] = dst + lo
         path = [0]
         while (s := int(successor[path[-1]])) not in path:
             path.append(s)
@@ -375,24 +445,25 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
         scale = len(cycle)
     else:
         weights[0] = 1.0
-        mass = np.empty(states.size)  # the weights at ``order``
-        flow = np.empty(dst.size)     # the mass along each transition
-        products = []                 # per action: outcome weights, mass, flow
-        lo = at = 0
-        for p, w in zip(pos, out_w):
-            products.append((w[:, None], mass[lo:lo + p.size],
-                             flow[at:at + w.size * p.size].reshape(w.size, p.size)))
-            lo += p.size
-            at += w.size * p.size
+        nxt, gap = np.empty(states.size), np.empty(states.size)
+
+        def step(part):
+            # nxt = tau * (flows in) + (1 - tau) * weights, in that order, and
+            # the gap |nxt - weights| that the L1 step sums whole
+            lo, hi, runs, src, dst, flow = part
+            np.take(weights, src, out=flow, mode="clip")
+            for w, start, stop in runs:
+                np.multiply(flow[start:stop], w, out=flow[start:stop])
+            into = np.bincount(dst, weights=flow, minlength=hi - lo)
+            np.multiply(into, tau, out=nxt[lo:hi])
+            np.multiply(weights[lo:hi], 1.0 - tau, out=into)
+            np.add(nxt[lo:hi], into, out=nxt[lo:hi])
+            np.abs(np.subtract(nxt[lo:hi], weights[lo:hi], out=gap[lo:hi]), out=gap[lo:hi])
+
         for _ in range(max_iter):
-            np.take(weights, order, out=mass)
-            for w, m, f in products:
-                np.multiply(m, w, out=f)
-            nxt = np.bincount(dst, weights=flow, minlength=states.size)
-            nxt *= tau
-            nxt += (1.0 - tau) * weights
-            moved = float(np.abs(nxt - weights).sum())
-            weights = nxt
+            _run_parts(pool, step, parts)
+            moved = float(gap.sum())
+            weights, nxt = nxt, weights
             if moved < 1e-10:
                 break
         else:
@@ -401,8 +472,44 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, ta
                 f"({max_iter} iterations, L1 step {moved:g})")
         scale = 1.0
 
-    return {pair: float(weights @ vals[coords[p]]) / scale
+    # each pair's coordinate of every reached state, in the flat C order
+    return {pair: float(weights @ vals[states // int(np.prod(dims[p + 1:])) % dims[p]]) / scale
             for pair, (p, vals) in sorted(pair_costs.items())}
+
+
+def _transitions(states, policy, outcomes_per_action, maps, dims, n_parts):
+    """The closed-loop transitions between the reached ``states``, as
+    positions in ``states``, split into ``n_parts`` by the range of their
+    destination.
+
+    Within a range they keep their order by action, then outcome, then
+    source, so every state adds its inflows in the same order under any
+    split. Per part: its range, the (outcome weight, start, stop) runs of
+    its transitions, their sources, their destinations from the start of
+    the range, and a buffer for the flow along each. Each part is built from
+    per-outcome pieces, with no array of every transition.
+    """
+    acts = policy[states]
+    coords = np.unravel_index(states, dims)
+    bounds = [states.size * i // n_parts for i in range(n_parts + 1)]
+    pieces = [[] for _ in range(n_parts)]  # per part: (weight, sources, destinations)
+    for a_i, outs in enumerate(outcomes_per_action):
+        pos = np.flatnonzero(acts == a_i)
+        sub = tuple(c[pos] for c in coords)
+        for w, m in outs:
+            dst = np.searchsorted(states, _successors(maps[m], sub))
+            for lo, hi, got in zip(bounds, bounds[1:], pieces):
+                sel = (dst >= lo) & (dst < hi)
+                got.append((w, pos[sel], dst[sel] - lo))
+    parts = []
+    for lo, hi, got in zip(bounds, bounds[1:], pieces):
+        stops = np.cumsum([p.size for _w, p, _d in got]).tolist()
+        runs = [(w, stop - p.size, stop) for (w, p, _d), stop in zip(got, stops)]
+        src = np.concatenate([p for _w, p, _d in got])
+        dst = np.concatenate([d for _w, _p, d in got])
+        got.clear()  # free the pieces before the next part is joined
+        parts.append((lo, hi, runs, src, dst, np.empty(src.size)))
+    return parts
 
 
 def export_table(solution, path):

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +14,19 @@ def two_hop():
                              interference="single-transmitter", eligibility="path")
     cost_fns = {(1, 3): CostFunction.linear(1.0)}
     return instance, cost_fns
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail any test that leaves a thread it started still running. A
+    ``fork`` with live threads can deadlock the child, and Python 3.12 warns
+    about it, which this suite turns into an error: ``run_sweep`` forks its
+    workers after ``dp_optimal`` solves, so no solve may leave a thread."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 def idx_of(instance, action):

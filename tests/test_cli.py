@@ -263,9 +263,10 @@ def test_sweep_starts_at_most_one_worker_per_task(config_path, tmp_path, monkeyp
 def test_import_does_not_load_the_process_pool():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # nor the thread pool of split DP solves
     code = ("import sys, aoisim; "
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
+            "'concurrent.futures.thread') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert proc.stdout.strip() == "[]"

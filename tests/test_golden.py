@@ -31,7 +31,8 @@ once. They pin every ``DpSolution`` field: the ``repr`` of the gain,
 residual span and per-pair averages, the iteration count, and sha256
 digests of the policy and relative-value bytes. The value-iteration sweeps
 that run one slab of the leading state axis at a time must reproduce them,
-and the span after every sweep, however the states are cut into slabs.
+and the span after every sweep, however the states are cut into slabs and
+however many threads share the slabs and the stationary stage.
 
 ``PYTHONPATH=src python tests/test_golden.py`` records the cases missing
 from the data files. If any existing entry would come out different, it
@@ -39,9 +40,11 @@ prints the differing names, writes nothing and exits 1. Record all golden
 data again only for a deliberate change of results, with ``--rerecord``.
 """
 
+import faulthandler
 import hashlib
 import json
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -277,16 +280,44 @@ def test_golden_dp_solution(golden_dp, name):
 @pytest.mark.parametrize("name", sorted(DP_CASES))
 def test_golden_dp_solution_in_slabs(golden_dp, name, monkeypatch):
     # every case fits in one sweep slab; cut it into one leading-axis index
-    # per slab, then into slabs of 5 that leave a short last one
+    # per slab, then into slabs of 5 that leave a short last one, and solve
+    # the slabs on one thread, then split between two threads
     build, params = DP_CASES[name]
     instance, cost_fns = build()
     whole = dp_optimal(instance, cost_fns, **params)
     row_states = params["a_cap"] ** (row_plan(instance).n_rows - 1)
-    for rows in (1, 5):
-        monkeypatch.setattr(aoisim.dp, "_SLAB_STATES", rows * row_states)
-        sol = dp_optimal(instance, cost_fns, **params)
-        assert _fingerprint(sol) == golden_dp[name], rows
-        assert sol.span_history == whole.span_history, rows
+    for threads in (1, 2):
+        monkeypatch.setattr(aoisim.dp, "_THREADS", threads)
+        for rows in (1, 5):
+            monkeypatch.setattr(aoisim.dp, "_SLAB_STATES", rows * row_states)
+            sol = dp_optimal(instance, cost_fns, **params)
+            assert _fingerprint(sol) == golden_dp[name], (threads, rows)
+            assert sol.span_history == whole.span_history, (threads, rows)
+
+
+@pytest.mark.parametrize("reliability", ["reliable", "uniform"])
+def test_dp_split_keeps_every_bit_at_benchmark_size(monkeypatch, reliability):
+    # the benchmark's functions-of-age star at a_cap 30 (810 000 states), on
+    # one thread, then in slabs of a drawn size on three threads (two of them
+    # wait for slab 0 every sweep) that switch every 10 us; the unreliable
+    # star's stationary stage splits ~160 000 reached states
+    instance, cost_fns = gen_star(5, reliability_rule=reliability,
+                                  rng=np.random.default_rng(0), cost_rule="functions-of-age")
+    monkeypatch.setattr(aoisim.dp, "_THREADS", 1)
+    one = dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3)
+    rows = int(np.random.default_rng(14).integers(1, 8))
+    monkeypatch.setattr(aoisim.dp, "_SLAB_STATES", rows * 30 ** 3)
+    monkeypatch.setattr(aoisim.dp, "_THREADS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    faulthandler.dump_traceback_later(600, exit=True)  # a deadlock ends the run
+    try:
+        split = dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        sys.setswitchinterval(interval)
+    assert _fingerprint(split) == _fingerprint(one), rows
+    assert split.span_history == one.span_history, rows
 
 
 GRAPH_SIZES = [str(n) for n in range(2, 7)]
