@@ -24,7 +24,7 @@ for interference in ("parity", "single-transmitter"):
                                     rng=np.random.default_rng(0), horizon=2000)
         rnd = run(instance, cost_fns,
                   SimConfig(horizon=HORIZON, seed=0, policy="randomized",
-                            policy_params={"policy": tuned}))
+                            policy_params={"probabilities": tuned.probabilities}))
         fc = run(instance, cost_fns,
                  SimConfig(horizon=HORIZON, seed=0, policy="age-debt",
                            target_mode="flow-control",

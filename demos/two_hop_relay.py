@@ -13,7 +13,7 @@ from aoisim import SimConfig, gen_line, run
 
 instance, cost_fns = gen_line(3, interference="single-transmitter")
 a, b = ((1, 2, 1),), ((2, 3, 1),)
-print("action space:", instance.action_space.actions)
+print("action space:", instance.action_space)
 
 print("\ndestination-only debt, ties broken toward the downstream edge:")
 for horizon in (1_000, 10_000):

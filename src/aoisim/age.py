@@ -21,7 +21,7 @@ per action by the drift evaluator (``policies.DriftEvaluator.relay_hops``);
 the update here takes the chosen action's hops.
 
 ``DebtState`` holds the same queues keyed by tuples, the form that the
-public ``age_debt_action`` and ``expected_drift`` take.
+public ``age_debt_action`` takes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .network import bfs_distances, canon_edge
 
 @dataclass
 class DebtState:
-    """Destination and intermediate virtual queues, all starting at zero."""
+    """Destination and intermediate virtual queues, all starting at zero;
+    ``age_debt_action(...).scores`` are the exact drifts from such a state."""
 
     dest: dict = field(default_factory=dict)          # (k, j) -> Q >= 0
     intermediate: dict = field(default_factory=dict)  # (k, j, i) -> Q >= 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .network import INTERFERENCE_MODELS
 from .policies import TIE_BREAKS
-from .sim import POLICIES, TARGET_MODES
+from .sim import AGE_DEBT_VARIANTS, POLICIES, TARGET_MODES
 
 _COST_KINDS = ("linear", "power", "exponential", "indicator")
 _GENERATORS = ("star", "line", "graph-enum")
@@ -173,9 +173,10 @@ def _check_policy(pol, idx, horizon, errors):
     modes = TARGET_MODES + ("oracle-dp",)  # solved once per policy, run as fixed targets
     if mode not in modes:
         errors.append(f"{path}.target_mode: expected one of {modes}, got {mode!r}")
-    tie = pol.get("tie_break", "freshest")
-    if tie not in TIE_BREAKS:
-        errors.append(f"{path}.tie_break: expected one of {TIE_BREAKS}, got {tie!r}")
+    for key, default, ok in (("tie_break", "freshest", TIE_BREAKS),
+                             ("variant", "auto", AGE_DEBT_VARIANTS)):
+        if pol.get(key, default) not in ok:
+            errors.append(f"{path}.{key}: expected one of {ok}, got {pol.get(key)!r}")
     if name == "age-debt":
         if mode == "fixed" and "targets" not in pol:
             errors.append(f"{path}: age-debt with fixed targets needs 'targets'")

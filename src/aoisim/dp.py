@@ -207,7 +207,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
                                         dims, n_parts, pool, laziness, max_iter)
     return DpSolution(gain=gain, per_pair_average=per_pair, pairs=list(plan.tracked),
                       a_cap=a_cap, policy=policy,
-                      relative_values=h, actions=list(instance.action_space.actions),
+                      relative_values=h, actions=list(instance.action_space),
                       residual_span=span, iterations=len(span_history),
                       span_history=span_history)
 

@@ -2,8 +2,9 @@
 
 A network instance bundles the topology (an undirected simple graph on nodes
 1..N), per-edge delivery probabilities, the flows (source plus destination
-set), and the explicit action space: the finite list of interference-free
-(directed edge, flow) assignment sets a scheduler may pick from in one slot.
+set), and the explicit action space: the tuple of interference-free
+(directed edge, flow) assignment sets a scheduler may pick from in one slot,
+idle first. A policy's action index is a position in that tuple.
 
 Actions are plain tuples of ``(tx, rx, flow)`` triples, sorted ascending, so
 they hash, compare, and order deterministically. The empty tuple is the idle
@@ -13,7 +14,7 @@ action.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 # (tx, rx, flow) - node tx sends a packet of `flow` to its neighbor rx.
@@ -70,28 +71,9 @@ def make_flow(source, destinations, node_count):
 
 
 @dataclass
-class ActionSpace:
-    """Explicit, ordered list of feasible actions. Index 0 is always idle."""
-
-    actions: list
-    index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.index = {a: i for i, a in enumerate(self.actions)}
-
-    def __len__(self):
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __getitem__(self, i):
-        return self.actions[i]
-
-
-@dataclass
 class NetworkInstance:
-    """Immutable-after-construction description of one network.
+    """Immutable-after-construction description of one network, with the
+    tuple of actions that ``build_action_space`` returns.
 
     Safe to share read-only across parallel runs; the simulation engine never
     mutates it (the drift evaluator and the row plan are private
@@ -102,7 +84,7 @@ class NetworkInstance:
     edges: tuple                 # canonical (i, j) pairs, i < j, sorted
     reliability: dict            # edge -> delivery probability in (0, 1]
     flows: tuple                 # Flow, sorted by source
-    action_space: ActionSpace
+    action_space: tuple          # actions, idle first
 
     def __post_init__(self):
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
@@ -236,8 +218,8 @@ def build_action_space(node_count, edges, flows, model,
     parity              -- line networks only: all odd-numbered or all
                            even-numbered nodes forward one hop to the right.
 
-    Actions come back sorted (idle first, then lexicographic by assignment),
-    so identical inputs always produce the identical ordered list.
+    Returns a tuple of actions, sorted (idle first, then lexicographic by
+    assignment), so identical inputs always produce the identical tuple.
     """
     edges = tuple(sorted(canon_edge(i, j) for (i, j) in edges))
     eligible = _eligible_flows(node_count, edges, flows, eligibility)
@@ -282,7 +264,7 @@ def build_action_space(node_count, edges, flows, model,
         raise ActionSpaceError(
             f"instance too large for enumerative scheduling: "
             f"{len(actions)} actions exceed the cap of {cap}")
-    return ActionSpace(actions)
+    return tuple(actions)
 
 
 def _enumerate_matchings(edges, eligible, cap):
@@ -403,8 +385,8 @@ def validate_instance(instance):
                 errors.append(f"flow {f.source}: destination {j} unreachable from source")
 
     flow_ids = {f.source for f in instance.flows}
-    if IDLE_ACTION not in instance.action_space.index:
-        errors.append("action space is missing the idle action")
+    if instance.action_space[:1] != (IDLE_ACTION,):
+        errors.append("action space does not start with the idle action")
     for a in instance.action_space:
         errors.extend(validate_action(a, instance.edges, flow_ids))
     return errors

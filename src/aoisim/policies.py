@@ -36,7 +36,8 @@ TIE_BREAKS = ("first", "last", "random", "freshest")
 
 @dataclass
 class PolicyDecision:
-    """Chosen action plus the full score table (kept for testing)."""
+    """Chosen action plus the score table: every action's exact expected
+    drift, by action index."""
 
     action_index: int
     action: tuple
@@ -86,7 +87,7 @@ class DriftEvaluator:
         cols = []    # per action: (key id, position in its group) of each term, in sum order
         self.action_dists = []  # per action: distribution id of every row
         self.relay_hops = []
-        for action, kept in zip(instance.action_space.actions, plan.action_links):
+        for action, kept in zip(instance.action_space, plan.action_links):
             links = {}  # row -> links that can deliver its flow to it
             for (r, m, e) in kept:
                 links.setdefault(r, []).append((-1 if m >= plan.n_rows else m, probs[e]))
@@ -249,14 +250,6 @@ def get_drift_evaluator(instance):
     return instance._drift_evaluator
 
 
-def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
-    """Exact expected one-slot Lyapunov drift of ``action`` (member of the
-    instance's action space, given as tuple or index)."""
-    ev = get_drift_evaluator(instance)
-    idx = action if isinstance(action, int) else instance.action_space.index[action]
-    return ev.score(*ev.rows(debt, age, buffer, targets, cost_fns))[idx]
-
-
 def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="first",
                     rng=None):
     """Drift-minimizing action: argmin over the whole action space.
@@ -354,11 +347,10 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
     def objective(probs):
         nonlocal evals
         evals += 1
-        pol = RandomizedPolicy(tuple(probs), actions=tuple(instance.action_space.actions))
         costs = []
         for s in seeds:
             cfg = SimConfig(horizon=horizon, seed=s, policy="randomized",
-                            policy_params={"policy": pol})
+                            policy_params={"probabilities": tuple(probs)})
             costs.append(_open_loop_run(instance, cost_fns, cfg, blocks[s]).sum_cost)
         return sum(costs) / len(costs)
 
@@ -405,5 +397,4 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
             di += 1
             if di >= len(deltas):
                 break
-    return RandomizedPolicy(tuple(best_p), actions=tuple(instance.action_space.actions),
-                            tuned_cost=best_c)
+    return RandomizedPolicy(tuple(best_p), actions=instance.action_space, tuned_cost=best_c)

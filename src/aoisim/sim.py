@@ -55,6 +55,7 @@ _POLICY_RNG_TAG = 0x90110EC
 
 POLICIES = ("age-debt", "max-weight", "randomized", "constant", "dp-table")
 TARGET_MODES = ("fixed", "flow-control", "gradient-descent")
+AGE_DEBT_VARIANTS = ("auto", "exact")  # closed form on single-hop stars, or exact drift
 
 
 @dataclass
@@ -123,88 +124,63 @@ def star_structure(instance):
     }
 
 
-class _AgeDebtController:
-    def __init__(self, instance, cfg, rng, tables):
-        self.tie_break = cfg.tie_break
-        self.rng = rng
-        self.tables = tables
-        variant = cfg.policy_params.get("variant", "auto")
-        if variant not in ("auto", "exact"):
-            raise ValueError(f"unknown age-debt variant {variant!r}")
-        self.star = star_structure(instance) if variant == "auto" else None
-        self.evaluator = get_drift_evaluator(instance) if self.star is None else None
-
-    def decide(self, t, age, stamp, debt, relay_debt, targets):
-        if self.star is not None:
-            # a star's rows are its sources
-            return self.star["actions"][single_hop_age_debt_action(
-                age, debt, self.star["probs"], self.tables)]
-        return self.evaluator.decide(debt, relay_debt, age, stamp, targets, self.tables,
-                                     self.tie_break, self.rng)[0]
-
-
-class _MaxWeightController:
-    def __init__(self, instance, cost_fns):
-        self.star = star_structure(instance)
-        if self.star is None:
-            raise ValueError("max-weight policy needs a single-hop star instance")
-        fns = [cost_fns[(s, self.star["hub"])] for s in self.star["sources"]]
-        self.weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
-
-    def decide(self, t, age, stamp, debt, relay_debt, targets):
-        return self.star["actions"][max_weight_action(age, self.star["probs"], self.weights)]
-
-
-class _RandomizedController:
-    def __init__(self, instance, cfg, rng):
-        params = cfg.policy_params
-        pol = params.get("policy") or RandomizedPolicy(tuple(params["probabilities"]))
-        if len(pol.probabilities) != len(instance.action_space):
-            raise ValueError("randomized policy size does not match action space")
-        self.policy = pol
-        self.rng = rng
-
-    def decide(self, t, age, stamp, debt, relay_debt, targets):
-        return self.policy.sample_index(self.rng)
-
-
-class _ConstantController:
-    def __init__(self, instance, cfg):
-        idx = cfg.policy_params.get("action_index")
-        if idx is None or not (0 <= idx < len(instance.action_space)):
-            raise ValueError("constant policy needs a valid action_index")
-        self.idx = idx
-
-    def decide(self, t, age, stamp, debt, relay_debt, targets):
-        return self.idx
-
-
-class _DpTableController:
-    """``DpSolution.action_for`` on rows: the solution's axes are the rows."""
-
-    def __init__(self, instance, cfg):
-        sol = cfg.policy_params["solution"]
-        tracked = row_plan(instance).tracked
+def _policy(instance, cost_fns, cfg, rng, tables):
+    """The run's policy as ``decide(age, stamp, debt, relay_debt, targets)``,
+    from the pre-slot row state to the slot's action index, and exact
+    age-debt's drift evaluator (else None), which holds the relay queues'
+    hop distances. Star rules are looked up in this module's globals at each
+    call, so a wrapper patched over them there sees every decision."""
+    params = cfg.policy_params
+    if cfg.policy == "randomized":
+        pol = _randomized_policy(instance, params)
+        return lambda age, stamp, debt, relay_debt, targets: pol.sample_index(rng), None
+    if cfg.policy == "constant":
+        idx = _constant_action(instance, params)
+        return lambda age, stamp, debt, relay_debt, targets: idx, None
+    if cfg.policy == "dp-table":
+        # ``DpSolution.action_for`` on rows: the solution's axes are the rows
+        sol, tracked = params["solution"], row_plan(instance).tracked
         if sol.pairs != tracked:
             raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
-        self.strides = [sol.a_cap ** (len(tracked) - 1 - r) for r in range(len(tracked))]
-        self.a_cap = sol.a_cap
-        self.policy = sol.policy.tolist()
-
-    def decide(self, t, age, stamp, debt, relay_debt, targets):
-        return self.policy[sum((min(a, self.a_cap) - 1) * s for a, s in zip(age, self.strides))]
-
-
-def _build_controller(instance, cost_fns, cfg, rng, tables=None):
-    if cfg.policy == "age-debt":
-        return _AgeDebtController(instance, cfg, rng, tables)
+        a_cap, table = sol.a_cap, sol.policy.tolist()
+        strides = [a_cap ** (len(tracked) - 1 - r) for r in range(len(tracked))]
+        return (lambda age, stamp, debt, relay_debt, targets:
+                table[sum((min(a, a_cap) - 1) * s for a, s in zip(age, strides))]), None
     if cfg.policy == "max-weight":
-        return _MaxWeightController(instance, cost_fns)
-    if cfg.policy == "randomized":
-        return _RandomizedController(instance, cfg, rng)
-    if cfg.policy == "constant":
-        return _ConstantController(instance, cfg)
-    return _DpTableController(instance, cfg)
+        star = star_structure(instance)
+        if star is None:
+            raise ValueError("max-weight policy needs a single-hop star instance")
+        fns = [cost_fns[(s, star["hub"])] for s in star["sources"]]
+        weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
+        actions, probs = star["actions"], star["probs"]
+        return (lambda age, stamp, debt, relay_debt, targets:
+                actions[max_weight_action(age, probs, weights)]), None
+    variant = params.get("variant", "auto")
+    if variant not in AGE_DEBT_VARIANTS:
+        raise ValueError(f"unknown age-debt variant {variant!r}")
+    star = star_structure(instance) if variant == "auto" else None
+    if star is not None:
+        actions, probs = star["actions"], star["probs"]
+        # a star's rows are its sources
+        return (lambda age, stamp, debt, relay_debt, targets:
+                actions[single_hop_age_debt_action(age, debt, probs, tables)]), None
+    evaluator, tie_break = get_drift_evaluator(instance), cfg.tie_break
+    return (lambda age, stamp, debt, relay_debt, targets: evaluator.decide(
+        debt, relay_debt, age, stamp, targets, tables, tie_break, rng)[0]), evaluator
+
+
+def _randomized_policy(instance, params):
+    pol = RandomizedPolicy(tuple(params["probabilities"]))
+    if len(pol.probabilities) != len(instance.action_space):
+        raise ValueError("randomized policy size does not match action space")
+    return pol
+
+
+def _constant_action(instance, params):
+    idx = params.get("action_index")
+    if idx is None or not (0 <= idx < len(instance.action_space)):
+        raise ValueError("constant policy needs a valid action_index")
+    return idx
 
 
 def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
@@ -264,10 +240,9 @@ def _slot_loop(instance, cost_fns, cfg):
     tables = _by_row(by_age, plan, None)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
-    controller = _build_controller(instance, cost_fns, cfg, rng, tables)
+    decide, evaluator = _policy(instance, cost_fns, cfg, rng, tables)
     # relay queues are read only by the exact-drift policy, whose evaluator
     # holds their hop distances
-    evaluator = getattr(controller, "evaluator", None)
     keep = evaluator is not None and cfg.use_intermediate_queues and bool(plan.relays)
     relay_debt = [0.0 if keep else None] * len(plan.relays)
     channels = ChannelProcess(instance, cfg.seed, cfg.horizon)
@@ -303,7 +278,7 @@ def _slot_loop(instance, cost_fns, cfg):
             debt = [0.0] * n_rows
             relay_debt = [0.0 if keep else None] * len(relay_debt)
 
-        action_idx = controller.decide(t, age, stamp, debt, relay_debt, targets)
+        action_idx = decide(age, stamp, debt, relay_debt, targets)
         bits = channels.slot(t)
         deliveries = []
         for (r, m, e) in links[action_idx]:
@@ -395,12 +370,13 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
     targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
-    controller = _build_controller(instance, cost_fns, cfg, None)  # validates the policy
     randomized = cfg.policy == "randomized"
+    if randomized:
+        cum = np.asarray(_randomized_policy(instance, cfg.policy_params)._cum)
+    else:
+        idx = _constant_action(instance, cfg.policy_params)
     if blocks is None:
         blocks = _open_loop_blocks(instance, cfg.seed, cfg.horizon, randomized)
-    if randomized:
-        cum = np.asarray(controller.policy._cum)
 
     before = np.full(plan.n_rows, -1, dtype=np.int64)  # stamps before the block
     cost_sum = [0.0] * len(dest_pairs)
@@ -412,7 +388,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
         if randomized:
             actions = np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
         else:
-            actions = np.full(n_slots, controller.idx)
+            actions = np.full(n_slots, idx)
         block = plan.stamps(before, start, plan.active[actions].T & bits)
         before = block[:, -1]
         t1 = np.arange(start + 1, start + n_slots + 1)

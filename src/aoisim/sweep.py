@@ -141,19 +141,22 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
         params["action_index"] = pol["action_index"]
     if name == "randomized":
         if "probabilities" in pol:
-            params["policy"] = RandomizedPolicy(tuple(pol["probabilities"]))
+            # validated here, before any task runs
+            params["probabilities"] = RandomizedPolicy(tuple(pol["probabilities"])).probabilities
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57)))
-            params["policy"] = optimize_randomized(
+            params["probabilities"] = optimize_randomized(
                 scenario.instance, scenario.cost_fns,
                 search_budget=pol.get("budget", 150), rng=rng,
-                horizon=pol.get("tuning_horizon", 2000))
-    if name == "dp-table":
+                horizon=pol.get("tuning_horizon", 2000)).probabilities
+    if name == "dp-table" or mode == "oracle-dp":
+        # one solve serves both; only the keys the entry sets are passed
         from .dp import dp_optimal
-        params["solution"] = dp_optimal(
-            scenario.instance, scenario.cost_fns,
-            a_cap=pol.get("a_cap", 30), tolerance=pol.get("tolerance", 1e-3))
+        solution = dp_optimal(scenario.instance, scenario.cost_fns,
+                              **{key: pol[key] for key in ("a_cap", "tolerance") if key in pol})
+    if name == "dp-table":
+        params["solution"] = solution
 
     if mode == "fixed":
         raw = pol.get("targets", 0.0)
@@ -173,11 +176,7 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
             initial=init, floor=floor)
     elif mode == "oracle-dp":
         # solved once here, so every seed runs at the same fixed targets
-        from .dp import dp_optimal
-        targets = dict(dp_optimal(
-            scenario.instance, scenario.cost_fns,
-            a_cap=pol.get("a_cap", 30),
-            tolerance=pol.get("tolerance", 1e-3)).per_pair_average)
+        targets = dict(solution.per_pair_average)
         mode = "fixed"
 
     return SimConfig(

@@ -30,7 +30,7 @@ def no_thread_left_running():
 
 
 def idx_of(instance, action):
-    return instance.action_space.index[action]
+    return instance.action_space.index(action)
 
 
 def lyapunov(debt):

@@ -106,7 +106,7 @@ class DictDriftEvaluator:
         action_links = []
         index = []
         self.relay_hops = []
-        for action in instance.action_space.actions:
+        for action in instance.action_space:
             links, fwd = {}, {}
             for (tx, rx, k) in action:
                 if (k, rx) in tracked_set:
@@ -274,7 +274,7 @@ class _MaxWeight:
 class _Randomized:
     def __init__(self, cfg, rng):
         params = cfg.policy_params
-        self.policy = params.get("policy") or RandomizedPolicy(tuple(params["probabilities"]))
+        self.policy = RandomizedPolicy(tuple(params["probabilities"]))
         self.rng = rng
 
     def decide(self, t, age, buffer, debt, targets):

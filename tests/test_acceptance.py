@@ -189,7 +189,7 @@ def test_criterion_7_line_network_ordering():
             for seed in seeds:
                 rnd = run(inst, costs, SimConfig(
                     horizon=horizon, seed=seed, policy="randomized",
-                    policy_params={"policy": tuned}))
+                    policy_params={"probabilities": tuned.probabilities}))
                 fc = run(inst, costs, SimConfig(
                     horizon=horizon, seed=seed, policy="age-debt",
                     target_mode="flow-control",

@@ -64,6 +64,19 @@ def test_policy_validation():
     assert any(".V" in e for e in errors)
 
 
+def test_unknown_age_debt_variant_rejected():
+    # the same variants that the simulator accepts
+    from aoisim.sim import AGE_DEBT_VARIANTS
+    for variant in AGE_DEBT_VARIANTS:
+        _, errors = parse_config(cfg_text(policies=[
+            {"name": "age-debt", "variant": variant, "targets": 2.0}]))
+        assert errors == []
+    config, errors = parse_config(cfg_text(policies=[
+        {"name": "age-debt", "variant": "exakt", "targets": 2.0}]))
+    assert config is None
+    assert any(e.startswith("policies[0].variant") and "'exakt'" in e for e in errors)
+
+
 def test_gd_epochs_must_partition_horizon():
     pol = {"name": "age-debt", "target_mode": "gradient-descent",
            "epoch_length": 30, "epochs": 4, "step": 0.5, "threshold": 0.1,
@@ -186,3 +199,32 @@ def test_graph_enum_scenarios():
     scen = expand_scenarios(config)
     assert [s.graph_id for s in scen] == [0, 3]
     assert all(s.scenario_id == "graphs-n4" for s in scen)
+
+
+def test_dp_table_with_oracle_dp_targets_solves_once(monkeypatch):
+    import aoisim.dp
+    from aoisim.sweep import build_sim_config
+    calls = []
+    solve = aoisim.dp.dp_optimal
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(aoisim.dp, "dp_optimal", counting)
+    config, errors = parse_config(json.dumps({
+        "network": {"generator": "star", "n": 3, "reliability": "uniform"},
+        "policies": [{"name": "dp-table", "target_mode": "oracle-dp", "a_cap": 6},
+                     {"name": "dp-table", "a_cap": 5, "tolerance": 1e-2}],
+        "sim": {"horizon": 50, "seeds": [0]},
+    }))
+    assert errors == []
+    scenario = expand_scenarios(config)[0]
+    cfg = build_sim_config(config.policies[0], scenario, 50, 0, config.sim)
+    # one solve gives both the table and the targets; unset keys keep
+    # dp_optimal's own defaults
+    assert calls == [{"a_cap": 6}]
+    assert cfg.target_mode == "fixed"
+    assert cfg.targets == cfg.policy_params["solution"].per_pair_average
+    build_sim_config(config.policies[1], scenario, 50, 0, config.sim)
+    assert calls[1:] == [{"a_cap": 5, "tolerance": 1e-2}]

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,12 @@ def test_star_single_transmitter_path_pruned():
     flows = flows_of(3, [(1, {3}), (2, {3})])
     space = build_action_space(3, [(1, 3), (2, 3)], flows, "single-transmitter",
                                eligibility="path")
-    assert space.actions == [(), ((1, 3, 1),), ((2, 3, 2),)]
+    assert space == ((), ((1, 3, 1),), ((2, 3, 2),))
 
 
 def test_two_hop_line_action_set(two_hop):
     instance, _ = two_hop
-    assert instance.action_space.actions == [(), ((1, 2, 1),), ((2, 3, 1),)]
+    assert instance.action_space == ((), ((1, 2, 1),), ((2, 3, 1),))
 
 
 def test_four_node_line_parity_matches_brute_force():
@@ -33,8 +34,8 @@ def test_four_node_line_parity_matches_brute_force():
     expected = {IDLE_ACTION}
     for senders in ({1, 3}, {2}):
         expected.add(tuple(sorted((i, i + 1, 1) for i in senders)))
-    assert set(space.actions) == expected
-    assert space.actions == sorted(expected)
+    assert set(space) == expected
+    assert space == tuple(sorted(expected))
 
 
 def test_explicit_model_adds_idle_and_validates():
@@ -42,7 +43,7 @@ def test_explicit_model_adds_idle_and_validates():
     edges = [(1, 2), (2, 3)]
     space = build_action_space(3, edges, flows, "explicit",
                                explicit_actions=[[(1, 2, 1)]])
-    assert IDLE_ACTION in space.actions
+    assert IDLE_ACTION in space
     with pytest.raises(ValueError):
         build_action_space(3, edges, flows, "explicit",
                            explicit_actions=[[(1, 3, 1)]])  # not an edge
@@ -81,7 +82,7 @@ def test_deterministic_ordering():
     edges = [(3, 4), (1, 2), (2, 3)]
     a = build_action_space(4, edges, flows, "single-transmitter")
     b = build_action_space(4, list(reversed(edges)), flows, "single-transmitter")
-    assert a.actions == b.actions
+    assert a == b
 
 
 def test_parity_requires_line():
@@ -95,6 +96,12 @@ def test_validate_instance_ok():
     inst = make_instance(5, {e: 1.0 for e in ring}, [(1, set(range(2, 6)))])
     assert validate_instance(inst) == []
     assert inst.flows[0].kind == "broadcast"
+
+
+def test_validate_instance_wants_idle_first(two_hop):
+    instance, _ = two_hop
+    moved = replace(instance, action_space=instance.action_space[::-1])
+    assert validate_instance(moved) == ["action space does not start with the idle action"]
 
 
 def test_validate_source_in_destinations():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoisim import (CostFunction, DebtState, RandomizedPolicy, SimConfig, age_debt_action,
-                    broadcast_instance, enumerate_connected_graphs, expected_drift, gen_line,
+                    broadcast_instance, enumerate_connected_graphs, gen_line,
                     make_instance, max_weight_action, optimize_randomized,
                     single_hop_age_debt_action)
 from aoisim.age import restricted_hop_distance, row_plan
@@ -17,6 +17,13 @@ from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, ini
 
 
 # ---------------- expected drift ----------------
+
+def expected_drift(action, debt, age, buffer, targets, cost_fns, instance):
+    """Exact expected one-slot Lyapunov drift of ``action`` (a member of the
+    instance's action space, given as a tuple or an index)."""
+    idx = action if isinstance(action, int) else instance.action_space.index(action)
+    return age_debt_action(debt, age, buffer, targets, cost_fns, instance).scores[idx]
+
 
 def test_idle_zero_drift_when_targets_cover_costs(two_hop):
     instance, cost_fns = two_hop
@@ -225,14 +232,14 @@ def test_relay_hops_count_first_hops_into_the_source():
     # but it still starts a walk to the destination: (2, 1, 1) gives 2-1-2-3
     instance = any_line()
     ev = get_drift_evaluator(instance)
-    for action, hops in zip(instance.action_space.actions, ev.relay_hops):
+    for action, hops in zip(instance.action_space, ev.relay_hops):
         want = []
         for (k, j, i) in row_plan(instance).relay_keys:
             first = [(tx, rx) for (tx, rx, f) in action if (tx, f) == (i, k)]
             want.append(restricted_hop_distance(instance.adjacency, i, j, first)
                         if first else None)
         assert hops == want
-    assert ev.relay_hops[instance.action_space.index[((2, 1, 1),)]] == [3]
+    assert ev.relay_hops[instance.action_space.index(((2, 1, 1),))] == [3]
 
 
 @st.composite
@@ -395,7 +402,7 @@ def test_max_weight_symmetric_two_sources_alternates():
 
 def test_point_mass_always_picks_same(two_hop):
     instance, _ = two_hop
-    pol = RandomizedPolicy((1.0, 0.0, 0.0), actions=tuple(instance.action_space.actions))
+    pol = RandomizedPolicy((1.0, 0.0, 0.0), actions=instance.action_space)
     rng = np.random.default_rng(0)
     assert all(pol.actions[pol.sample_index(rng)] == () for _ in range(20))
 
@@ -479,9 +486,9 @@ def test_tuner_scores_candidates_as_run_does():
     instance, cost_fns = gen_line(5, interference="parity")
     pol = optimize_randomized(instance, cost_fns, search_budget=12,
                               rng=np.random.default_rng(3), horizon=4500, seeds=(2, 9))
-    costs = [run(instance, cost_fns, SimConfig(horizon=4500, seed=s, policy="randomized",
-                                               policy_params={"policy": pol})).sum_cost
-             for s in (2, 9)]
+    costs = [run(instance, cost_fns, SimConfig(
+        horizon=4500, seed=s, policy="randomized",
+        policy_params={"probabilities": pol.probabilities})).sum_cost for s in (2, 9)]
     assert pol.tuned_cost == sum(costs) / len(costs)
 
 

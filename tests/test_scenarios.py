@@ -52,7 +52,7 @@ def test_line_three_nodes_single_transmitter_is_two_hop_relay(two_hop):
     reference, _ = two_hop
     inst, _ = gen_line(3, interference="single-transmitter")
     assert inst.edges == reference.edges
-    assert inst.action_space.actions == reference.action_space.actions
+    assert inst.action_space == reference.action_space
 
 
 def test_line_parity_action_count():
@@ -63,7 +63,7 @@ def test_line_parity_action_count():
 def test_line_two_nodes_models_coincide():
     a, _ = gen_line(2, interference="parity")
     b, _ = gen_line(2, interference="single-transmitter")
-    assert a.action_space.actions == b.action_space.actions
+    assert a.action_space == b.action_space
 
 
 # ---------------- graph enumeration ----------------

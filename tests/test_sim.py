@@ -101,6 +101,23 @@ def test_dp_table_rejects_another_instances_solution():
         run(inst4, costs4, cfg)
 
 
+@pytest.mark.parametrize("trace_detail", ["metrics-only", "full"])
+@pytest.mark.parametrize("policy, params, match", [
+    ("age-debt", {"variant": "exakt"}, "variant"),
+    ("max-weight", {}, "single-hop star"),
+    ("randomized", {"probabilities": (0.5, 0.5)}, "size"),
+    ("constant", {"action_index": 3}, "action_index"),
+])
+def test_run_rejects_a_policy_that_does_not_fit(policy, params, match, trace_detail):
+    # a two-hop line with three actions: not a star; metrics-only randomized
+    # and constant runs take the open-loop path
+    instance, cost_fns = gen_line(3, interference="single-transmitter")
+    cfg = SimConfig(horizon=10, policy=policy, policy_params=params, targets=1.0,
+                    trace_detail=trace_detail)
+    with pytest.raises(ValueError, match=match):
+        run(instance, cost_fns, cfg)
+
+
 def test_stability_diagnostic_thresholds():
     inst, costs = single_source()
     cfg = SimConfig(horizon=10_000, seed=0, policy="constant",
