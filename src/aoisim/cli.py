@@ -20,7 +20,7 @@ import sys
 
 from .config import load_config
 from .scenarios import enumerate_connected_graphs
-from .sweep import expand_scenarios, run_sweep
+from .sweep import check_policies, expand_scenarios, run_sweep
 
 CONFIG_ERROR = 1
 RUNTIME_ERROR = 2
@@ -148,7 +148,8 @@ def cmd_graphs(args):
 
 
 def cmd_validate(args):
-    _load(args.config)
+    config = _load(args.config)
+    check_policies(config, expand_scenarios(config))
     print("ok")
     return 0
 
@@ -161,8 +162,8 @@ def main(argv=None):
         return handlers[args.command](args)
     except SystemExit as exc:
         return exc.code
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # one problem per line
+        print("\n".join(f"config error: {e}" for e in str(exc).splitlines()), file=sys.stderr)
         return CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass
 
 from .network import INTERFERENCE_MODELS
-from .policies import TIE_BREAKS
-from .sim import AGE_DEBT_VARIANTS, POLICIES, TARGET_MODES
 
 _COST_KINDS = ("linear", "power", "exponential", "indicator")
 _GENERATORS = ("star", "line", "graph-enum")
@@ -32,7 +30,7 @@ _POLICY_KEYS = {"name", "label", "variant", "tie_break", "target_mode",
                 "threshold", "initial", "floor", "a_cap", "tolerance",
                 "probabilities", "budget", "tuning_horizon", "tuning_seed",
                 "action_index", "use_intermediate_queues"}
-_SIM_KEYS = {"horizon", "seeds", "trace_detail", "use_intermediate_queues"}
+_SIM_KEYS = {"horizon", "seeds", "trace_detail"}
 _COST_SECTION_KEYS = {"default", "per_pair", "cap"}
 _COST_KEYS = {"kind", "weight", "exponent", "threshold", "cap"}
 
@@ -159,48 +157,6 @@ def _check_flows(flows, net, errors):
                     errors.append(f"flows[{idx}]: node {j} out of range")
 
 
-def _check_policy(pol, idx, horizon, errors):
-    path = f"policies[{idx}]"
-    if not isinstance(pol, dict):
-        errors.append(f"{path}: must be an object")
-        return
-    _check_keys(pol, _POLICY_KEYS, path, errors)
-    name = pol.get("name")
-    if name not in POLICIES:
-        errors.append(f"{path}.name: expected one of {POLICIES}, got {name!r}")
-        return
-    mode = pol.get("target_mode", "fixed")
-    modes = TARGET_MODES + ("oracle-dp",)  # solved once per policy, run as fixed targets
-    if mode not in modes:
-        errors.append(f"{path}.target_mode: expected one of {modes}, got {mode!r}")
-    for key, default, ok in (("tie_break", "freshest", TIE_BREAKS),
-                             ("variant", "auto", AGE_DEBT_VARIANTS)):
-        if pol.get(key, default) not in ok:
-            errors.append(f"{path}.{key}: expected one of {ok}, got {pol.get(key)!r}")
-    if name == "age-debt":
-        if mode == "fixed" and "targets" not in pol:
-            errors.append(f"{path}: age-debt with fixed targets needs 'targets'")
-        if mode == "flow-control":
-            if not isinstance(pol.get("V"), (int, float)) or pol.get("V") <= 0:
-                errors.append(f"{path}.V: flow-control needs V > 0")
-            if not isinstance(pol.get("alpha_max"), (int, float)) or pol.get("alpha_max") < 1:
-                errors.append(f"{path}.alpha_max: flow-control needs alpha_max >= 1")
-        if mode == "gradient-descent":
-            for key in ("epoch_length", "epochs", "step", "threshold", "initial"):
-                if key not in pol:
-                    errors.append(f"{path}.{key}: gradient-descent needs {key}")
-            w, e = pol.get("epoch_length"), pol.get("epochs")
-            if isinstance(w, int) and isinstance(e, int) and horizon is not None \
-                    and w * e != horizon:
-                errors.append(f"{path}: epochs * epoch_length must equal sim.horizon "
-                              f"({e} * {w} != {horizon})")
-    if name == "randomized":
-        if "probabilities" not in pol and not pol.get("budget"):
-            errors.append(f"{path}: randomized needs 'probabilities' or a tuning 'budget'")
-    if name == "constant" and not isinstance(pol.get("action_index"), int):
-        errors.append(f"{path}.action_index: constant policy needs an integer index")
-
-
 def parse_config(text):
     """Parse and validate a JSON experiment config.
 
@@ -254,20 +210,16 @@ def parse_config(text):
                 _check_cost_spec(spec, f"costs.per_pair[{key!r}]", errors)
 
     sim = raw.get("sim")
-    horizon = None
     if not isinstance(sim, dict):
         errors.append("sim: section is required")
     else:
         _check_keys(sim, _SIM_KEYS, "sim", errors)
-        horizon = sim.get("horizon")
-        if not isinstance(horizon, int) or horizon < 1:
-            errors.append("sim.horizon: need an integer >= 1")
+        if not isinstance(sim.get("horizon"), int):
+            errors.append("sim.horizon: need an integer")
         seeds = sim.get("seeds")
         if not isinstance(seeds, list) or not seeds or \
                 not all(isinstance(s, int) for s in seeds):
             errors.append("sim.seeds: need a non-empty list of integers")
-        if sim.get("trace_detail", "metrics-only") not in ("metrics-only", "full"):
-            errors.append("sim.trace_detail: expected 'metrics-only' or 'full'")
 
     policies = raw.get("policies")
     if not isinstance(policies, list) or not policies:
@@ -275,7 +227,11 @@ def parse_config(text):
             errors.append("policies: need a list")
         policies = policies or []
     for idx, pol in enumerate(policies):
-        _check_policy(pol, idx, horizon, errors)
+        # every other rule of an entry is checked by ``sweep.check_policies``
+        if not isinstance(pol, dict):
+            errors.append(f"policies[{idx}]: must be an object")
+        else:
+            _check_keys(pol, _POLICY_KEYS, f"policies[{idx}]", errors)
 
     if errors:
         return None, errors

@@ -98,13 +98,27 @@ class DpSolution:
     iterations: int
     span_history: list           # span of the value differences after each sweep
 
-    def state_index(self, age):
-        coords = tuple(min(age[p], self.a_cap) - 1 for p in self.pairs)
-        return int(np.ravel_multi_index(coords, (self.a_cap,) * len(self.pairs)))
 
-    def action_for(self, age):
-        """Action index prescribed for the given age map (ages clip at the cap)."""
-        return int(self.policy[self.state_index(age)])
+def dp_state_count(instance, a_cap=30, tolerance=1e-3, state_cap=5_000_000,
+                   max_iter=30_000, laziness=0.9):
+    """The joint state count, a_cap ** rows, of a ``dp_optimal`` solve with
+    these arguments. Raises ``ValueError`` for ``a_cap < 1``, a ``tolerance``
+    that is not positive, a ``laziness`` outside (0, 1] or ``max_iter < 1``,
+    and ``StateSpaceError`` for a count above ``state_cap``."""
+    if a_cap < 1:
+        raise ValueError(f"a_cap must be at least 1, got {a_cap}")
+    if not tolerance > 0:  # NaN too: no span is ever below it
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < laziness <= 1:
+        raise ValueError(f"laziness must be in (0, 1], got {laziness}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    n = row_plan(instance).n_rows
+    n_states = a_cap ** n
+    if n_states > state_cap:
+        raise StateSpaceError(
+            f"state space too large: {a_cap}^{n} = {n_states} > cap {state_cap}")
+    return n_states
 
 
 def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
@@ -132,24 +146,11 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     more than one slab runs both stages on one thread per CPU, with the
     same bits as on one; every thread is joined before it returns or raises.
 
-    Raises ``ValueError``, before any work, for ``a_cap < 1``, a ``tolerance``
-    that is not positive, a ``laziness`` outside (0, 1] or ``max_iter < 1``.
+    Raises the errors of ``dp_state_count`` before any work.
     """
-    if a_cap < 1:
-        raise ValueError(f"a_cap must be at least 1, got {a_cap}")
-    if not tolerance > 0:  # NaN too: no span is ever below it
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if not 0 < laziness <= 1:
-        raise ValueError(f"laziness must be in (0, 1], got {laziness}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    dp_state_count(instance, a_cap, tolerance, state_cap, max_iter, laziness)
     plan = row_plan(instance)
     n = plan.n_rows
-    n_states = a_cap ** n
-    if n_states > state_cap:
-        raise StateSpaceError(
-            f"state space too large: {a_cap}^{n} = {n_states} > cap {state_cap}")
-
     dims = (a_cap,) * n
     grids = np.ix_(*([np.arange(a_cap)] * n))  # broadcastable per-axis indices
 

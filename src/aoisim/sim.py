@@ -138,7 +138,7 @@ def _policy(instance, cost_fns, cfg, rng, tables):
         idx = _constant_action(instance, params)
         return lambda age, stamp, debt, relay_debt, targets: idx, None
     if cfg.policy == "dp-table":
-        # ``DpSolution.action_for`` on rows: the solution's axes are the rows
+        # the solution's axes are the rows, each age capped at a_cap
         sol, tracked = params["solution"], row_plan(instance).tracked
         if sol.pairs != tracked:
             raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
@@ -155,10 +155,7 @@ def _policy(instance, cost_fns, cfg, rng, tables):
         actions, probs = star["actions"], star["probs"]
         return (lambda age, stamp, debt, relay_debt, targets:
                 actions[max_weight_action(age, probs, weights)]), None
-    variant = params.get("variant", "auto")
-    if variant not in AGE_DEBT_VARIANTS:
-        raise ValueError(f"unknown age-debt variant {variant!r}")
-    star = star_structure(instance) if variant == "auto" else None
+    star = star_structure(instance) if _age_debt_variant(params) == "auto" else None
     if star is not None:
         actions, probs = star["actions"], star["probs"]
         # a star's rows are its sources
@@ -169,6 +166,13 @@ def _policy(instance, cost_fns, cfg, rng, tables):
         debt, relay_debt, age, stamp, targets, tables, tie_break, rng)[0]), evaluator
 
 
+def _age_debt_variant(params):
+    variant = params.get("variant", "auto")
+    if variant not in AGE_DEBT_VARIANTS:
+        raise ValueError(f"unknown age-debt variant {variant!r}")
+    return variant
+
+
 def _randomized_policy(instance, params):
     pol = RandomizedPolicy(tuple(params["probabilities"]))
     if len(pol.probabilities) != len(instance.action_space):
@@ -177,9 +181,9 @@ def _randomized_policy(instance, params):
 
 
 def _constant_action(instance, params):
-    idx = params.get("action_index")
-    if idx is None or not (0 <= idx < len(instance.action_space)):
-        raise ValueError("constant policy needs a valid action_index")
+    idx, n = params.get("action_index"), len(instance.action_space)
+    if not isinstance(idx, int) or not 0 <= idx < n:
+        raise ValueError(f"constant policy needs an integer action_index below {n}, got {idx!r}")
     return idx
 
 
@@ -197,7 +201,7 @@ def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
         tg, what = cfg.targets, "targets"
         if tg is None:
             if cfg.policy == "age-debt":
-                raise ValueError("age-debt with fixed target mode needs targets")
+                raise ValueError("age-debt with fixed targets needs 'targets'")
             tg = 0.0  # policies that ignore debts; queues become cost accumulators
     if isinstance(tg, (int, float)):
         return {pair: float(tg) for pair in dest_pairs}

@@ -24,9 +24,11 @@ import numpy as np
 from .config import parse_edge, parse_pair
 from .costs import CostFunction
 from .network import make_instance
-from .policies import RandomizedPolicy, optimize_randomized
+from .dp import dp_state_count
+from .policies import optimize_randomized
 from .scenarios import broadcast_instance, enumerate_connected_graphs, gen_line, gen_star
-from .sim import SimConfig, export_trace, run, stability_diagnostic
+from .sim import (SimConfig, _age_debt_variant, _policy, _resolve_targets, export_trace, run,
+                  stability_diagnostic)
 from .targets import FlowControlConfig, GradientDescentConfig
 
 FIXED_COLUMNS = ("scenario_id", "graph_id", "policy", "seed", "T", "sum_cost",
@@ -113,7 +115,7 @@ def expand_scenarios(config):
 def _parse_targets(raw):
     if isinstance(raw, (int, float)):
         return float(raw)
-    return {parse_pair(k): float(v) for k, v in raw.items()}
+    return {parse_pair(k): float(v) for k, v in dict(raw).items()}
 
 
 def policy_label(pol, idx, seen):
@@ -129,65 +131,98 @@ def policy_label(pol, idx, seen):
 
 def build_sim_config(pol, scenario, horizon, seed, sim_section):
     """Translate one config policy entry into a SimConfig for a scenario."""
-    name = pol["name"]
+    cfg = _entry_config(pol, horizon, seed, sim_section)
+    if pol["name"] == "randomized" and "probabilities" not in pol:
+        rng = np.random.default_rng(
+            np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57)))
+        cfg.policy_params["probabilities"] = optimize_randomized(
+            scenario.instance, scenario.cost_fns,
+            search_budget=pol.get("budget", 150), rng=rng,
+            horizon=pol.get("tuning_horizon", 2000)).probabilities
+    if pol["name"] == "dp-table" or pol.get("target_mode") == "oracle-dp":
+        # one solve serves both
+        from .dp import dp_optimal
+        solution = dp_optimal(scenario.instance, scenario.cost_fns, **_dp_args(pol))
+        if pol["name"] == "dp-table":
+            cfg.policy_params["solution"] = solution
+        if pol.get("target_mode") == "oracle-dp":
+            # solved once here, so every seed runs at the same fixed targets
+            cfg.targets = dict(solution.per_pair_average)
+    return cfg
+
+
+def _dp_args(pol):
+    """The DP arguments an entry sets; unset ones keep ``dp_optimal``'s defaults."""
+    return {key: pol[key] for key in ("a_cap", "tolerance") if key in pol}
+
+
+def _entry_config(pol, horizon, seed, sim_section):
+    """An entry's SimConfig before any tuning or solving, built through the
+    constructors that check its fields."""
+    name = pol.get("name")
     mode = pol.get("target_mode", "fixed")
     params = {}
-    targets = None
-    fc = None
-    gd = None
+    targets = fc = gd = None
     if name == "age-debt":
         params["variant"] = pol.get("variant", "auto")
     if name == "constant":
-        params["action_index"] = pol["action_index"]
-    if name == "randomized":
-        if "probabilities" in pol:
-            # validated here, before any task runs
-            params["probabilities"] = RandomizedPolicy(tuple(pol["probabilities"])).probabilities
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57)))
-            params["probabilities"] = optimize_randomized(
-                scenario.instance, scenario.cost_fns,
-                search_budget=pol.get("budget", 150), rng=rng,
-                horizon=pol.get("tuning_horizon", 2000)).probabilities
-    if name == "dp-table" or mode == "oracle-dp":
-        # one solve serves both; only the keys the entry sets are passed
-        from .dp import dp_optimal
-        solution = dp_optimal(scenario.instance, scenario.cost_fns,
-                              **{key: pol[key] for key in ("a_cap", "tolerance") if key in pol})
-    if name == "dp-table":
-        params["solution"] = solution
+        params["action_index"] = pol.get("action_index")
+    if name == "randomized" and "probabilities" in pol:
+        params["probabilities"] = tuple(pol["probabilities"])
 
-    if mode == "fixed":
-        raw = pol.get("targets", 0.0)
-        targets = _parse_targets(raw)
+    if mode == "fixed" and "targets" in pol:
+        targets = _parse_targets(pol["targets"])
     elif mode == "flow-control":
-        fc = FlowControlConfig(V=float(pol["V"]), alpha_max=float(pol["alpha_max"]))
+        fc = FlowControlConfig(**{key: pol[key] for key in ("V", "alpha_max") if key in pol})
     elif mode == "gradient-descent":
-        init = pol["initial"]
-        if not isinstance(init, (int, float)):
-            init = _parse_targets(init)
-        floor = pol.get("floor")
-        if isinstance(floor, dict):
-            floor = _parse_targets(floor)
-        gd = GradientDescentConfig(
-            epoch_length=int(pol["epoch_length"]), epochs=int(pol["epochs"]),
-            step=float(pol["step"]), threshold=float(pol["threshold"]),
-            initial=init, floor=floor)
-    elif mode == "oracle-dp":
-        # solved once here, so every seed runs at the same fixed targets
-        targets = dict(solution.per_pair_average)
-        mode = "fixed"
+        fields = {"epoch_length": int, "epochs": int, "step": float, "threshold": float,
+                  "initial": _parse_targets, "floor": _parse_targets}
+        gd = GradientDescentConfig(**{key: parse(pol[key]) for key, parse in fields.items()
+                                      if pol.get(key) is not None})
 
     return SimConfig(
-        horizon=horizon, seed=seed, policy=name, policy_params=params,
-        target_mode=mode, targets=targets, flow_control=fc,
-        gradient_descent=gd,
-        tie_break=pol.get("tie_break", "freshest"),
-        use_intermediate_queues=pol.get(
-            "use_intermediate_queues",
-            sim_section.get("use_intermediate_queues", True)),
+        horizon=horizon, seed=seed, policy=name, policy_params=params, targets=targets,
+        target_mode="fixed" if mode == "oracle-dp" else mode,  # at the DP solve's targets
+        flow_control=fc, gradient_descent=gd, tie_break=pol.get("tie_break", "freshest"),
+        use_intermediate_queues=pol.get("use_intermediate_queues", True),
         trace_detail=sim_section.get("trace_detail", "metrics-only"))
+
+
+def check_policies(config, scenarios):
+    """Check every policy entry on every scenario before any tuning, solving
+    or running, by the entry's constructors, ``run``'s own helpers and the
+    DP's state count. Raises one ``ValueError`` with a line per problem, each
+    starting ``policies[i]`` and naming the scenario where it depends on one."""
+    horizon, errors = config.sim["horizon"], []
+    for i, pol in enumerate(config.policies):
+        try:
+            cfg = _entry_config(pol, horizon, 0, config.sim)
+            gd = cfg.gradient_descent
+            if gd is not None and gd.epochs * gd.epoch_length != horizon:
+                raise ValueError(f"epochs * epoch_length must equal sim.horizon "
+                                 f"({gd.epochs} * {gd.epoch_length} != {horizon})")
+            if cfg.policy == "age-debt":
+                _age_debt_variant(cfg.policy_params)
+            if cfg.policy == "randomized" and not ("probabilities" in pol or pol.get("budget")):
+                raise ValueError("randomized needs 'probabilities' or a tuning 'budget'")
+        except (TypeError, ValueError) as exc:
+            errors.append(f"policies[{i}]: {exc}")
+            continue
+        for scenario in scenarios:
+            inst = scenario.instance
+            try:
+                if pol.get("target_mode") != "oracle-dp":
+                    _resolve_targets(inst, scenario.cost_fns, cfg, inst.dest_pairs())
+                if cfg.policy in ("max-weight", "constant") or \
+                        "probabilities" in cfg.policy_params:
+                    _policy(inst, scenario.cost_fns, cfg, None, None)  # run's decide rule
+                if cfg.policy == "dp-table" or pol.get("target_mode") == "oracle-dp":
+                    dp_state_count(inst, **_dp_args(pol))
+            except (TypeError, ValueError) as exc:
+                gid = f" graph {scenario.graph_id}" if scenario.graph_id != "" else ""
+                errors.append(f"policies[{i}] on {scenario.scenario_id}{gid}: {exc}")
+    if errors:
+        raise ValueError("\n".join(errors))
 
 
 def _worker(task):
@@ -227,18 +262,20 @@ def run_sweep(config, out_path, jobs=1, timing=False):
     """Execute the sweep and write its CSV; returns the row dicts.
 
     Scenarios and each (scenario, policy) SimConfig, tuned policies and DP
-    tables included, are built once here; every task, serial or in a
-    worker process, runs on those prebuilt objects. At most one worker
-    process starts per task.
+    tables included, are built once here, after ``check_policies`` has
+    passed every entry; every task, serial or in a worker process, runs on
+    those prebuilt objects. At most one worker process starts per task.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = config.sim["seeds"]
     horizon = config.sim["horizon"]
+    scenarios = expand_scenarios(config)
+    check_policies(config, scenarios)
     seen = set()
     labels = [policy_label(p, i, seen) for i, p in enumerate(config.policies)]
     tasks = []
-    for scenario in expand_scenarios(config):
+    for scenario in scenarios:
         for pol, label in zip(config.policies, labels):
             base = build_sim_config(pol, scenario, horizon, seeds[0], config.sim)
             tasks.extend((scenario, label, replace(base, seed=seed), out_path, timing)

@@ -289,12 +289,23 @@ class _Constant:
         return self.idx
 
 
+def state_index(solution, age):
+    """The flat index of an age map in a ``DpSolution``'s tables (ages clip at the cap)."""
+    coords = tuple(min(age[p], solution.a_cap) - 1 for p in solution.pairs)
+    return int(np.ravel_multi_index(coords, (solution.a_cap,) * len(solution.pairs)))
+
+
+def action_for(solution, age):
+    """The action a ``DpSolution`` prescribes for an age map."""
+    return int(solution.policy[state_index(solution, age)])
+
+
 class _DpTable:
     def __init__(self, cfg):
         self.solution = cfg.policy_params["solution"]
 
     def decide(self, t, age, buffer, debt, targets):
-        return self.solution.action_for(age)
+        return action_for(self.solution, age)
 
 
 def _controller(instance, cost_fns, cfg, rng):

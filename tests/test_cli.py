@@ -270,3 +270,52 @@ def test_import_does_not_load_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+TWO_NODE = {
+    "network": {"nodes": 2, "edges": ["1-2:1.0"]},  # three actions: idle, 1->2, 2->1
+    "flows": [{"source": 1, "destinations": [2]}],
+    "costs": {"default": {"kind": "linear", "weight": 1.0}},
+    "sim": {"horizon": 100, "seeds": [0]},
+}
+TUNED = {"name": "randomized", "budget": 10, "tuning_horizon": 200}
+GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
+      "epochs": 10, "step": 0.5, "threshold": 0.1, "initial": 5.0}
+
+
+@pytest.mark.parametrize("cfg, overrides, message", [
+    (dict(TWO_NODE, policies=[{"name": "randomized", "probabilities": [0.5, 0.5]}]), {},
+     "policies[0] on inline: randomized policy size does not match action space"),
+    (dict(TWO_NODE, policies=[{"name": "constant", "action_index": 7}]), {},
+     "policies[0] on inline: constant policy needs an integer action_index below 3, got 7"),
+    ({"network": {"generator": "line", "n": 4}, "policies": [TUNED, {"name": "max-weight"}],
+      "sim": {"horizon": 100, "seeds": [0]}}, {},
+     "policies[1] on line-n4-parity: max-weight policy needs a single-hop star instance"),
+    ({"network": {"generator": "line", "n": 8}, "policies": [TUNED, {"name": "dp-table"}],
+      "sim": {"horizon": 100, "seeds": [0]}}, {},
+     "policies[1] on line-n8-parity: state space too large: 30^7"),
+    (dict(TWO_NODE, policies=[{"name": "age-debt", "targets": {"2-1": 3.0}}]), {},
+     "policies[0] on inline: targets missing pairs [(1, 2)]"),
+    (dict(TWO_NODE, policies=[GD]), {"horizon": 55},
+     "policies[0]: epochs * epoch_length must equal sim.horizon (10 * 10 != 55)"),
+], ids=["probabilities", "action-index", "max-weight", "dp-size", "targets", "gd-horizon"])
+def test_bad_entry_fails_before_any_tuning_or_solving(cfg, overrides, message, tmp_path,
+                                                      capsys, monkeypatch):
+    import aoisim.dp
+    import aoisim.sweep
+
+    calls = []
+    monkeypatch.setattr(aoisim.sweep, "optimize_randomized", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(aoisim.dp, "dp_optimal", lambda *a, **k: calls.append(a))
+    # validate checks the config as the overrides leave it
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(cfg, sim=dict(cfg["sim"], **overrides))))
+    assert main(["validate", "--config", str(p)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep.csv"
+    argv = [arg for key, value in overrides.items() for arg in (f"--{key}", str(value))]
+    assert main(["sweep", "--config", str(p), "--out", str(out), *argv]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from aoisim import parse_config, serialize_config
-from aoisim.sweep import expand_scenarios
+from aoisim.sweep import check_policies, expand_scenarios
 
 
 MINIMAL = {
@@ -18,6 +18,17 @@ MINIMAL = {
 def cfg_text(**overrides):
     d = {**MINIMAL, **overrides}
     return json.dumps(d)
+
+
+def policy_errors(**overrides):
+    """The policy check pass's errors on a config that parses."""
+    config, errors = parse_config(cfg_text(**overrides))
+    assert errors == []
+    try:
+        check_policies(config, expand_scenarios(config))
+    except ValueError as exc:
+        return str(exc).splitlines()
+    return []
 
 
 def test_minimal_config_valid():
@@ -54,38 +65,34 @@ def test_max_weight_weights_key_rejected():
 
 
 def test_policy_validation():
-    _, errors = parse_config(cfg_text(policies=[{"name": "nope"}]))
-    assert any("policies[0].name" in e for e in errors)
-    _, errors = parse_config(cfg_text(policies=[{"name": "age-debt"}]))
-    assert any("needs 'targets'" in e for e in errors)
-    _, errors = parse_config(cfg_text(policies=[
+    # parse_config checks only an entry's shape; the pass checks the rest
+    assert policy_errors(policies=[{"name": "nope"}]) == [
+        "policies[0]: unknown policy 'nope'"]
+    assert policy_errors(policies=[{"name": "age-debt"}]) == [
+        "policies[0] on inline: age-debt with fixed targets needs 'targets'"]
+    assert policy_errors(policies=[
         {"name": "age-debt", "target_mode": "flow-control", "V": -2,
-         "alpha_max": 50}]))
-    assert any(".V" in e for e in errors)
+         "alpha_max": 50}]) == ["policies[0]: V must be > 0"]
 
 
 def test_unknown_age_debt_variant_rejected():
     # the same variants that the simulator accepts
     from aoisim.sim import AGE_DEBT_VARIANTS
     for variant in AGE_DEBT_VARIANTS:
-        _, errors = parse_config(cfg_text(policies=[
-            {"name": "age-debt", "variant": variant, "targets": 2.0}]))
-        assert errors == []
-    config, errors = parse_config(cfg_text(policies=[
-        {"name": "age-debt", "variant": "exakt", "targets": 2.0}]))
-    assert config is None
-    assert any(e.startswith("policies[0].variant") and "'exakt'" in e for e in errors)
+        assert policy_errors(policies=[
+            {"name": "age-debt", "variant": variant, "targets": 2.0}]) == []
+    assert policy_errors(policies=[
+        {"name": "age-debt", "variant": "exakt", "targets": 2.0}]) == [
+        "policies[0]: unknown age-debt variant 'exakt'"]
 
 
 def test_gd_epochs_must_partition_horizon():
     pol = {"name": "age-debt", "target_mode": "gradient-descent",
            "epoch_length": 30, "epochs": 4, "step": 0.5, "threshold": 0.1,
            "initial": 5.0}
-    _, errors = parse_config(cfg_text(policies=[pol]))
-    assert any("epochs * epoch_length" in e for e in errors)
-    pol2 = dict(pol, epochs=5, epoch_length=20)
-    config, errors = parse_config(cfg_text(policies=[pol2]))
-    assert errors == []
+    assert policy_errors(policies=[pol]) == [
+        "policies[0]: epochs * epoch_length must equal sim.horizon (4 * 30 != 100)"]
+    assert policy_errors(policies=[dict(pol, epochs=5, epoch_length=20)]) == []
 
 
 def test_round_trip_identity():

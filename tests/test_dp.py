@@ -9,6 +9,7 @@ import aoisim.dp
 from aoisim import (ConvergenceError, CostFunction, StateSpaceError,
                     dp_optimal, export_table, gen_line, gen_star, make_instance)
 from aoisim.age import row_plan
+from dict_reference import action_for, state_index
 
 
 def test_single_source_serves_every_slot():
@@ -17,7 +18,7 @@ def test_single_source_serves_every_slot():
     assert sol.gain == pytest.approx(1.0, abs=1e-5)
     assert sol.per_pair_average[(1, 2)] == pytest.approx(1.0)
     # from every recurrent state the policy serves the only source
-    assert sol.action_for({(1, 2): 1}) == 1
+    assert action_for(sol, {(1, 2): 1}) == 1
 
 
 def exhaustive_two_source_oracle(a_cap=4):
@@ -281,7 +282,7 @@ def _check_table_rows(sol, lines):
     for flat, line in enumerate(lines):
         *ages, action, value = line.split(",")
         age = {pair: int(a) for pair, a in zip(sol.pairs, ages)}
-        assert sol.state_index(age) == flat
+        assert state_index(sol, age) == flat
         assert int(action) == sol.policy[flat]
         assert value == f"{sol.relative_values[flat]:.10g}"
 
@@ -314,7 +315,7 @@ def test_state_axes_are_the_row_plan_rows(build):
 def test_policy_lookup_clips_at_cap():
     inst, costs = gen_star(2, weight_rule="unit", reliability_rule="reliable")
     sol = dp_optimal(inst, costs, a_cap=5, tolerance=1e-6)
-    assert sol.action_for({(1, 2): 500}) == sol.action_for({(1, 2): 5})
+    assert action_for(sol, {(1, 2): 500}) == action_for(sol, {(1, 2): 5})
 
 
 # sha256 of the exported bytes, recorded from the row-by-row csv writer

@@ -143,6 +143,19 @@ def test_destination_only_two_hop_starves(two_hop):
     assert m.per_pair_debt_rate[(1, 3)] > 0.4 * 2000
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="once every relay holds the destination's own packet, exact "
+                          "age-debt prices each forward above idle and idles for good "
+                          "(19 958 of 20 000 slots here)")
+def test_flow_control_does_not_starve_an_unreliable_parity_line():
+    # 7.0977 is the DP gain of this line at a_cap 30
+    instance, cost_fns = gen_line(5, "parity", reliability=0.7)
+    m = run(instance, cost_fns, SimConfig(
+        horizon=20_000, seed=0, target_mode="flow-control",
+        flow_control=FlowControlConfig(V=10, alpha_max=20), tie_break="freshest"))
+    assert m.sum_cost <= 1.1 * 7.0977
+
+
 def test_runaway_abort():
     inst, costs = single_source()
     cfg = SimConfig(horizon=50_000, seed=0, policy="constant",
