@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing, validation, serialization.
+"""Experiment configuration: parsing and serialization.
 
 Configs are JSON with six sections. ``network`` is either inline
 (nodes + "i-j:p" edge strings) or a generator reference (star / line /
@@ -7,9 +7,14 @@ graph-enum, with an optional ``sizes`` list that a sweep expands). ``flows``,
 their own). ``policies`` lists the policies to run, each with its target
 mode; ``sim`` sets horizon, seeds and trace detail.
 
-parse_config returns (config, errors): syntax errors carry line/column
-anchors from the JSON decoder, semantic errors carry the offending key path.
-Serialization is canonical, so parse(serialize(cfg)) == cfg.
+parse_config checks only the config's shape, from one table per section
+that maps each key to its JSON type: syntax errors carry line/column anchors
+from the JSON decoder, shape errors (not an object, a missing required key,
+an unknown key, a wrong JSON type) carry the offending key path. Every rule
+about a value has one owner that builds with it: ``sweep.expand_scenarios``
+and the network, flow and cost constructors for the scenarios,
+``sweep.check_policies`` for the policy entries. Serialization is
+canonical, so parse(serialize(cfg)) == cfg.
 """
 
 from __future__ import annotations
@@ -17,22 +22,51 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .network import INTERFERENCE_MODELS
 
-_COST_KINDS = ("linear", "power", "exponential", "indicator")
-_GENERATORS = ("star", "line", "graph-enum")
+class _Object(dict):
+    """An object's table, key -> spec; the ``required`` keys must be present."""
 
-_NETWORK_KEYS = {"nodes", "edges", "generator", "n", "sizes", "reliability",
-                 "generator_seed", "weight_rule", "cost_rule", "interference",
-                 "graph_ids"}
-_POLICY_KEYS = {"name", "label", "variant", "tie_break", "target_mode",
-                "targets", "V", "alpha_max", "epoch_length", "epochs", "step",
-                "threshold", "initial", "floor", "a_cap", "tolerance",
-                "probabilities", "budget", "tuning_horizon", "tuning_seed",
-                "action_index", "use_intermediate_queues"}
-_SIM_KEYS = {"horizon", "seeds", "trace_detail"}
-_COST_SECTION_KEYS = {"default", "per_pair", "cap"}
-_COST_KEYS = {"kind", "weight", "exponent", "threshold", "cap"}
+    def __init__(self, table, required=()):
+        super().__init__(table)
+        self.required = required
+
+
+# A spec is a JSON type name, [spec] for an array of such items, an _Object
+# table, {str: spec} for an object of any keys, or a tuple of specs with
+# distinct outer types (any one of them).
+_COST = _Object({"kind": "string", "weight": "number", "exponent": "number",
+                 "threshold": "integer", "cap": "number"}, required=("kind",))
+_PAIR_VALUES = ("number", {str: "number"})  # one value, or one per "k-j" pair
+_POLICY = _Object({
+    "name": "string", "label": "string", "variant": "string", "tie_break": "string",
+    "target_mode": "string", "targets": _PAIR_VALUES, "V": "number", "alpha_max": "number",
+    "epoch_length": "integer", "epochs": "integer", "step": "number", "threshold": "number",
+    "initial": _PAIR_VALUES, "floor": _PAIR_VALUES, "a_cap": "integer", "tolerance": "number",
+    "probabilities": ["number"], "budget": "integer", "tuning_horizon": "integer",
+    "tuning_seed": "integer", "action_index": "integer", "use_intermediate_queues": "boolean",
+}, required=("name",))
+_NETWORK = {"nodes": "integer", "edges": ["string"], "generator": "string", "n": "integer",
+            "sizes": ["integer"], "reliability": "string", "generator_seed": "integer",
+            "weight_rule": "string", "cost_rule": "string", "interference": "string",
+            "graph_ids": ["integer"]}
+_SECTIONS = {
+    "flows": ("string", [_Object({"source": "integer", "destinations": ["integer"]},
+                                 required=("source", "destinations"))]),
+    "interference": _Object({"model": "string", "eligibility": "string",
+                             "actions": [[["integer"]]]}),
+    "costs": _Object({"default": _COST, "per_pair": {str: _COST}, "cap": "number"}),
+    "policies": [_POLICY],
+    "sim": _Object({"horizon": "integer", "seeds": ["integer"], "trace_detail": "string"},
+                   required=("horizon", "seeds")),
+    "out": "string",
+}
+_INLINE = _Object(dict(_SECTIONS, network=_Object(_NETWORK, required=("nodes", "edges"))),
+                  required=("network", "flows", "costs", "policies", "sim"))
+_GENERATED = _Object(dict(_SECTIONS, network=_Object(_NETWORK)),
+                     required=("network", "policies", "sim"))
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
 
 
 @dataclass
@@ -62,103 +96,39 @@ def serialize_config(config):
     return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def parse_edge(text):
-    """'i-j' or 'i-j:p' -> ((i, j), p)."""
-    body, _, prob = text.partition(":")
-    i, _, j = body.partition("-")
-    e = (int(i), int(j))
-    return (e, float(prob) if prob else 1.0)
+def _kind(spec):
+    """The JSON type a value needs to match ``spec`` at its outer level."""
+    return "array" if isinstance(spec, list) else "object" if isinstance(spec, dict) else spec
 
 
-def parse_pair(text):
-    """'k-j' -> (k, j)."""
-    k, _, j = text.partition("-")
-    return (int(k), int(j))
-
-
-def _check_keys(section, allowed, path, errors):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{path}: unknown key {key!r}")
-
-
-def _check_cost_spec(spec, path, errors):
-    if not isinstance(spec, dict):
-        errors.append(f"{path}: cost spec must be an object")
-        return
-    _check_keys(spec, _COST_KEYS, path, errors)
-    kind = spec.get("kind")
-    if kind not in _COST_KINDS:
-        errors.append(f"{path}.kind: expected one of {_COST_KINDS}, got {kind!r}")
-
-
-def _check_network(net, errors):
-    if not isinstance(net, dict):
-        errors.append("network: must be an object")
-        return
-    _check_keys(net, _NETWORK_KEYS, "network", errors)
-    gen = net.get("generator")
-    if gen is not None:
-        if gen not in _GENERATORS:
-            errors.append(f"network.generator: expected one of {_GENERATORS}, got {gen!r}")
-        if "n" not in net and "sizes" not in net:
-            errors.append("network: generator needs 'n' or 'sizes'")
-        if "sizes" in net and (not isinstance(net["sizes"], list) or not net["sizes"]):
-            errors.append("network.sizes: must be a non-empty list")
-        return
-    nodes = net.get("nodes")
-    if not isinstance(nodes, int) or nodes < 2:
-        errors.append("network.nodes: need an integer >= 2")
-        return
-    edges = net.get("edges")
-    if not isinstance(edges, list) or not edges:
-        errors.append("network.edges: need a non-empty list of 'i-j:p' strings")
-        return
-    for idx, e in enumerate(edges):
-        try:
-            (i, j), p = parse_edge(e)
-        except (ValueError, TypeError):
-            errors.append(f"network.edges[{idx}]: cannot parse {e!r}")
-            continue
-        if not (1 <= i <= nodes and 1 <= j <= nodes):
-            errors.append(f"network.edges[{idx}]: node out of range in {e!r}")
-        if i == j:
-            errors.append(f"network.edges[{idx}]: self-loop in {e!r}")
-        if not (0.0 < p <= 1.0):
-            errors.append(f"network.edges[{idx}]: reliability out of range in {e!r}")
-
-
-def _check_flows(flows, net, errors):
-    if flows == "all-broadcast":
-        return
-    if not isinstance(flows, list) or not flows:
-        errors.append("flows: need a non-empty list or 'all-broadcast'")
-        return
-    nodes = net.get("nodes")
-    seen = set()
-    for idx, f in enumerate(flows):
-        if not isinstance(f, dict) or "source" not in f or "destinations" not in f:
-            errors.append(f"flows[{idx}]: need source and destinations")
-            continue
-        _check_keys(f, {"source", "destinations"}, f"flows[{idx}]", errors)
-        s = f["source"]
-        ds = f["destinations"]
-        if s in seen:
-            errors.append(f"flows[{idx}]: duplicate source {s}")
-        seen.add(s)
-        if not isinstance(ds, list) or not ds:
-            errors.append(f"flows[{idx}].destinations: need a non-empty list")
-            continue
-        if s in ds:
-            errors.append(f"flows[{idx}]: source in destination set")
-        if isinstance(nodes, int):
-            for j in [s] + ds:
-                if not (1 <= j <= nodes):
-                    errors.append(f"flows[{idx}]: node {j} out of range")
+def _check(value, spec, path, errors):
+    """Append one error per way ``value`` misses ``spec``, each with its key path."""
+    alternatives = spec if isinstance(spec, tuple) else (spec,)
+    got = _JSON_TYPES[type(value)]
+    spec = next((s for s in alternatives
+                 if _kind(s) == got or (_kind(s), got) == ("number", "integer")), None)
+    where = path or "top level"
+    if spec is None:
+        want = " or ".join(_kind(s) for s in alternatives)
+        errors.append(f"{where}: expected {want}, got {got}")
+    elif isinstance(spec, list):
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]", errors)
+    elif isinstance(spec, _Object):
+        errors.extend(f"{where}: missing required key {key!r}"
+                      for key in spec.required if key not in value)
+        for key, item in value.items():
+            if key in spec:
+                _check(item, spec[key], f"{path}.{key}" if path else key, errors)
+            else:
+                errors.append(f"{where}: unknown key {key!r}")
+    elif isinstance(spec, dict):
+        for key, item in value.items():
+            _check(item, spec[str], f"{path}[{key!r}]", errors)
 
 
 def parse_config(text):
-    """Parse and validate a JSON experiment config.
+    """Parse a JSON experiment config and check its shape.
 
     Returns (ExperimentConfig or None, list of error strings).
     """
@@ -166,79 +136,13 @@ def parse_config(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         return None, [f"line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+    net = raw.get("network") if isinstance(raw, dict) else None
     errors = []
-    if not isinstance(raw, dict):
-        return None, ["top level: must be a JSON object"]
-    allowed = {"network", "flows", "interference", "costs", "policies", "sim", "out"}
-    _check_keys(raw, allowed, "top level", errors)
-
-    net = raw.get("network")
-    if net is None:
-        errors.append("network: section is required")
-    else:
-        _check_network(net, errors)
-
-    inline = isinstance(net, dict) and "generator" not in net
-    flows = raw.get("flows")
-    if inline:
-        if flows is None:
-            errors.append("flows: required for inline networks")
-        else:
-            _check_flows(flows, net, errors)
-        interference = raw.get("interference")
-        if interference is not None:
-            _check_keys(interference, {"model", "eligibility", "actions"},
-                        "interference", errors)
-            model = interference.get("model", "single-transmitter")
-            if model not in INTERFERENCE_MODELS:
-                errors.append(f"interference.model: expected one of "
-                              f"{INTERFERENCE_MODELS}, got {model!r}")
-            if model == "explicit" and "actions" not in interference:
-                errors.append("interference: explicit model needs 'actions'")
-        costs = raw.get("costs")
-        if costs is None:
-            errors.append("costs: required for inline networks")
-        else:
-            _check_keys(costs, _COST_SECTION_KEYS, "costs", errors)
-            if "default" in costs:
-                _check_cost_spec(costs["default"], "costs.default", errors)
-            for key, spec in costs.get("per_pair", {}).items():
-                try:
-                    parse_pair(key)
-                except (ValueError, TypeError):
-                    errors.append(f"costs.per_pair: cannot parse pair key {key!r}")
-                _check_cost_spec(spec, f"costs.per_pair[{key!r}]", errors)
-
-    sim = raw.get("sim")
-    if not isinstance(sim, dict):
-        errors.append("sim: section is required")
-    else:
-        _check_keys(sim, _SIM_KEYS, "sim", errors)
-        if not isinstance(sim.get("horizon"), int):
-            errors.append("sim.horizon: need an integer")
-        seeds = sim.get("seeds")
-        if not isinstance(seeds, list) or not seeds or \
-                not all(isinstance(s, int) for s in seeds):
-            errors.append("sim.seeds: need a non-empty list of integers")
-
-    policies = raw.get("policies")
-    if not isinstance(policies, list) or not policies:
-        if policies != []:
-            errors.append("policies: need a list")
-        policies = policies or []
-    for idx, pol in enumerate(policies):
-        # every other rule of an entry is checked by ``sweep.check_policies``
-        if not isinstance(pol, dict):
-            errors.append(f"policies[{idx}]: must be an object")
-        else:
-            _check_keys(pol, _POLICY_KEYS, f"policies[{idx}]", errors)
-
+    _check(raw, _INLINE if isinstance(net, dict) and "generator" not in net else _GENERATED,
+           "", errors)
     if errors:
         return None, errors
-    return ExperimentConfig(
-        network=net, policies=policies, sim=sim, flows=flows,
-        interference=raw.get("interference"), costs=raw.get("costs"),
-        out=raw.get("out")), []
+    return ExperimentConfig(**raw), []
 
 
 def load_config(path):

@@ -25,8 +25,6 @@ IDLE_ACTION: Action = ()
 
 DEFAULT_ACTION_CAP = 10 ** 6
 
-INTERFERENCE_MODELS = ("explicit", "single-transmitter", "matching", "parity")
-
 
 class ActionSpaceError(ValueError):
     """Raised when an enumerated action space would exceed the size cap."""
@@ -315,65 +313,67 @@ def make_instance(node_count, reliability, flows, interference="single-transmitt
                   eligibility="any", explicit_actions=None, cap=DEFAULT_ACTION_CAP):
     """Assemble and validate a NetworkInstance.
 
-    ``reliability`` maps undirected edges to delivery probabilities;
-    ``flows`` is a list of (source, destinations) pairs or Flow objects.
+    ``reliability`` maps undirected edges to delivery probabilities, as a
+    dict or as ``((i, j), p)`` pairs; an edge given twice, in either
+    orientation, is an error. ``flows`` is a list of (source, destinations)
+    pairs. Nodes, edges and flows are checked before the action space is
+    built, so every node that reaches it is in range.
     """
-    rel = {canon_edge(i, j): float(p) for (i, j), p in reliability.items()}
+    rel = {}
+    for (i, j), p in reliability.items() if isinstance(reliability, dict) else reliability:
+        e = canon_edge(i, j)
+        if e in rel:
+            raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
+        rel[e] = float(p)
     edges = tuple(sorted(rel))
-    flow_objs = []
-    for f in flows:
-        if isinstance(f, Flow):
-            flow_objs.append(f)
-        else:
-            source, dests = f
-            flow_objs.append(make_flow(source, dests, node_count))
-    flow_objs.sort(key=lambda f: f.source)
+    flow_objs = sorted((make_flow(source, dests, node_count) for source, dests in flows),
+                       key=lambda f: f.source)
+    errors = _graph_errors(node_count, edges, rel, flow_objs)
+    if errors:
+        raise ValueError("invalid instance: " + "; ".join(errors))
     space = build_action_space(node_count, edges, flow_objs, interference,
                                eligibility=eligibility,
                                explicit_actions=explicit_actions, cap=cap)
-    inst = NetworkInstance(node_count, edges, rel, tuple(flow_objs), space)
-    errors = validate_instance(inst)
-    if errors:
-        raise ValueError("invalid instance: " + "; ".join(errors))
-    return inst
+    return NetworkInstance(node_count, edges, rel, tuple(flow_objs), space)
 
 
 def validate_instance(instance):
     """Diagnostic check of every instance invariant; returns all violations."""
+    errors = _graph_errors(instance.node_count, instance.edges, instance.reliability,
+                           instance.flows)
+    flow_ids = {f.source for f in instance.flows}
+    if instance.action_space[:1] != (IDLE_ACTION,):
+        errors.append("action space does not start with the idle action")
+    for a in instance.action_space:
+        errors.extend(validate_action(a, instance.edges, flow_ids))
+    return errors
+
+
+def _graph_errors(n, edges, reliability, flows):
+    """Violations of the node, edge and flow invariants, in that order."""
     errors = []
-    n = instance.node_count
     if n < 2:
         errors.append("node_count must be >= 2")
-    seen = set()
-    for (i, j) in instance.edges:
+    for (i, j) in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             errors.append(f"edge {i}-{j} references unknown node")
-        if i == j:
-            errors.append(f"self-loop at node {i}")
         if i > j:
             errors.append(f"edge {i}-{j} not in canonical order")
-        if (i, j) in seen:
-            errors.append(f"duplicate edge {i}-{j}")
-        seen.add((i, j))
-        p = instance.reliability.get((i, j))
+        p = reliability.get((i, j))
         if p is None or not (0.0 < p <= 1.0):
             errors.append(f"reliability out of range on edge {i}-{j}: {p}")
 
-    if not (1 <= len(instance.flows) <= n):
-        errors.append(f"flow count {len(instance.flows)} outside 1..{n}")
-    sources = [f.source for f in instance.flows]
+    if not (1 <= len(flows) <= n):
+        errors.append(f"flow count {len(flows)} outside 1..{n}")
+    sources = [f.source for f in flows]
     if len(set(sources)) != len(sources):
         errors.append("flow source identifiers are not distinct")
 
-    adj = adjacency_map(n, [e for e in instance.edges if e[0] != e[1]])
-    for f in instance.flows:
+    adj = adjacency_map(n, [(i, j) for (i, j) in edges if 1 <= i <= n and 1 <= j <= n])
+    for f in flows:
         if not (1 <= f.source <= n):
             errors.append(f"flow {f.source}: source is not a node")
             continue
-        if f.source in f.destinations:
-            errors.append(f"flow {f.source}: source in destination set")
-        if not f.destinations:
-            errors.append(f"flow {f.source}: empty destination set")
         expected = classify_flow(f.source, f.destinations, n)
         if f.kind != expected:
             errors.append(f"flow {f.source}: kind {f.kind!r} but destinations imply {expected!r}")
@@ -383,10 +383,4 @@ def validate_instance(instance):
                 errors.append(f"flow {f.source}: destination {j} is not a node")
             elif j not in dist:
                 errors.append(f"flow {f.source}: destination {j} unreachable from source")
-
-    flow_ids = {f.source for f in instance.flows}
-    if instance.action_space[:1] != (IDLE_ACTION,):
-        errors.append("action space does not start with the idle action")
-    for a in instance.action_space:
-        errors.extend(validate_action(a, instance.edges, flow_ids))
     return errors

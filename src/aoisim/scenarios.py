@@ -50,6 +50,8 @@ def gen_star(n, weight_rule="i-over-n", reliability_rule="uniform", rng=None,
     """
     if n < 2:
         raise ValueError("star needs n >= 2")
+    if weight_rule not in ("i-over-n", "unit"):
+        raise ValueError(f"unknown weight_rule {weight_rule!r}")
     hub = n
     sources = list(range(1, n))
     if reliability_rule == "reliable":

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import parse_edge, parse_pair
 from .costs import CostFunction
 from .network import make_instance
 from .dp import dp_state_count
@@ -43,46 +42,91 @@ class Scenario:
     cost_fns: dict
 
 
-def _inline_costs(cost_section, dest_pairs):
-    default_spec = cost_section.get("default", {"kind": "linear", "weight": 1.0})
-    per_pair = cost_section.get("per_pair", {})
-    section_cap = cost_section.get("cap")
-    out = {}
-    for pair in dest_pairs:
-        spec = None
-        for key, s in per_pair.items():
-            if parse_pair(key) == pair:
-                spec = s
-                break
-        spec = dict(spec if spec is not None else default_spec)
-        if section_cap is not None and "cap" not in spec:
-            spec["cap"] = section_cap
-        out[pair] = CostFunction.from_dict(spec)
+def parse_edge(text):
+    """'i-j' or 'i-j:p' -> ((i, j), p)."""
+    body, _, prob = text.partition(":")
+    i, _, j = body.partition("-")
+    return ((int(i), int(j)), float(prob) if prob else 1.0)
+
+
+def parse_pair(text):
+    """'k-j' -> (k, j)."""
+    k, _, j = text.partition("-")
+    return (int(k), int(j))
+
+
+def _in_section(section, build, *args):
+    """``build(*args)``, with a ``ValueError`` it raises prefixed by ``section``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
+
+
+def _inline_edges(edges):
+    out = []
+    for text in edges:
+        try:
+            out.append(parse_edge(text))
+        except ValueError:
+            raise ValueError(f"network.edges: cannot parse {text!r}") from None
+    return out
+
+
+def _inline_flows(flows, n):
+    if flows == "all-broadcast":
+        return [(s, set(range(1, n + 1)) - {s}) for s in range(1, n + 1)]
+    if isinstance(flows, str):
+        raise ValueError(f"flows: expected a list or 'all-broadcast', got {flows!r}")
+    return [(f["source"], set(f["destinations"])) for f in flows]
+
+
+def _inline_costs(section, dest_pairs):
+    """Each destination pair's cost: its ``per_pair`` spec, else ``default``,
+    with the section's ``cap`` where the spec sets none. A ``per_pair`` key
+    must name a destination pair, and only once."""
+    def cost(path, spec):
+        if "cap" in section and "cap" not in spec:
+            spec = dict(spec, cap=section["cap"])
+        return _in_section(path, CostFunction.from_dict, spec)
+
+    default = cost("costs.default", section.get("default", {"kind": "linear", "weight": 1.0}))
+    out = dict.fromkeys(dest_pairs, default)
+    named = set()
+    for key, spec in section.get("per_pair", {}).items():
+        path = f"costs.per_pair[{key!r}]"
+        pair = _in_section(path, parse_pair, key)
+        if pair in named:
+            raise ValueError(f"{path}: names pair {key} a second time")
+        if pair not in out:
+            raise ValueError(f"{path}: names no destination pair")
+        named.add(pair)
+        out[pair] = cost(path, spec)
     return out
 
 
 def expand_scenarios(config):
-    """Materialize the list of scenarios a config describes."""
+    """Materialize the list of scenarios a config describes. A ``ValueError``
+    from the owner of a rule reaches the caller prefixed by the config section
+    at fault."""
     net = config.network
-    gen = net.get("generator")
-    if gen is None:
-        reliability = dict(parse_edge(e) for e in net["edges"])
-        flows = config.flows
-        if flows == "all-broadcast":
-            n = net["nodes"]
-            flows = [(s, set(range(1, n + 1)) - {s}) for s in range(1, n + 1)]
-        else:
-            flows = [(f["source"], set(f["destinations"])) for f in flows]
-        inter = config.interference or {}
-        instance = make_instance(
-            net["nodes"], reliability, flows,
-            interference=inter.get("model", "single-transmitter"),
-            eligibility=inter.get("eligibility", "any"),
-            explicit_actions=inter.get("actions"))
-        cost_fns = _inline_costs(config.costs, instance.dest_pairs())
-        return [Scenario("inline", "", instance, cost_fns)]
+    if "generator" in net:
+        return _in_section("network", _generated_scenarios, net)
+    inter = config.interference or {}
+    instance = _in_section(
+        "network", make_instance, net["nodes"], _inline_edges(net["edges"]),
+        _inline_flows(config.flows, net["nodes"]),
+        inter.get("model", "single-transmitter"), inter.get("eligibility", "any"),
+        inter.get("actions"))
+    return [Scenario("inline", "", instance, _inline_costs(config.costs, instance.dest_pairs()))]
 
-    sizes = net.get("sizes", [net.get("n")])
+
+def _generated_scenarios(net):
+    gen, sizes = net["generator"], net.get("sizes", [net.get("n")])
+    if gen not in ("star", "line", "graph-enum"):
+        raise ValueError(f"unknown generator {gen!r}")
+    if not sizes or None in sizes:
+        raise ValueError("a generator needs 'n' or a non-empty 'sizes'")
     out = []
     if gen == "star":
         for n in sizes:
@@ -115,7 +159,7 @@ def expand_scenarios(config):
 def _parse_targets(raw):
     if isinstance(raw, (int, float)):
         return float(raw)
-    return {parse_pair(k): float(v) for k, v in dict(raw).items()}
+    return {parse_pair(k): float(v) for k, v in raw.items()}
 
 
 def policy_label(pol, idx, seen):
@@ -175,10 +219,10 @@ def _entry_config(pol, horizon, seed, sim_section):
     elif mode == "flow-control":
         fc = FlowControlConfig(**{key: pol[key] for key in ("V", "alpha_max") if key in pol})
     elif mode == "gradient-descent":
-        fields = {"epoch_length": int, "epochs": int, "step": float, "threshold": float,
-                  "initial": _parse_targets, "floor": _parse_targets}
-        gd = GradientDescentConfig(**{key: parse(pol[key]) for key, parse in fields.items()
-                                      if pol.get(key) is not None})
+        gd = GradientDescentConfig(
+            **{key: pol[key] for key in ("epoch_length", "epochs", "step", "threshold")
+               if key in pol},
+            **{key: _parse_targets(pol[key]) for key in ("initial", "floor") if key in pol})
 
     return SimConfig(
         horizon=horizon, seed=seed, policy=name, policy_params=params, targets=targets,
@@ -192,8 +236,11 @@ def check_policies(config, scenarios):
     """Check every policy entry on every scenario before any tuning, solving
     or running, by the entry's constructors, ``run``'s own helpers and the
     DP's state count. Raises one ``ValueError`` with a line per problem, each
-    starting ``policies[i]`` and naming the scenario where it depends on one."""
+    starting ``policies[i]`` and naming the scenario where it depends on one,
+    and a line for a ``sim.seeds`` list with no seed to run."""
     horizon, errors = config.sim["horizon"], []
+    if not config.sim["seeds"]:
+        errors.append("sim.seeds: need at least one seed")
     for i, pol in enumerate(config.policies):
         try:
             cfg = _entry_config(pol, horizon, 0, config.sim)

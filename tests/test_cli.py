@@ -319,3 +319,56 @@ def test_bad_entry_fails_before_any_tuning_or_solving(cfg, overrides, message, t
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
+
+
+def inline_cfg(**sections):
+    """TWO_HOP_CONFIG with some sections replaced."""
+    return dict(TWO_HOP_CONFIG, **sections)
+
+
+GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5",
+       "epochs": 400, "step": 0.5, "threshold": 0.1, "initial": 5.0}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (inline_cfg(costs={"per_pair": {"1-3": {"kind": "power", "exponent": "2"}}}),
+     "costs.per_pair['1-3'].exponent: expected number, got string"),
+    ({"network": {"generator": "star", "n": "5"}, "policies": [],
+      "sim": {"horizon": 10, "seeds": [0]}},
+     "network.n: expected integer, got string"),
+    (inline_cfg(policies=[GD5]), "policies[0].epoch_length: expected integer, got string"),
+    (inline_cfg(network={"nodes": 3, "edges": ["1-2:0.5", "2-1:0.9", "2-3"]}),
+     "network: duplicate edge 1-2"),
+    (inline_cfg(costs={"per_pair": {"3-1": {"kind": "linear"}}}),
+     "costs.per_pair['3-1']: names no destination pair"),
+    (inline_cfg(network={"nodes": 3, "edges": ["1-2", "2-7"]}),
+     "network: invalid instance: edge 2-7 references unknown node"),
+    (inline_cfg(network={"nodes": 3, "edges": ["1-2", "2-2"]}), "network: self-loop at node 2"),
+    (inline_cfg(network={"nodes": 3, "edges": ["1-2:1.5", "2-3"]}),
+     "network: invalid instance: reliability out of range on edge 1-2: 1.5"),
+    (inline_cfg(flows=[{"source": 1, "destinations": [7]}]),
+     "network: invalid instance: flow 1: destination 7 is not a node"),
+    (inline_cfg(flows=[{"source": 1, "destinations": [1, 3]}]),
+     "network: flow 1: source in destination set"),
+    (inline_cfg(interference={"model": "bogus"}), "network: unknown interference model 'bogus'"),
+    (inline_cfg(interference={"model": "explicit"}),
+     "network: explicit interference model needs an action list"),
+    (inline_cfg(costs={"default": {"kind": "quad"}}), "costs.default: unknown cost kind 'quad'"),
+    ({"network": {"generator": "lne", "n": 3}, "policies": [],
+      "sim": {"horizon": 10, "seeds": [0]}},
+     "network: unknown generator 'lne'"),
+    ({"network": {"generator": "star", "n": 3, "weight_rule": "one"}, "policies": [],
+      "sim": {"horizon": 10, "seeds": [0]}},
+     "network: unknown weight_rule 'one'"),
+], ids=["a-exponent", "b-star-n", "c-epoch-length", "d-duplicate-edge", "e-pair-key",
+        "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
+        "model", "explicit", "cost-kind", "generator", "weight-rule"])
+def test_value_rules_fail_at_their_owner_with_the_key_path(cfg, message, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(p)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoisim import parse_config, serialize_config
+from aoisim.config import _GENERATED, _INLINE, _Object
 from aoisim.sweep import check_policies, expand_scenarios
 
 
@@ -43,11 +46,20 @@ def test_syntax_error_carries_line_anchor():
     assert errors and errors[0].startswith("line 2")
 
 
+def scenario_error(**overrides):
+    """The message of the ValueError that expand_scenarios raises on a config
+    that parses."""
+    config, errors = parse_config(cfg_text(**overrides))
+    assert errors == []
+    with pytest.raises(ValueError) as exc:
+        expand_scenarios(config)
+    return str(exc.value)
+
+
 def test_unknown_node_in_flow():
-    config, errors = parse_config(cfg_text(
-        flows=[{"source": 1, "destinations": [7]}]))
-    assert config is None
-    assert any("out of range" in e for e in errors)
+    # a node out of range is a value rule: validate_instance owns it
+    assert scenario_error(flows=[{"source": 1, "destinations": [7]}]) == \
+        "network: invalid instance: flow 1: destination 7 is not a node"
 
 
 def test_unknown_keys_rejected():
@@ -57,6 +69,52 @@ def test_unknown_keys_rejected():
     d["sim"] = {"horizon": 100, "seeds": [0], "typo_key": 1}
     config, errors = parse_config(json.dumps(d))
     assert any("typo_key" in e for e in errors)
+
+
+def test_shape_errors_carry_key_paths():
+    # parse_config reports keys and JSON types only, each with its path
+    d = {**MINIMAL, "sim": {"horizon": True, "seeds": [0, 1.5]},
+         "flows": [{"source": 1}], "costs": {"per_pair": {"1-2": {"kind": 3}}},
+         "policies": [{"name": "age-debt", "targets": "2", "use_intermediate_queues": 1}]}
+    del d["network"]
+    config, errors = parse_config(json.dumps(d))
+    assert config is None
+    assert errors == [
+        "top level: missing required key 'network'",
+        "flows[0]: missing required key 'destinations'",
+        "costs.per_pair['1-2'].kind: expected string, got integer",
+        "policies[0].targets: expected number or object, got string",
+        "policies[0].use_intermediate_queues: expected boolean, got integer",
+        "sim.horizon: expected integer, got boolean",
+        "sim.seeds[1]: expected integer, got number",
+    ]
+    _, errors = parse_config("[]")
+    assert errors == ["top level: expected object, got array"]
+    # a generator network needs none of the inline sections
+    _, errors = parse_config(json.dumps({"network": {"generator": "line", "n": 3},
+                                         "policies": [], "sim": {"horizon": 1, "seeds": [0]}}))
+    assert errors == []
+    _, errors = parse_config(json.dumps({"network": {"nodes": 2}, "policies": [],
+                                         "sim": {"horizon": 1, "seeds": [0]}}))
+    assert errors == ["top level: missing required key 'flows'",
+                      "top level: missing required key 'costs'",
+                      "network: missing required key 'edges'"]
+
+
+def test_section_rules_fail_in_expand_scenarios_or_the_policy_pass():
+    assert scenario_error(costs={"per_pair": {"1-2": {"kind": "linear"},
+                                              "01-2": {"kind": "linear"}}}) == \
+        "costs.per_pair['01-2']: names pair 01-2 a second time"
+    assert scenario_error(costs={"per_pair": {"x": {"kind": "linear"}}}).startswith(
+        "costs.per_pair['x']: invalid literal")
+    assert scenario_error(costs={"cap": -1.0}) == \
+        "costs.default: cap must be positive and finite"
+    assert scenario_error(flows="all") == "flows: expected a list or 'all-broadcast', got 'all'"
+    gen = {"generator": "line", "sizes": []}
+    assert scenario_error(network=gen) == \
+        "network: a generator needs 'n' or a non-empty 'sizes'"
+    assert policy_errors(sim={"horizon": 100, "seeds": []}) == [
+        "sim.seeds: need at least one seed"]
 
 
 def test_max_weight_weights_key_rejected():
@@ -106,10 +164,10 @@ def test_round_trip_identity():
 
 
 def test_bad_edge_strings():
-    _, errors = parse_config(cfg_text(network={"nodes": 3, "edges": ["1+2"]}))
-    assert any("cannot parse" in e for e in errors)
-    _, errors = parse_config(cfg_text(network={"nodes": 3, "edges": ["1-2:1.5"]}))
-    assert any("reliability out of range" in e for e in errors)
+    assert scenario_error(network={"nodes": 3, "edges": ["1+2"]}) == \
+        "network.edges: cannot parse '1+2'"
+    assert "reliability out of range" in scenario_error(
+        network={"nodes": 3, "edges": ["1-2:1.5"]})
 
 
 def test_empty_policy_list_allowed():
@@ -235,3 +293,71 @@ def test_dp_table_with_oracle_dp_targets_solves_once(monkeypatch):
     assert cfg.targets == cfg.policy_params["solution"].per_pair_average
     build_sim_config(config.policies[1], scenario, 50, 0, config.sim)
     assert calls[1:] == [{"a_cap": 5, "tolerance": 1e-2}]
+
+
+# the strings an owner knows for each key; every key also draws one it does not
+WORDS = {
+    "generator": ["star", "line", "graph-enum"], "reliability": ["uniform", "reliable"],
+    "weight_rule": ["i-over-n", "unit"], "cost_rule": ["weighted-linear", "functions-of-age"],
+    "interference": ["parity", "single-transmitter"], "eligibility": ["any", "path"],
+    "model": ["single-transmitter", "matching", "parity", "explicit"],
+    "edges": ["1-2", "2-3", "1-3:0.5", "2-1", "1-2:1.5", "2-2", "1-9", "1+2"],
+    "flows": ["all-broadcast"], "kind": ["linear", "power", "exponential", "indicator"],
+    "name": ["age-debt", "max-weight", "randomized", "constant", "dp-table"],
+    "target_mode": ["fixed", "flow-control", "gradient-descent", "oracle-dp"],
+    "variant": ["auto", "exact"], "tie_break": ["first", "freshest", "random"],
+    "trace_detail": ["metrics-only", "full"],
+}
+PAIRS = ["1-2", "1-3", "2-1", "2-3", "01-2", "x"]
+
+
+def json_values(spec, key=None):
+    """Values of the JSON type that a config table gives ``key``, small
+    enough that a validate stays quick."""
+    if isinstance(spec, tuple):
+        return st.one_of([json_values(s, key) for s in spec])
+    if isinstance(spec, list):
+        return st.lists(json_values(spec[0], key), max_size=3)
+    if isinstance(spec, _Object):
+        return st.fixed_dictionaries(
+            {k: json_values(spec[k], k) for k in spec.required},
+            optional={k: json_values(s, k) for k, s in spec.items() if k not in spec.required})
+    if isinstance(spec, dict):
+        return st.dictionaries(st.sampled_from(PAIRS), json_values(spec[str]), max_size=2)
+    small = st.integers(-1, 5)
+    return {"integer": small, "boolean": st.booleans(),
+            "string": st.sampled_from(WORDS.get(key, []) + ["x"]),
+            "number": st.one_of(small, st.floats(-1.0, 40.0))}[spec]
+
+
+GENERATED = _Object(dict(_GENERATED, network=_Object(_GENERATED["network"],
+                                                     required=("generator",))),
+                    required=_GENERATED.required)
+STAR = {"network": {"generator": "star", "n": 3}, "policies": [{"name": "max-weight"}],
+        "sim": {"horizon": 100, "seeds": [0]}}
+
+
+DRAWN = ((json_values(_INLINE), MINIMAL), (json_values(GENERATED), STAR))
+
+
+@st.composite
+def configs(draw):
+    """A config drawn from a table, with some sections kept from a valid one
+    so that the draws reach every owner."""
+    drawn, base = draw(st.sampled_from(DRAWN))
+    keep = draw(st.sets(st.sampled_from(sorted(base))))
+    return {**draw(drawn), **{key: base[key] for key in keep}}
+
+
+@given(raw=configs())
+@settings(max_examples=300, deadline=None)
+def test_every_value_rule_fails_as_a_value_error(raw):
+    # a config of the right JSON types parses; each value rule's owner then
+    # reports a problem as a ValueError, never as a TypeError, KeyError or
+    # AttributeError from deeper in the code
+    config, errors = parse_config(json.dumps(raw))
+    assert errors == []
+    try:
+        check_policies(config, expand_scenarios(config))
+    except ValueError:
+        pass

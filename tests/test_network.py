@@ -114,6 +114,20 @@ def test_validate_reliability_out_of_range():
         make_instance(2, {(1, 2): 0.0}, [(1, {2})])
 
 
+def test_edge_endpoint_out_of_range_is_a_value_error():
+    # checked before the action space or the adjacency map index the node
+    with pytest.raises(ValueError, match="edge 2-7 references unknown node"):
+        make_instance(3, {(1, 2): 1.0, (2, 7): 1.0}, [(1, {2})])
+
+
+def test_duplicate_edge_in_either_orientation_rejected():
+    for rel in ({(1, 2): 0.5, (2, 1): 0.9}, [((1, 2), 0.5), ((1, 2), 0.9)]):
+        with pytest.raises(ValueError, match="duplicate edge 1-2"):
+            make_instance(2, rel, [(1, {2})])
+    inst = make_instance(3, [((2, 1), 0.5), ((3, 2), 0.9)], [(1, {3})])
+    assert inst.reliability == {(1, 2): 0.5, (2, 3): 0.9}
+
+
 def test_validate_unreachable_destination():
     with pytest.raises(ValueError, match="unreachable"):
         make_instance(4, {(1, 2): 1.0, (3, 4): 1.0}, [(1, {4})])
