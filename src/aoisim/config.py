@@ -4,7 +4,8 @@ Configs are JSON with six sections. ``network`` is either inline
 (nodes + "i-j:p" edge strings) or a generator reference (star / line /
 graph-enum, with an optional ``sizes`` list that a sweep expands). ``flows``,
 ``interference`` and ``costs`` apply to inline networks (generators bring
-their own). ``policies`` lists the policies to run, each with its target
+their own, and ``sweep.expand_scenarios`` rejects a key or section that the
+network's form does not read). ``policies`` lists the policies to run, each with its target
 mode; ``sim`` sets horizon, seeds and trace detail.
 
 parse_config checks only the config's shape, from one table per section

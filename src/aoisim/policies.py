@@ -13,19 +13,31 @@ outcome distribution.
 One pass per slot scores every action. A destination's drift terms depend
 on the action only through its outcome key, the links that can deliver into
 it, and through each relay's hop distance when it forwards. Each distinct
-destination key is one group, compiled once per instance: per slot it reads
-its outcome costs once, then scores the destination and each distinct relay
-term under that key; at most one link is scored inline, with the walk's
-bits, and only two or more links build a distribution. The (term x action)
-table is summed row by row, as a per-action running sum would: the argmin
-ties on exact float equality, so another order would change trajectories.
-The freshest tie-break prices only the rows of the tied actions.
+destination key is one group. ``DriftEvaluator`` writes Python source for
+its instance once and compiles it: one straight-line block per group, which
+reads its outcome costs once and scores the destination and each distinct
+relay term under that key (at most one link inline, with the walk's bits;
+two or more links build a distribution), then each action's running sum as
+a left fold over its terms, from the first term, with a prefix that actions
+share summed once. The freshest tie-break prices every row's expected next
+age once per tied slot and folds each tied action's rows in order.
+
+The argmin ties on exact float equality, so another order or rounding would
+change trajectories: the generated text performs the same float operations
+in the same order as the dict reference in the tests, writes every float by
+its ``repr``, and never calls ``sum()``, which adds floats with compensation
+from Python 3.12 on. Code objects are cached per process by source text, so
+each worker of a parallel sweep, which unpickles a fresh instance per task,
+compiles each distinct instance once; an evaluator pickles without its
+functions and rebuilds them on load.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -44,23 +56,196 @@ class PolicyDecision:
     scores: tuple
 
 
+# The case-1 charge of a relay queue whose relay row ``ri`` forwards a held
+# packet, at hop distance ``h``: the destination's cost at the most
+# optimistic deliverable age. ``age.update_intermediate_debt`` charges the
+# same price when the relay has forwarded.
+_CASE1_CHARGE = "tab[(age[{ri}] if age[{ri}] < a else a) + {h}]"
+
+
+@lru_cache(maxsize=256)
+def _compiled(source):
+    """The code objects of an evaluator's generated source, one per
+    function. Keyed by the text, so every evaluator of an identical instance
+    in this process (each unpickled copy of one, each sweep task's) shares
+    one compilation. The parser holds ~0.4 kB per token of the text it
+    reads at once, so each function compiles on its own."""
+    return [compile(part, "<aoisim drift evaluator>", "exec") for part in source.split("\n\n")]
+
+
+def _walk_terms(key, age, stamp, width):
+    """p * next age over a key's distribution, in its order, padded with
+    0.0 to ``width`` terms: adding 0.0 leaves a positive sum unchanged."""
+    terms = [w * v for (v, w) in DriftEvaluator.next_age_dist(key, age, stamp)]
+    return terms + [0.0] * (width - len(terms))
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+def _weighted(p, x):
+    """``p * x`` as text; 1.0 * x is x, bit for bit, so that factor is left out."""
+    return x if p == 1.0 else f"{p!r} * {x}"
+
+
+def _shadow_term(t, how, p, p_stay, st, fr, al):
+    """Lines setting t<t> for queue ``q``, when its next value shadows the
+    destination's outcome: ``how`` is "walk" (the distribution ``outs``),
+    "stay" (cost ``st``: nothing fresher can arrive, weight 1.0) or "fresh"
+    (cost ``fr`` w.p. p, else ``st``); ``al`` is the target. The
+    two-outcome sum adds in the walk's order."""
+    if how == "walk":
+        return ["e = 0.0", "for (c, w) in outs:", f"    nq = q + c - {al}",
+                "    if nq > 0.0:", "        e += w * nq * nq", f"t{t} = e - q * q"]
+    if how == "stay":
+        return [f"nq = q + {st} - {al}", f"t{t} = (nq * nq if nq > 0.0 else 0.0) - q * q"]
+    return [f"nq = q + {st} - {al}", f"e = {p_stay!r} * nq * nq if nq > 0.0 else 0.0",
+            f"nq = q + {fr} - {al}", "if nq > 0.0:", f"    e += {_weighted(p, 'nq * nq')}",
+            f"t{t} = e - q * q"]
+
+
+def _group_terms(r, terms, t, how, p, p_stay, st="st", fr="fr", al="al", q_set=False):
+    """Lines setting t<t>, t<t + 1>, ... for a group's terms on row ``r``;
+    ``q_set`` if the destination's queue is in ``q`` already."""
+    lines = []
+    for i, (qr, ri, h) in enumerate(terms, start=t):
+        if qr is None:  # the destination's own queue
+            lines += [] if q_set else [f"q = debt[{r}]"]
+            lines += _shadow_term(i, how, p, p_stay, st, fr, al)
+            continue
+        lines += [f"q = relay_debt[{qr}]", "if q is None:",
+                  f"    t{i} = 0.0  # a run that keeps no relay queues"]
+        if h is not None:
+            lines += [f"elif stamp[{ri}] >= 0:",
+                      f"    nq = q + {_CASE1_CHARGE.format(ri=ri, h=h)} - {al}",
+                      f"    t{i} = (nq * nq if nq > 0.0 else 0.0) - q * q"]
+        lines += ["else:", *_indent(_shadow_term(i, how, p, p_stay, st, fr, al))]
+    return lines
+
+
+def _score_source(groups, cols):
+    """``score``: each group's terms into locals t0, t1, ..., then every
+    action's running sum as a left fold over its terms in ``cols`` order,
+    from its first term. Actions that share a prefix share its partial sum,
+    and a partial sum that only one longer prefix reads is not stored."""
+    out = []
+    t = 0
+    for (d, r, m, p, p_stay, key, terms) in groups:
+        out.append(f"# key {d}: row {r}")
+        one = len(terms) == 1  # the destination alone reads each cost once, inline
+        if key is None and m is None and one:
+            out += _group_terms(r, terms, t, "stay", p, p_stay,
+                                st=f"tables[{r}][age[{r}] + 1]", al=f"targets[{r}]")
+            t += 1
+            continue
+        out += [f"a = age[{r}]", f"tab = tables[{r}]", f"al = targets[{r}]"]
+        if key is not None:
+            out += [f"outs = [(tab[v], w) for (v, w) in next_age_dist({key!r}, age, stamp)]",
+                    *_group_terms(r, terms, t, "walk", p, p_stay)]
+        elif m is None:
+            out += ["st = tab[a + 1]", *_group_terms(r, terms, t, "stay", p, p_stay)]
+        else:
+            # one link: age g + 1 w.p. p if the sender (the source: g = 0)
+            # holds a fresher packet
+            cond, fr = ("0 < a", "tab[1]") if m < 0 else \
+                (f"stamp[{m}] >= 0 and age[{m}] < a", f"tab[age[{m}] + 1]")
+            if one:
+                st = "tab[a + 1]"
+                out += [f"q = debt[{r}]", f"if {cond}:"]
+            else:
+                out += ["st = tab[a + 1]", f"if {cond}:", f"    fr = {fr}"]
+                st, fr = "st", "fr"
+            out += [*_indent(_group_terms(r, terms, t, "fresh", p, p_stay, st, fr, q_set=one)),
+                    "else:",
+                    *_indent(_group_terms(r, terms, t, "stay", p, p_stay, st, fr, q_set=one))]
+        t += len(terms)
+
+    # the fold: one trie node per distinct prefix of an action's terms
+    nodes = {}    # (parent node, term) -> node; node 0 is the empty prefix
+    parent = [None]
+    fan = [0]     # children per node
+    leaves = []
+    for col in cols:
+        node = 0
+        for term in col:
+            nxt = nodes.get((node, term))
+            if nxt is None:
+                nxt = nodes[(node, term)] = len(parent)
+                parent.append((node, term))
+                fan.append(0)
+                fan[node] += 1
+            node = nxt
+        leaves.append(node)
+    stored = set(leaves)
+    expr, depth = {}, {}
+    for node in range(1, len(parent)):
+        up, term = parent[node]
+        if up == 0:
+            expr[node], depth[node] = f"t{term}", 1
+        else:
+            expr[node], depth[node] = f"{expr[up]} + t{term}", depth[up] + 1
+        # a long chain is stored too, to keep the compiler's recursion shallow
+        if node in stored or fan[node] != 1 or depth[node] >= 64:
+            out.append(f"s{node} = {expr[node]}")
+            expr[node], depth[node] = f"s{node}", 0
+    out.append(f"return [{', '.join(f's{leaf}' for leaf in leaves)}]")
+    return ["def score(debt, relay_debt, age, stamp, targets, tables):", *_indent(out)]
+
+
+def _age_terms_source(outcomes, dist_keys):
+    """``age_terms``: 0.0, then every key's p * next age terms in key order,
+    a fixed number per key: one without links, two (p * (g + 1), then
+    (1 - p) * (a + 1)) for one link, links + 1 for a walk. A term that a
+    slot's outcome leaves out is 0.0, which a left fold over positive terms
+    adds without a change. Returns the text and each key's terms' positions."""
+    out, cells, where = [], ["0.0"], []
+    n = 1  # terms so far
+    for k, (r, m, p, p_stay, walk) in enumerate(outcomes):
+        if walk:
+            width = len(dist_keys[k][1]) + 1
+            cells.append(f"*walk({dist_keys[k]!r}, age, stamp, {width})")
+        elif m is None:
+            width = 1
+            cells.append(f"age[{r}] + 1")  # nothing can arrive: 1.0 * (a + 1)
+        else:
+            width = 2
+            cells += [f"v{n}", f"v{n + 1}"]
+            cond, fresh = ("0 < a", repr(p)) if m < 0 else \
+                (f"stamp[{m}] >= 0 and age[{m}] < a", _weighted(p, f"(age[{m}] + 1)"))
+            # ages are ints, so a 0.0 weight gives 0.0
+            stay = "0.0" if p_stay == 0.0 else f"{p_stay!r} * (a + 1)"
+            out += [f"a = age[{r}]", f"if {cond}:", f"    v{n} = {fresh}",
+                    f"    v{n + 1} = {stay}", "else:", f"    v{n} = a + 1", f"    v{n + 1} = 0.0"]
+        where.append(range(n, n + width))
+        n += width
+    out.append(f"return [{', '.join(cells)}]")
+    return ["def age_terms(age, stamp):", *_indent(out)], where
+
+
 class DriftEvaluator:
-    """Exact expected drift of every action, scored in one pass per slot.
+    """Exact expected drift of every action, scored in one pass per slot by
+    code generated for the instance.
 
     Built once per instance on its ``age.RowPlan`` (``plan``), which owns
     the rows, the relay queues and each action's links; cost tables are
     passed to ``score``. A distribution key is (row, links), each link
     (sender row, or -1 for the source; p_edge), in the action's assignment
-    order; ``action_dists[a]`` lists action a's key id for every row, and
-    ``outcomes[k]`` is key k compiled as (row, m, p, 1 - p, walk): its
-    single link (m, p), m None if it has none, or walk True for two or more.
+    order; ``dist_keys`` lists the distinct keys and ``action_dists[a]``
+    action a's key id for every row.
 
-    A group is one destination key: (row, m, p, 1 - p, g, terms), with g
-    the key's position in ``general_keys`` if it has two or more links,
-    else None. Its terms are (relay queue, relay row, h or None), the
-    destination's (None, row, None) first, then each distinct relay term
-    that an action with this key reads. ``index`` gathers the slot's terms
-    into the (term x action) table in per-action sum order.
+    A group is one destination key, and its terms are the destination's
+    queue, then each distinct relay term (relay queue, relay row, hop
+    distance when forwarding) that an action with this key reads. Per slot
+    a group reads its outcome costs once and scores each term: at most one
+    link is priced inline, with the walk's bits, and only two or more links
+    build a distribution. ``source`` is the generated Python text:
+    ``score``, one straight-line block per group and then each action's
+    running sum as a left fold over its terms (destinations in order, each
+    followed by its relay terms); and ``age_terms``, every key's expected
+    next-age terms for the ``freshest`` tie-break, which each action folds
+    over its rows. The argmin ties on exact float equality, so the text
+    fixes every float operation and its order.
 
     The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
     relay queue q's hop distance when action ``a`` has its relay
@@ -108,21 +293,49 @@ class DriftEvaluator:
             cols.append(col)
             self.action_dists.append(ids)
             self.relay_hops.append(hops)
-        sizes = [1 + len(terms) for terms in groups.values()]
-        start = dict(zip(groups, np.cumsum([0] + sizes).tolist()))  # flat position
-        self.index = np.array([[start[d] + i for (d, i) in col] for col in cols],
-                              dtype=np.intp).reshape(len(cols), -1).T.copy()
-        self.outcomes = []
+        # per key: (row, m, p, 1 - p, walk), its single link (m, p), m None
+        # if it has none, or walk True for two or more
+        outcomes = []
         for (r, links) in self.dist_keys:
             m, p = links[0] if len(links) == 1 else (None, 0.0)
-            self.outcomes.append((r, m, p, 1.0 - p, len(links) > 1))
-        general = {}  # keys with two or more links, by position in general_keys
-        self.groups = []
+            outcomes.append((r, m, p, 1.0 - p, len(links) > 1))
+        start, flat = {}, 0  # each group's first term in the flat order
         for d, terms in groups.items():
-            *link, walk = self.outcomes[d]
-            g = general.setdefault(self.dist_keys[d], len(general)) if walk else None
-            self.groups.append((*link, g, ((None, link[0], None), *terms)))
-        self.general_keys = list(general)
+            start[d], flat = flat, flat + 1 + len(terms)
+        source = _score_source(
+            [(d, *outcomes[d][:4], self.dist_keys[d] if outcomes[d][4] else None,
+              [(None, outcomes[d][0], None), *terms]) for d, terms in groups.items()],
+            [[start[d] + i for (d, i) in col] for col in cols])
+        age_source, where = _age_terms_source(outcomes, self.dist_keys)
+        self._source = "\n".join(source) + "\n\n" + "\n".join(age_source) + "\n"
+        # per action: the leading 0.0, then its rows' age terms in row order
+        self._age_picks = [itemgetter(0, *(i for k in ids for i in where[k]))
+                           for ids in self.action_dists]
+        self._load()
+
+    def _load(self):
+        """Bind the compiled ``score`` and ``age_terms``."""
+        names = {"next_age_dist": DriftEvaluator.next_age_dist, "walk": _walk_terms}
+        for code in _compiled(self._source):
+            exec(code, names)
+        self._score, self._age_terms = names["score"], names["age_terms"]
+
+    def __getstate__(self):
+        # functions do not pickle; the source rebuilds them on load
+        state = dict(self.__dict__)
+        del state["_score"], state["_age_terms"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._load()
+
+    @property
+    def source(self):
+        """The generated Python text that ``score`` and
+        ``expected_age_sum`` run; the same for the same instance in every
+        process."""
+        return self._source
 
     def rows(self, debt, age, buffer, targets, cost_fns):
         """The dict state of the public API as ``score``'s row arguments.
@@ -163,45 +376,7 @@ class DriftEvaluator:
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
         index. A relay queue that is None (not kept by the run) adds a 0.0
         term."""
-        dists = [self.next_age_dist(key, age, stamp) for key in self.general_keys]
-        terms = []
-        add = terms.append
-        for (r, m, p, p_stay, d, queues) in self.groups:
-            tab, alpha, a = tables[r], targets[r], age[r]
-            stay = tab[a + 1]  # the cost if nothing fresher arrives
-            if d is not None:  # two or more links: walk the distribution
-                outs = [(tab[v], w) for (v, w) in dists[d]]
-            else:  # one link or none: age g + 1 w.p. p if the sender is fresher
-                outs = None
-                g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
-                fresh, w_stay = (tab[g + 1], p_stay) if g < a else (None, 1.0)
-            for (qr, ri, h) in queues:
-                qi = debt[r] if qr is None else relay_debt[qr]
-                if qi is None:
-                    add(0.0)  # run configured with destination-only debt
-                elif h is not None and stamp[ri] >= 0:
-                    nq = qi + tab[min(age[ri], a) + h] - alpha
-                    add((nq * nq if nq > 0.0 else 0.0) - qi * qi)
-                elif outs is None:
-                    # the two-outcome sum in either order, as the walk adds it
-                    nq = qi + stay - alpha
-                    exp_sq = w_stay * nq * nq if nq > 0.0 else 0.0
-                    if fresh is not None:
-                        nq = qi + fresh - alpha
-                        if nq > 0.0:
-                            exp_sq += p * nq * nq
-                    add(exp_sq - qi * qi)
-                else:
-                    exp_sq = 0.0
-                    for (c, w) in outs:
-                        nq = qi + c - alpha
-                        if nq > 0.0:
-                            exp_sq += w * nq * nq
-                    add(exp_sq - qi * qi)
-        # add the rows in order, as a per-action `total += term` loop would;
-        # accumulate is sequential for every shape, while a reduction over
-        # a single action's column may sum pairwise
-        return np.add.accumulate(np.array(terms)[self.index], axis=0)[-1].tolist()
+        return self._score(debt, relay_debt, age, stamp, targets, tables)
 
     def decide(self, debt, relay_debt, age, stamp, targets, tables, tie_break, rng):
         """The drift-minimizing action index (see ``age_debt_action``), and the scores."""
@@ -214,34 +389,19 @@ class DriftEvaluator:
             return ties[-1], scores
         if tie_break == "random":
             return ties[int(rng.integers(len(ties)))], scores
-        walks = {}
-        return min((self.expected_age_sum(i, age, stamp, walks), i) for i in ties)[1], scores
+        memo = {}
+        return min((self.expected_age_sum(i, age, stamp, memo), i) for i in ties)[1], scores
 
-    def expected_age_sum(self, action_idx, age, stamp, walks):
+    def expected_age_sum(self, action_idx, age, stamp, memo):
         """E[sum of all tracked ages next slot]; the freshness tie-breaker.
-        Adds p * next_age over the action's rows, then outcomes, in order.
-        A key with two or more links is walked once per slot, into
-        ``walks``; the others are priced from their compiled outcome."""
-        total = 0.0
-        outcomes = self.outcomes
-        for k in self.action_dists[action_idx]:
-            r, m, p, p_stay, walk = outcomes[k]
-            a = age[r]
-            if walk:
-                terms = walks.get(k)
-                if terms is None:
-                    terms = walks[k] = [w * v for (v, w)
-                                        in self.next_age_dist(self.dist_keys[k], age, stamp)]
-                for x in terms:
-                    total += x
-                continue
-            g = a if m is None else 0 if m < 0 else age[m] if stamp[m] >= 0 else a
-            if g < a:
-                total += p * (g + 1)
-                total += p_stay * (a + 1)
-            else:
-                total += a + 1  # 1.0 * (a + 1)
-        return total
+        Adds p * next_age over the action's rows, then outcomes, in order,
+        to 0.0. Every key's terms are priced once per state, into ``memo``
+        (a dict the caller keeps for one state), and a key with two or
+        more links walks its distribution."""
+        terms = memo.get("age_terms")
+        if terms is None:
+            terms = memo["age_terms"] = self._age_terms(age, stamp)
+        return reduce(add, self._age_picks[action_idx](terms))
 
 
 def get_drift_evaluator(instance):

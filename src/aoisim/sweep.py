@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -105,20 +105,43 @@ def _inline_costs(section, dest_pairs):
     return out
 
 
+# the network keys each form reads; a generator brings its own flows,
+# interference and costs
+_READS = {
+    None: ("nodes", "edges"),
+    "star": ("generator", "n", "sizes", "reliability", "generator_seed", "weight_rule",
+             "cost_rule"),
+    "line": ("generator", "n", "sizes", "interference"),
+    "graph-enum": ("generator", "n", "sizes", "graph_ids"),
+}
+
+
 def expand_scenarios(config):
     """Materialize the list of scenarios a config describes. A ``ValueError``
     from the owner of a rule reaches the caller prefixed by the config section
-    at fault."""
+    at fault. Once the network's own rules pass, a key or section that its
+    form does not read is an error too."""
     net = config.network
-    if "generator" in net:
-        return _in_section("network", _generated_scenarios, net)
-    inter = config.interference or {}
-    instance = _in_section(
-        "network", make_instance, net["nodes"], _inline_edges(net["edges"]),
-        _inline_flows(config.flows, net["nodes"]),
-        inter.get("model", "single-transmitter"), inter.get("eligibility", "any"),
-        inter.get("actions"))
-    return [Scenario("inline", "", instance, _inline_costs(config.costs, instance.dest_pairs()))]
+    gen = net.get("generator")
+    if gen is not None:
+        scenarios = _in_section("network", _generated_scenarios, net)
+    else:
+        inter = config.interference or {}
+        instance = _in_section(
+            "network", make_instance, net["nodes"], _inline_edges(net["edges"]),
+            _inline_flows(config.flows, net["nodes"]),
+            inter.get("model", "single-transmitter"), inter.get("eligibility", "any"),
+            inter.get("actions"))
+        scenarios = [Scenario("inline", "", instance,
+                              _inline_costs(config.costs, instance.dest_pairs()))]
+    unread = [f"network.{key}" for key in net if key not in _READS[gen]]
+    if gen is not None:
+        unread += [name for name in ("flows", "interference", "costs")
+                   if getattr(config, name) is not None]
+    if unread:
+        form = "an inline" if gen is None else f"a {gen}"
+        raise ValueError(f"{', '.join(unread)}: not read by {form} network")
+    return scenarios
 
 
 def _generated_scenarios(net):
@@ -148,6 +171,10 @@ def _generated_scenarios(net):
     for n in sizes:
         graphs = enumerate_connected_graphs(n)
         wanted = net.get("graph_ids")
+        unknown = sorted(set(wanted or ()) - set(range(len(graphs))))
+        if unknown:
+            raise ValueError(f"graph_ids {unknown} name no graph: the {n}-node graphs are "
+                             f"0..{len(graphs) - 1}")
         for gid, edges in enumerate(graphs):
             if wanted is not None and gid not in wanted:
                 continue
@@ -217,12 +244,11 @@ def _entry_config(pol, horizon, seed, sim_section):
     if mode == "fixed" and "targets" in pol:
         targets = _parse_targets(pol["targets"])
     elif mode == "flow-control":
-        fc = FlowControlConfig(**{key: pol[key] for key in ("V", "alpha_max") if key in pol})
+        fc = _mode_config(FlowControlConfig, mode, pol, {})
     elif mode == "gradient-descent":
-        gd = GradientDescentConfig(
-            **{key: pol[key] for key in ("epoch_length", "epochs", "step", "threshold")
-               if key in pol},
-            **{key: _parse_targets(pol[key]) for key in ("initial", "floor") if key in pol})
+        gd = _mode_config(GradientDescentConfig, mode, pol,
+                          {key: _parse_targets(pol[key]) for key in ("initial", "floor")
+                           if key in pol})
 
     return SimConfig(
         horizon=horizon, seed=seed, policy=name, policy_params=params, targets=targets,
@@ -230,6 +256,17 @@ def _entry_config(pol, horizon, seed, sim_section):
         flow_control=fc, gradient_descent=gd, tie_break=pol.get("tie_break", "freshest"),
         use_intermediate_queues=pol.get("use_intermediate_queues", True),
         trace_detail=sim_section.get("trace_detail", "metrics-only"))
+
+
+def _mode_config(cls, mode, pol, parsed):
+    """A target mode's config ``cls`` from the entry's keys that name its
+    fields, ``parsed`` ones as given; a required field the entry lacks is
+    named."""
+    missing = [f.name for f in fields(cls) if f.name not in pol
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"target_mode {mode!r} needs {', '.join(map(repr, missing))}")
+    return cls(**{f.name: parsed.get(f.name, pol[f.name]) for f in fields(cls) if f.name in pol})
 
 
 def check_policies(config, scenarios):

@@ -298,7 +298,13 @@ GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
      "policies[0] on inline: targets missing pairs [(1, 2)]"),
     (dict(TWO_NODE, policies=[GD]), {"horizon": 55},
      "policies[0]: epochs * epoch_length must equal sim.horizon (10 * 10 != 55)"),
-], ids=["probabilities", "action-index", "max-weight", "dp-size", "targets", "gd-horizon"])
+    (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "flow-control", "V": 10}]),
+     {}, "policies[0]: target_mode 'flow-control' needs 'alpha_max'"),
+    (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "gradient-descent",
+                               "epochs": 10, "step": 0.5}]), {},
+     "policies[0]: target_mode 'gradient-descent' needs 'epoch_length', 'threshold'"),
+], ids=["probabilities", "action-index", "max-weight", "dp-size", "targets", "gd-horizon",
+        "fc-field", "gd-fields"])
 def test_bad_entry_fails_before_any_tuning_or_solving(cfg, overrides, message, tmp_path,
                                                       capsys, monkeypatch):
     import aoisim.dp
@@ -360,9 +366,21 @@ GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5
     ({"network": {"generator": "star", "n": 3, "weight_rule": "one"}, "policies": [],
       "sim": {"horizon": 10, "seeds": [0]}},
      "network: unknown weight_rule 'one'"),
+    ({"network": {"generator": "graph-enum", "n": 4, "graph_ids": [99]}, "policies": [],
+      "sim": {"horizon": 10, "seeds": [0]}},
+     "network: graph_ids [99] name no graph: the 4-node graphs are 0..5"),
+    ({"network": {"generator": "line", "n": 4, "reliability": "uniform"},
+      "flows": "all-broadcast", "policies": [], "sim": {"horizon": 10, "seeds": [0]}},
+     "network.reliability, flows: not read by a line network"),
+    ({"network": {"generator": "star", "n": 3, "interference": "parity"}, "policies": [],
+      "sim": {"horizon": 10, "seeds": [0]}},
+     "network.interference: not read by a star network"),
+    (inline_cfg(network={"nodes": 3, "edges": ["1-2", "2-3"], "sizes": [4]}),
+     "network.sizes: not read by an inline network"),
 ], ids=["a-exponent", "b-star-n", "c-epoch-length", "d-duplicate-edge", "e-pair-key",
         "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
-        "model", "explicit", "cost-kind", "generator", "weight-rule"])
+        "model", "explicit", "cost-kind", "generator", "weight-rule", "graph-ids",
+        "line-unread", "star-unread", "inline-unread"])
 def test_value_rules_fail_at_their_owner_with_the_key_path(cfg, message, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))

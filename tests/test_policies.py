@@ -1,14 +1,21 @@
+import hashlib
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import (CostFunction, DebtState, RandomizedPolicy, SimConfig, age_debt_action,
-                    broadcast_instance, enumerate_connected_graphs, gen_line,
-                    make_instance, max_weight_action, optimize_randomized,
-                    single_hop_age_debt_action)
+import aoisim.sweep
+from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy, SimConfig,
+                    age_debt_action, broadcast_instance, enumerate_connected_graphs, gen_line,
+                    make_instance, max_weight_action, optimize_randomized, parse_config, run,
+                    run_sweep, single_hop_age_debt_action)
 from aoisim.age import restricted_hop_distance, row_plan
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
@@ -311,6 +318,132 @@ def test_score_and_decision_match_dict_reference(state):
         got = ev.decide(*rows, tie_break, np.random.default_rng(5))[0]
         assert got == ref.decide(debt, age, buffer, targets, cost_fns, tie_break,
                                  np.random.default_rng(5)), tie_break
+
+
+@st.composite
+def compiled_drift_cases(draw):
+    """A small instance with reliabilities in (0, 1]: a line, a star, a
+    diamond, a 4- or 5-node broadcast, or a multicast whose actions send two
+    links into one row; and a random dict state on it, relay queues kept."""
+    rel = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    shape = draw(st.sampled_from(["line", "star", "diamond", "broadcast", "multicast"]))
+    if shape == "line":
+        instance, _ = gen_line(draw(st.integers(min_value=3, max_value=6)),
+                               interference=draw(st.sampled_from(["parity",
+                                                                  "single-transmitter"])),
+                               reliability=draw(rel))
+    elif shape == "star":
+        n = draw(st.integers(min_value=3, max_value=5))
+        instance = make_instance(n, {(s, n): draw(rel) for s in range(1, n)},
+                                 [(s, {n}) for s in range(1, n)],
+                                 interference="single-transmitter", eligibility="path")
+    elif shape == "diamond":  # the direct 1-4 link drives three links at once
+        direct = draw(st.booleans())
+        edges = [(1, 2), (1, 3), (2, 4), (3, 4)] + ([(1, 4)] if direct else [])
+        instance = make_instance(
+            4, {e: draw(rel) for e in edges}, [(1, {4})], interference="explicit",
+            explicit_actions=[[(1, 2, 1), (1, 3, 1)] + ([(1, 4, 1)] if direct else []),
+                              [(2, 4, 1), (3, 4, 1)]])
+    elif shape == "broadcast":
+        n = draw(st.sampled_from([4, 5]))
+        graphs = enumerate_connected_graphs(n)
+        edges = graphs[draw(st.integers(0, len(graphs) - 1))]
+        instance = make_instance(n, {e: draw(rel) for e in edges},
+                                 [(s, set(range(1, n + 1)) - {s}) for s in range(1, n + 1)],
+                                 interference="single-transmitter", eligibility="path")
+    else:  # rows (1, 3) and (1, 4) each take two links in one slot
+        instance = make_instance(
+            4, {e: draw(rel) for e in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]}, [(1, {3, 4})],
+            interference="explicit",
+            explicit_actions=[[(1, 2, 1), (1, 3, 1)], [(1, 3, 1), (2, 3, 1)],
+                              [(2, 4, 1), (3, 4, 1)], [(2, 3, 1), (3, 4, 1)]])
+    pairs = instance.dest_pairs()
+    cost_fns = {pair: draw(st.sampled_from([
+        CostFunction.linear(1.5), CostFunction.power(2.0), CostFunction.exponential(cap=60.0),
+        CostFunction.indicator(3)])) for pair in pairs}
+    age = {pair: draw(st.integers(min_value=1, max_value=6))
+           for pair in instance.tracked_pairs()}
+    buffer = initial_buffer(instance.flows)
+    for (k, i) in instance.tracked_pairs():
+        if draw(st.booleans()):
+            buffer[(i, k)] = 0  # holds a packet
+    queue = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0))
+    debt = initial_debt(instance)
+    debt.dest = {pair: draw(queue) for pair in pairs}
+    debt.intermediate = {key: draw(queue) for key in debt.intermediate}
+    targets = {pair: draw(st.sampled_from([0.0, 1.0, 2.5, 40.0])) for pair in pairs}
+    return instance, debt, age, buffer, targets, cost_fns
+
+
+@given(compiled_drift_cases())
+@settings(max_examples=200, deadline=None)
+def test_compiled_scores_and_decisions_match_dict_reference_with_relay_queues_on_and_off(case):
+    instance, debt, age, buffer, targets, cost_fns = case
+    ev, ref = DriftEvaluator(instance), DictDriftEvaluator(instance)
+    for intermediate in (debt.intermediate, {}):  # kept, then off: None in every cell
+        state = DebtState(dest=debt.dest, intermediate=intermediate)
+        rows = ev.rows(state, age, buffer, targets, cost_fns)
+        assert all((q is None) != bool(intermediate) for q in rows[1])
+        want, dists = ref.score(state, age, buffer, targets, cost_fns)
+        assert [s.hex() for s in ev.score(*rows)] == [s.hex() for s in want]
+        # the reference walks relay rows' keys only for the tie-break
+        dists += [ref.next_age_dist(key, age, buffer) for key in ref.dist_keys[len(dists):]]
+        memo = {}
+        assert [ev.expected_age_sum(i, rows[2], rows[3], memo).hex() for i in range(len(want))] \
+            == [ref.expected_age_sum(i, dists).hex() for i in range(len(want))]
+        for tie_break in TIE_BREAKS:
+            got = ev.decide(*rows, tie_break, np.random.default_rng(7))[0]
+            assert got == ref.decide(state, age, buffer, targets, cost_fns, tie_break,
+                                     np.random.default_rng(7)), tie_break
+
+
+def test_generated_source_is_the_same_in_every_interpreter():
+    # a cache keyed by the text hits, and a run reproduces, only if the text
+    # does not depend on the process: try two string-hash seeds
+    code = ("import hashlib, aoisim\n"
+            "from aoisim.policies import get_drift_evaluator\n"
+            "line, _ = aoisim.gen_line(8, interference='single-transmitter', reliability=0.7)\n"
+            "graph = aoisim.enumerate_connected_graphs(5)[10]\n"
+            "bc, _ = aoisim.broadcast_instance(5, graph, reliability=0.9)\n"
+            "text = get_drift_evaluator(line).source + get_drift_evaluator(bc).source\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=path,
+                                                   PYTHONHASHSEED=seed)).stdout
+               for seed in ("1", "2")}
+    line, _ = gen_line(8, interference="single-transmitter", reliability=0.7)
+    bc, _ = broadcast_instance(5, enumerate_connected_graphs(5)[10], reliability=0.9)
+    text = DriftEvaluator(line).source + DriftEvaluator(bc).source
+    assert digests == {hashlib.sha256(text.encode()).hexdigest() + "\n"}
+    with pytest.raises(AttributeError):
+        get_drift_evaluator(line).source = text  # read-only
+
+
+def test_pickled_instance_with_a_compiled_evaluator_sweeps_the_same_bytes(tmp_path,
+                                                                         monkeypatch):
+    instance, cost_fns = gen_line(5, interference="single-transmitter", reliability=0.8)
+    cfg = SimConfig(horizon=300, seed=0, policy="age-debt", target_mode="flow-control",
+                    flow_control=FlowControlConfig(V=10.0, alpha_max=20.0))
+    want = run(instance, cost_fns, cfg)
+    copy = pickle.loads(pickle.dumps(instance))
+    assert copy._drift_evaluator.source == instance._drift_evaluator.source
+    assert run(copy, cost_fns, cfg) == want
+    # every task, serial or in a worker, runs on the unpickled copy
+    monkeypatch.setattr(aoisim.sweep, "expand_scenarios",
+                        lambda config: [aoisim.sweep.Scenario("line", "", copy, cost_fns)])
+    config, errors = parse_config(json.dumps({
+        "network": {"generator": "line", "n": 5},
+        "policies": [{"name": "age-debt", "target_mode": "flow-control", "V": 10,
+                      "alpha_max": 20}],
+        "sim": {"horizon": 300, "seeds": [0, 1, 2]}}))
+    assert errors == []
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    run_sweep(config, str(one), jobs=1)
+    run_sweep(config, str(two), jobs=2)
+    assert two.read_bytes() == one.read_bytes()
+    assert f"{want.sum_cost:.10g}" in one.read_text()
 
 
 # ---------------- single-hop closed form ----------------
