@@ -4,16 +4,18 @@ State layout (flat lists owned by one simulation run, indexed by row: a
 tracked (flow, node) pair of the instance's ``RowPlan``, which owns it):
 
   age         row -> age of the node's information about the flow's source
-  stamp       row -> generation slot of the freshest packet of the flow held
-              at the node (-1 for none); then one cell per source, flow order
+  held        row -> whether the node holds a packet of the flow, which is
+              then exactly as old as its age
   debt        row -> destination queue Q_kj >= 0 (relay rows stay 0.0)
   relay_debt  intermediate queues in ``RowPlan.relay_keys`` order; None
               where a run does not keep them
   targets     row -> alpha_kj, and tables row -> the pair's cost table
 
-Ages advance once per slot: +1 without a delivery, min(age, t - t_g) + 1 when
-a packet generated at t_g arrives at slot t. Debt queues accumulate the
-positive part of (cost of next age - target) and never go negative.
+Ages advance once per slot: +1 without a delivery, and a successful link
+m -> i sets A_i to min(A_i, A_m) + 1, where A_m is the sender's pre-slot age
+(0 for the flow's source, which sends a fresh update). Only a node that holds
+a packet can send one. Debt queues accumulate the positive part of (cost of
+next age - target) and never go negative.
 
 Intermediate queues are read only by the exact-drift policy, so a run keeps
 them only under that policy. Their case-1 hop distances are computed once
@@ -42,23 +44,21 @@ class DebtState:
     intermediate: dict = field(default_factory=dict)  # (k, j, i) -> Q >= 0
 
 
-def advance_age(age, stamp, deliveries, t):
+def advance_age(age, held, deliveries):
     """One slot of age evolution.
 
-    ``deliveries`` is an iterable of (row, t_g): packets that physically
-    arrived during slot t. Returns the new age list; ``stamp`` is updated in
-    place, keeping only the freshest stamp per row.
+    ``deliveries`` is an iterable of (row, g): packets that arrived during
+    the slot, g being the sender's pre-slot age (0 for a fresh update from
+    the source). Returns the new age list, min(age, g) + 1 on each
+    receiving row and age + 1 elsewhere; ``held`` is updated in place, every
+    receiving row now holding a packet.
     """
     nxt = [a + 1 for a in age]
-    for (r, t_g) in deliveries:
-        if t_g > t:
-            raise ValueError(f"causality violation: delivery to row {r} generated at "
-                             f"{t_g} > current slot {t}")
-        a = min(age[r], t - t_g) + 1
+    for (r, g) in deliveries:
+        a = g + 1
         if a < nxt[r]:
             nxt[r] = a
-        if stamp[r] < t_g:
-            stamp[r] = t_g
+        held[r] = True
     return nxt
 
 
@@ -92,22 +92,21 @@ def restricted_hop_distance(adjacency, i, j, first_hops):
     return best
 
 
-def update_intermediate_debt(relay_debt, relays, hops, age, t, tables, targets, priced):
+def update_intermediate_debt(relay_debt, relays, hops, age, held, tables, targets, priced):
     """Advance every intermediate queue one slot.
 
     Queue q has ``relays[q]`` = (destination position in ``priced``,
     destination row, relay row). When the action has the relay forwarding
     (``hops[q]``, its first-hop-restricted hop distance h, is not None) and
-    it holds a packet (it has received one: only then is its pre-slot age at
-    most t), the queue charges the most optimistic deliverable cost
-    f(min(relay age, dest age) + h) on pre-slot ages. Otherwise, including a
-    forwarding assignment with no packet on board (a no-op on the wire), it
-    shadows the destination's realized cost, ``priced[p]``, from
-    ``update_destination_debt``.
+    it held a packet before the slot (``held[ri]``), the queue charges the
+    most optimistic deliverable cost f(min(relay age, dest age) + h) on
+    pre-slot ages. Otherwise, including a forwarding assignment with no
+    packet on board (a no-op on the wire), it shadows the destination's
+    realized cost, ``priced[p]``, from ``update_destination_debt``.
     """
     for q, (p, rd, ri) in enumerate(relays):
         h = hops[q]
-        if h is not None and age[ri] <= t:
+        if h is not None and held[ri]:
             term = tables[rd][min(age[ri], age[rd]) + h]
         else:
             term = priced[p]
@@ -127,25 +126,25 @@ class RowPlan:
     row state: the slot loop, the open-loop arrays, the drift evaluator and
     the DP oracle.
 
-    Rows are the ``tracked`` (flow, node) pairs (stamps add one cell per
-    source after them); ``dest_rows`` are the rows of ``dest_pairs``. Relay
-    queue q is ``relay_keys[q]`` = (flow, dest, relay), and ``relays[q]`` =
-    (dest position in ``dest_pairs``, dest row, relay row).
+    Rows are the ``tracked`` (flow, node) pairs; ``dest_rows`` are the rows
+    of ``dest_pairs``. Relay queue q is ``relay_keys[q]`` = (flow, dest,
+    relay), and ``relays[q]`` = (dest position in ``dest_pairs``, dest row,
+    relay row).
 
-    A link is a (tx, rx, flow) assignment that can raise a row's stamp: from
-    the flow's source, which carries the slot's own stamp, or from a tracked
-    node of the flow, which carries the stamp it held the slot before.
-    Links into the flow's own source, or from a node that never holds the
-    flow, change nothing and are left out. ``action_links[a]`` lists action
-    a's links as (rx row, tx row or source cell, edge), in assignment order;
-    the arrays list every distinct link once, sorted by receiving row.
+    A link is a (tx, rx, flow) assignment that can lower a row's age: from
+    the flow's source, which sends a fresh update, or from a tracked node of
+    the flow, which sends the packet it held before the slot. Links into the
+    flow's own source, or from a node that never holds the flow, change
+    nothing and are left out. ``action_links[a]`` lists action a's links as
+    (rx row, tx row or -1 for the source, edge), in assignment order; the
+    arrays list every distinct link once, sorted by receiving row, for
+    ``stamps``.
     """
 
     def __init__(self, instance):
         self.tracked = tracked = instance.tracked_pairs()
         row = {pair: i for i, pair in enumerate(tracked)}
         self.n_rows = n_rows = len(tracked)
-        cell = {f.source: n_rows + i for i, f in enumerate(instance.flows)}
         self.dest_pairs = instance.dest_pairs()
         self.dest_rows = [row[pair] for pair in self.dest_pairs]
         # a flow's relays are its tracked nodes that are not destinations
@@ -154,12 +153,12 @@ class RowPlan:
                        if tracked[ri][0] == tracked[rd][0]]
         self.relay_keys = [(*tracked[rd], tracked[ri][1]) for (_, rd, ri) in self.relays]
         self.action_links = []
-        links = {}  # (rx row, tx row or source cell, edge) -> actions using it
+        links = {}  # (rx row, tx row or -1, edge) -> actions using it
         for a, action in enumerate(instance.action_space):
             kept = []
             for (tx, rx, k) in action:
                 r = row.get((k, rx))
-                m = cell[k] if tx == k else row.get((k, tx))
+                m = -1 if tx == k else row.get((k, tx))
                 if r is not None and m is not None:
                     kept.append((r, m, instance.edge_index[canon_edge(tx, rx)]))
                     links.setdefault(kept[-1], []).append(a)
@@ -169,17 +168,18 @@ class RowPlan:
         for i, key in enumerate(keys):
             self.active[links[key], i] = True  # action x link
         rx_rows, tx_rows, self.edges = np.array(keys, dtype=np.intp).reshape(-1, 3).T
-        self.from_source = tx_rows >= n_rows
-        self.relay_links = np.flatnonzero(tx_rows < n_rows)
+        self.from_source = tx_rows < 0
+        self.relay_links = np.flatnonzero(tx_rows >= 0)
         self.relay_from = tx_rows[self.relay_links]
         # receiving rows and the first link of each, for maximum.reduceat
         self.rows, self.starts = np.unique(rx_rows, return_index=True)
 
     def stamps(self, before, start, on):
-        """Every row's buffer stamp (-1 for none) after each slot of a
-        block that starts at slot ``start``; ``before`` holds the stamps
-        before it, and ``on`` (link x slot) marks the active links whose
-        channel delivered."""
+        """Every row's buffer stamp, the slot that made its freshest packet
+        (-1 for none), after each slot of a block that starts at slot
+        ``start``; ``before`` holds the stamps before it, and ``on`` (link x
+        slot) marks the active links whose channel delivered. Only the
+        open-loop run keeps stamps: in them its recurrence is max-plus."""
         n_slots = on.shape[1]
         carried = np.empty(on.shape, dtype=np.int64)
         carried[self.from_source] = np.arange(start, start + n_slots)

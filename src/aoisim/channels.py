@@ -29,8 +29,6 @@ class ChannelProcess:
     rows past it; the bits are the same as without one."""
 
     def __init__(self, instance, seed, horizon=None):
-        self.instance = instance
-        self.seed = int(seed)
         self.horizon = horizon
         self.n_edges = len(instance.edges)
         self._keys = [_edge_key(seed, i) for i in range(self.n_edges)]

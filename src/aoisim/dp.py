@@ -172,7 +172,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
         outs = []
         for success in itertools.product((False, True), repeat=len(links)):
             w = 1.0
-            senders = {}  # row -> delivering rows and source cells
+            senders = {}  # row -> delivering rows, -1 for the source
             for ok, (r, m, e) in zip(success, links):
                 w *= probs[e] if ok else (1.0 - probs[e])
                 if ok:
@@ -182,7 +182,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
             # per axis: None advances the age, "source" resets it to age 1,
             # a tuple names the relay axes whose packets it may receive
             rule = tuple(None if r not in senders
-                         else "source" if max(senders[r]) >= n
+                         else "source" if min(senders[r]) < 0
                          else tuple(sorted(senders[r])) for r in range(n))
             if rule not in map_pos:
                 map_pos[rule] = len(maps)
@@ -335,7 +335,7 @@ def _successor_map(rule, grids, a_cap):
         if r is None:
             nxt = adv[grids[p]]
         elif r == "source":
-            continue  # fresh stamp: the receiver lands on age 1, index 0
+            continue  # fresh update: the receiver lands on age 1, index 0
         else:
             # a relay's effective age index is its own coordinate
             cur = grids[p]

@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 
-# (tx, rx, flow) - node tx sends a packet of `flow` to its neighbor rx.
-Assignment = tuple
 Action = tuple
 
 IDLE_ACTION: Action = ()
@@ -335,18 +333,6 @@ def make_instance(node_count, reliability, flows, interference="single-transmitt
                                eligibility=eligibility,
                                explicit_actions=explicit_actions, cap=cap)
     return NetworkInstance(node_count, edges, rel, tuple(flow_objs), space)
-
-
-def validate_instance(instance):
-    """Diagnostic check of every instance invariant; returns all violations."""
-    errors = _graph_errors(instance.node_count, instance.edges, instance.reliability,
-                           instance.flows)
-    flow_ids = {f.source for f in instance.flows}
-    if instance.action_space[:1] != (IDLE_ACTION,):
-        errors.append("action space does not start with the idle action")
-    for a in instance.action_space:
-        errors.extend(validate_action(a, instance.edges, flow_ids))
-    return errors
 
 
 def _graph_errors(n, edges, reliability, flows):

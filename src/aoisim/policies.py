@@ -73,10 +73,10 @@ def _compiled(source):
     return [compile(part, "<aoisim drift evaluator>", "exec") for part in source.split("\n\n")]
 
 
-def _walk_terms(key, age, stamp, width):
+def _walk_terms(key, age, held, width):
     """p * next age over a key's distribution, in its order, padded with
     0.0 to ``width`` terms: adding 0.0 leaves a positive sum unchanged."""
-    terms = [w * v for (v, w) in DriftEvaluator.next_age_dist(key, age, stamp)]
+    terms = [w * v for (v, w) in DriftEvaluator.next_age_dist(key, age, held)]
     return terms + [0.0] * (width - len(terms))
 
 
@@ -117,7 +117,7 @@ def _group_terms(r, terms, t, how, p, p_stay, st="st", fr="fr", al="al", q_set=F
         lines += [f"q = relay_debt[{qr}]", "if q is None:",
                   f"    t{i} = 0.0  # a run that keeps no relay queues"]
         if h is not None:
-            lines += [f"elif stamp[{ri}] >= 0:",
+            lines += [f"elif held[{ri}]:",
                       f"    nq = q + {_CASE1_CHARGE.format(ri=ri, h=h)} - {al}",
                       f"    t{i} = (nq * nq if nq > 0.0 else 0.0) - q * q"]
         lines += ["else:", *_indent(_shadow_term(i, how, p, p_stay, st, fr, al))]
@@ -141,7 +141,7 @@ def _score_source(groups, cols):
             continue
         out += [f"a = age[{r}]", f"tab = tables[{r}]", f"al = targets[{r}]"]
         if key is not None:
-            out += [f"outs = [(tab[v], w) for (v, w) in next_age_dist({key!r}, age, stamp)]",
+            out += [f"outs = [(tab[v], w) for (v, w) in next_age_dist({key!r}, age, held)]",
                     *_group_terms(r, terms, t, "walk", p, p_stay)]
         elif m is None:
             out += ["st = tab[a + 1]", *_group_terms(r, terms, t, "stay", p, p_stay)]
@@ -149,7 +149,7 @@ def _score_source(groups, cols):
             # one link: age g + 1 w.p. p if the sender (the source: g = 0)
             # holds a fresher packet
             cond, fr = ("0 < a", "tab[1]") if m < 0 else \
-                (f"stamp[{m}] >= 0 and age[{m}] < a", f"tab[age[{m}] + 1]")
+                (f"held[{m}] and age[{m}] < a", f"tab[age[{m}] + 1]")
             if one:
                 st = "tab[a + 1]"
                 out += [f"q = debt[{r}]", f"if {cond}:"]
@@ -190,7 +190,7 @@ def _score_source(groups, cols):
             out.append(f"s{node} = {expr[node]}")
             expr[node], depth[node] = f"s{node}", 0
     out.append(f"return [{', '.join(f's{leaf}' for leaf in leaves)}]")
-    return ["def score(debt, relay_debt, age, stamp, targets, tables):", *_indent(out)]
+    return ["def score(debt, relay_debt, age, held, targets, tables):", *_indent(out)]
 
 
 def _age_terms_source(outcomes, dist_keys):
@@ -204,7 +204,7 @@ def _age_terms_source(outcomes, dist_keys):
     for k, (r, m, p, p_stay, walk) in enumerate(outcomes):
         if walk:
             width = len(dist_keys[k][1]) + 1
-            cells.append(f"*walk({dist_keys[k]!r}, age, stamp, {width})")
+            cells.append(f"*walk({dist_keys[k]!r}, age, held, {width})")
         elif m is None:
             width = 1
             cells.append(f"age[{r}] + 1")  # nothing can arrive: 1.0 * (a + 1)
@@ -212,7 +212,7 @@ def _age_terms_source(outcomes, dist_keys):
             width = 2
             cells += [f"v{n}", f"v{n + 1}"]
             cond, fresh = ("0 < a", repr(p)) if m < 0 else \
-                (f"stamp[{m}] >= 0 and age[{m}] < a", _weighted(p, f"(age[{m}] + 1)"))
+                (f"held[{m}] and age[{m}] < a", _weighted(p, f"(age[{m}] + 1)"))
             # ages are ints, so a 0.0 weight gives 0.0
             stay = "0.0" if p_stay == 0.0 else f"{p_stay!r} * (a + 1)"
             out += [f"a = age[{r}]", f"if {cond}:", f"    v{n} = {fresh}",
@@ -220,7 +220,7 @@ def _age_terms_source(outcomes, dist_keys):
         where.append(range(n, n + width))
         n += width
     out.append(f"return [{', '.join(cells)}]")
-    return ["def age_terms(age, stamp):", *_indent(out)], where
+    return ["def age_terms(age, held):", *_indent(out)], where
 
 
 class DriftEvaluator:
@@ -275,7 +275,7 @@ class DriftEvaluator:
         for action, kept in zip(instance.action_space, plan.action_links):
             links = {}  # row -> links that can deliver its flow to it
             for (r, m, e) in kept:
-                links.setdefault(r, []).append((-1 if m >= plan.n_rows else m, probs[e]))
+                links.setdefault(r, []).append((m, probs[e]))
             # (node, flow) -> directed edges the node sends that flow on, from
             # the whole action: a first hop back into the source counts too
             fwd = {}
@@ -338,26 +338,27 @@ class DriftEvaluator:
         return self._source
 
     def rows(self, debt, age, buffer, targets, cost_fns):
-        """The dict state of the public API as ``score``'s row arguments.
-        The evaluator reads only whether a node holds a packet, not its
-        stamp. Each pair's cost function is its table, read as ``f[age]``."""
+        """The dict state of the public API as ``score``'s row arguments: a
+        row holds a packet iff its (node, flow) is in ``buffer``, whatever
+        its age. Each pair's cost function is its table, read as
+        ``f[age]``."""
         plan = self.plan
         d, tg, tables = [0.0] * plan.n_rows, [0.0] * plan.n_rows, {}
         for pair, r in zip(plan.dest_pairs, plan.dest_rows):
             d[r], tg[r], tables[r] = debt.dest[pair], targets[pair], cost_fns[pair]
         return (d, [debt.intermediate.get(key) for key in plan.relay_keys],
                 [age[pair] for pair in plan.tracked],
-                [0 if (node, k) in buffer else -1 for (k, node) in plan.tracked], tg, tables)
+                [(node, k) in buffer for (k, node) in plan.tracked], tg, tables)
 
     @staticmethod
-    def next_age_dist(key, age, stamp):
+    def next_age_dist(key, age, held):
         """Distribution of the row's next age given the links that can
         deliver into it, key = (row, links): [(next_age, prob)], prob
         summing to 1."""
         r, links = key
         a_now = age[r]
-        # a source sends a fresh stamp (age 0), a relay only a packet it holds
-        cands = sorted((age[m] if m >= 0 else 0, p) for (m, p) in links if m < 0 or stamp[m] >= 0)
+        # a source sends a fresh update (age 0), a relay only a packet it holds
+        cands = sorted((age[m] if m >= 0 else 0, p) for (m, p) in links if m < 0 or held[m])
         out = []
         stay = 1.0
         for (g, p) in cands:
@@ -372,15 +373,15 @@ class DriftEvaluator:
             merged[v] = merged.get(v, 0.0) + p
         return tuple(sorted(merged.items()))
 
-    def score(self, debt, relay_debt, age, stamp, targets, tables):
+    def score(self, debt, relay_debt, age, held, targets, tables):
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
         index. A relay queue that is None (not kept by the run) adds a 0.0
         term."""
-        return self._score(debt, relay_debt, age, stamp, targets, tables)
+        return self._score(debt, relay_debt, age, held, targets, tables)
 
-    def decide(self, debt, relay_debt, age, stamp, targets, tables, tie_break, rng):
+    def decide(self, debt, relay_debt, age, held, targets, tables, tie_break, rng):
         """The drift-minimizing action index (see ``age_debt_action``), and the scores."""
-        scores = self.score(debt, relay_debt, age, stamp, targets, tables)
+        scores = self.score(debt, relay_debt, age, held, targets, tables)
         best = min(scores)
         ties = [i for i, s in enumerate(scores) if s == best]
         if len(ties) == 1 or tie_break == "first":
@@ -390,9 +391,9 @@ class DriftEvaluator:
         if tie_break == "random":
             return ties[int(rng.integers(len(ties)))], scores
         memo = {}
-        return min((self.expected_age_sum(i, age, stamp, memo), i) for i in ties)[1], scores
+        return min((self.expected_age_sum(i, age, held, memo), i) for i in ties)[1], scores
 
-    def expected_age_sum(self, action_idx, age, stamp, memo):
+    def expected_age_sum(self, action_idx, age, held, memo):
         """E[sum of all tracked ages next slot]; the freshness tie-breaker.
         Adds p * next_age over the action's rows, then outcomes, in order,
         to 0.0. Every key's terms are priced once per state, into ``memo``
@@ -400,7 +401,7 @@ class DriftEvaluator:
         more links walks its distribution."""
         terms = memo.get("age_terms")
         if terms is None:
-            terms = memo["age_terms"] = self._age_terms(age, stamp)
+            terms = memo["age_terms"] = self._age_terms(age, held)
         return reduce(add, self._age_picks[action_idx](terms))
 
 

@@ -23,17 +23,16 @@ from .network import make_instance
 FUNCTIONS_OF_AGE = ("linear15", "exponential", "square", "cube")
 
 
-def _cycled_cost(i, cap=None):
+def _cycled_cost(i):
     """Cost families cycled over sources: 15*A, e^A, A^2, A^3."""
     kind = FUNCTIONS_OF_AGE[(i - 1) % 4]
-    kwargs = {} if cap is None else {"cap": cap}
     if kind == "linear15":
-        return CostFunction.linear(15.0, **kwargs)
+        return CostFunction.linear(15.0)
     if kind == "exponential":
-        return CostFunction.exponential(**kwargs)
+        return CostFunction.exponential()
     if kind == "square":
-        return CostFunction.power(2.0, **kwargs)
-    return CostFunction.power(3.0, **kwargs)
+        return CostFunction.power(2.0)
+    return CostFunction.power(3.0)
 
 
 def gen_star(n, weight_rule="i-over-n", reliability_rule="uniform", rng=None,

@@ -5,19 +5,21 @@ Slot order, fixed and relied on by the tests:
   1. target update (flow-control mode only, from current debts)
   2. policy decision (sees pre-slot ages, buffers, debts, targets)
   3. channel sampling (counter-based per-edge streams, policy-independent)
-  4. packet movement: sources stamp fresh updates, relays forward their
-     buffered freshest packet; successful links deliver
-  5. age advance and buffer update
+  4. packet movement: sources send fresh updates, relays forward the packet
+     they held before the slot; a successful link m -> i delivers the
+     sender's pre-slot age (0 from a source)
+  5. age advance, min(A_i, A_m) + 1 per delivery, and buffer update
   6. destination debt update (uses post-slot ages and this slot's targets)
   7. intermediate debt update, exact age-debt only: case 1 for the relays
      that forwarded a held packet in step 4, with pre-slot ages and the
      chosen action's hop distances from the drift evaluator
   8. metrics accumulation
 
-The state is the row layout of ``age.RowPlan``, which also lists each
-action's links and the relay queues by row. The run keeps a table of each
-pair's costs, filled by calling its cost function and grown only when the
-oldest age, which rises by at most one per slot, could reach its end.
+The state is each row's age and whether it holds a packet, in the row
+layout of ``age.RowPlan``, which also lists each action's links and the
+relay queues by row. The run keeps a table of each pair's costs, filled by
+calling its cost function and grown only when the oldest age, which rises by
+at most one per slot, could reach its end.
 
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
@@ -25,11 +27,12 @@ targets move and all debt queues reset to zero, while ages carry over.
 Randomized and constant runs at fixed targets with metrics only skip the
 slot loop. Their actions never read state, so the whole action sequence
 is known up front: a constant index, or the same uniforms from the policy
-stream that the loop draws one slot at a time. Every buffer stamp is then a
-max-plus recurrence over the slots (a source carries the slot's own stamp
-over an active, successful link, a relay the stamp it held the slot
-before), solved one channel block at a time by rounds of
-``np.maximum.accumulate`` until nothing changes, and every age is
+stream that the loop draws one slot at a time. This path alone keeps
+buffer stamps (the slot that made each row's freshest packet) in place of
+ages, as they make the run a max-plus recurrence over the slots (a source
+carries the slot's own stamp over an active, successful link, a relay the
+stamp it held the slot before), solved one channel block at a time by rounds
+of ``np.maximum.accumulate`` until nothing changes, and every age is
 t + 1 - stamp. Costs are the same calls on the same integer ages (one per
 distinct age of a block), summed in slot order, and debts follow the same
 update, so the metrics are the same bits as the loop's.
@@ -57,6 +60,9 @@ POLICIES = ("age-debt", "max-weight", "randomized", "constant", "dp-table")
 TARGET_MODES = ("fixed", "flow-control", "gradient-descent")
 AGE_DEBT_VARIANTS = ("auto", "exact")  # closed form on single-hop stars, or exact drift
 
+# a run aborts once a tracked age passes this bound (checked every 4096th slot)
+RUNAWAY_AGE = 2 ** 40
+
 
 @dataclass
 class SimConfig:
@@ -71,7 +77,6 @@ class SimConfig:
     tie_break: str = "freshest"
     use_intermediate_queues: bool = True
     trace_detail: str = "metrics-only"  # metrics-only | full
-    runaway_age: int = 2 ** 40
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -125,18 +130,17 @@ def star_structure(instance):
 
 
 def _policy(instance, cost_fns, cfg, rng, tables):
-    """The run's policy as ``decide(age, stamp, debt, relay_debt, targets)``,
-    from the pre-slot row state to the slot's action index, and exact
-    age-debt's drift evaluator (else None), which holds the relay queues'
-    hop distances. Star rules are looked up in this module's globals at each
-    call, so a wrapper patched over them there sees every decision."""
+    """The run's policy as ``decide(age, held, debt, relay_debt, targets)``,
+    from the pre-slot row state to the slot's action index. Star rules are
+    looked up in this module's globals at each call, so a wrapper patched
+    over them there sees every decision."""
     params = cfg.policy_params
     if cfg.policy == "randomized":
         pol = _randomized_policy(instance, params)
-        return lambda age, stamp, debt, relay_debt, targets: pol.sample_index(rng), None
+        return lambda age, held, debt, relay_debt, targets: pol.sample_index(rng)
     if cfg.policy == "constant":
         idx = _constant_action(instance, params)
-        return lambda age, stamp, debt, relay_debt, targets: idx, None
+        return lambda age, held, debt, relay_debt, targets: idx
     if cfg.policy == "dp-table":
         # the solution's axes are the rows, each age capped at a_cap
         sol, tracked = params["solution"], row_plan(instance).tracked
@@ -144,8 +148,8 @@ def _policy(instance, cost_fns, cfg, rng, tables):
             raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
         a_cap, table = sol.a_cap, sol.policy.tolist()
         strides = [a_cap ** (len(tracked) - 1 - r) for r in range(len(tracked))]
-        return (lambda age, stamp, debt, relay_debt, targets:
-                table[sum((min(a, a_cap) - 1) * s for a, s in zip(age, strides))]), None
+        return (lambda age, held, debt, relay_debt, targets:
+                table[sum((min(a, a_cap) - 1) * s for a, s in zip(age, strides))])
     if cfg.policy == "max-weight":
         star = star_structure(instance)
         if star is None:
@@ -153,17 +157,17 @@ def _policy(instance, cost_fns, cfg, rng, tables):
         fns = [cost_fns[(s, star["hub"])] for s in star["sources"]]
         weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
         actions, probs = star["actions"], star["probs"]
-        return (lambda age, stamp, debt, relay_debt, targets:
-                actions[max_weight_action(age, probs, weights)]), None
+        return (lambda age, held, debt, relay_debt, targets:
+                actions[max_weight_action(age, probs, weights)])
     star = star_structure(instance) if _age_debt_variant(params) == "auto" else None
     if star is not None:
         actions, probs = star["actions"], star["probs"]
         # a star's rows are its sources
-        return (lambda age, stamp, debt, relay_debt, targets:
-                actions[single_hop_age_debt_action(age, debt, probs, tables)]), None
+        return (lambda age, held, debt, relay_debt, targets:
+                actions[single_hop_age_debt_action(age, debt, probs, tables)])
     evaluator, tie_break = get_drift_evaluator(instance), cfg.tie_break
-    return (lambda age, stamp, debt, relay_debt, targets: evaluator.decide(
-        debt, relay_debt, age, stamp, targets, tables, tie_break, rng)[0]), evaluator
+    return lambda age, held, debt, relay_debt, targets: evaluator.decide(
+        debt, relay_debt, age, held, targets, tables, tie_break, rng)[0]
 
 
 def _age_debt_variant(params):
@@ -237,17 +241,18 @@ def _slot_loop(instance, cost_fns, cfg):
     plan = row_plan(instance)
     n_rows, dest_pairs, rows = plan.n_rows, plan.dest_pairs, plan.dest_rows
     age = [1] * n_rows
-    stamp = [-1] * (n_rows + len(instance.flows))
+    held = [False] * n_rows
     debt = [0.0] * n_rows
     targets = _by_row(_resolve_targets(instance, cost_fns, cfg, dest_pairs).values(), plan, 0.0)
     by_age = [array("d", [math.nan]) for _ in dest_pairs]  # per pair: index a holds f(a)
     tables = _by_row(by_age, plan, None)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
-    decide, evaluator = _policy(instance, cost_fns, cfg, rng, tables)
-    # relay queues are read only by the exact-drift policy, whose evaluator
-    # holds their hop distances
-    keep = evaluator is not None and cfg.use_intermediate_queues and bool(plan.relays)
+    decide = _policy(instance, cost_fns, cfg, rng, tables)
+    # relay queues are read only by the exact-drift policy (an instance
+    # with relays is never a star), whose evaluator holds their hop distances
+    keep = cfg.policy == "age-debt" and cfg.use_intermediate_queues and bool(plan.relays)
+    relay_hops = get_drift_evaluator(instance).relay_hops if keep else None
     relay_debt = [0.0 if keep else None] * len(plan.relays)
     channels = ChannelProcess(instance, cfg.seed, cfg.horizon)
     links = plan.action_links
@@ -282,26 +287,20 @@ def _slot_loop(instance, cost_fns, cfg):
             debt = [0.0] * n_rows
             relay_debt = [0.0 if keep else None] * len(relay_debt)
 
-        action_idx = decide(age, stamp, debt, relay_debt, targets)
+        action_idx = decide(age, held, debt, relay_debt, targets)
         bits = channels.slot(t)
-        deliveries = []
-        for (r, m, e) in links[action_idx]:
-            if m < n_rows:
-                # only sources' own cells change before advance_age, so
-                # this reads the sender's pre-slot stamp
-                t_g = stamp[m]
-                if t_g < 0:
-                    continue  # nothing to forward; no-op on the wire
-            else:
-                t_g = stamp[m] = t  # generate-at-will: stamp a fresh update now
-            if bits[e]:
-                deliveries.append((r, t_g))
+        # a source sends a fresh update (age 0); a relay that holds nothing
+        # sends nothing, a no-op on the wire
+        deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links[action_idx]
+                      if bits[e] and (m < 0 or held[m])]
 
-        age_next = advance_age(age, stamp, deliveries, t)
+        if keep:
+            was_held = held[:]  # case 1 reads the buffers before this slot's deliveries
+        age_next = advance_age(age, held, deliveries)
         priced = update_destination_debt(debt, tables, age_next, targets, rows)
         if keep:
-            update_intermediate_debt(relay_debt, plan.relays, evaluator.relay_hops[action_idx],
-                                     age, t, tables, targets, priced)
+            update_intermediate_debt(relay_debt, plan.relays, relay_hops[action_idx],
+                                     age, was_held, tables, targets, priced)
         age = age_next
 
         sum_debt = 0.0
@@ -316,7 +315,7 @@ def _slot_loop(instance, cost_fns, cfg):
                 hists[pair][a] = hists[pair].get(a, 0) + 1
                 trace.append((t, pair, a, c, debt[r], targets[r], action_idx))
 
-        if (t & 4095) == 0 and max(age) > cfg.runaway_age:
+        if (t & 4095) == 0 and max(age) > RUNAWAY_AGE:
             raise RuntimeError("runaway instance: age exceeded the abort bound")
 
     return _metrics(cfg, dest_pairs, cost_sum, [debt[r] for r in rows], max_sum_debt,
@@ -369,7 +368,8 @@ def _running_sum(first, values):
 
 def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     """``run`` of a randomized or constant policy at fixed targets, metrics
-    only, one channel block at a time. ``blocks`` are the run's
+    only, one channel block at a time, over buffer stamps rather than ages
+    (see the module docstring). ``blocks`` are the run's
     ``_open_loop_blocks`` if already drawn."""
     plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
@@ -398,7 +398,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
         t1 = np.arange(start + 1, start + n_slots + 1)
         # the loop's runaway check: every tracked age, every 4096th slot
         for i in range(-start % 4096, n_slots, 4096):
-            if (t1[i] - block[:, i]).max() > cfg.runaway_age:
+            if (t1[i] - block[:, i]).max() > RUNAWAY_AGE:
                 raise RuntimeError("runaway instance: age exceeded the abort bound")
         ages = t1 - block[plan.dest_rows]
         debts = np.empty(ages.shape)

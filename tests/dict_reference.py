@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from aoisim import DebtState, RunMetrics
+from aoisim import DebtState, RunMetrics, sim
 from aoisim.age import restricted_hop_distance
 from aoisim.channels import ChannelProcess
 from aoisim.network import canon_edge
@@ -397,7 +397,7 @@ def dict_slot_loop(instance, cost_fns, cfg):
         if sum_debt > max_sum_debt:
             max_sum_debt = sum_debt
 
-        if (t & 4095) == 0 and max(age.values()) > cfg.runaway_age:
+        if (t & 4095) == 0 and max(age.values()) > sim.RUNAWAY_AGE:
             raise RuntimeError("runaway instance: age exceeded the abort bound")
 
     per_pair_cost = {pair: cost_sum[pair] / T for pair in dest_pairs}

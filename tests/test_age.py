@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import (CostFunction, DebtState, SimConfig, advance_age, restricted_hop_distance, run,
-                    update_destination_debt, update_intermediate_debt)
+from aoisim import (CostFunction, DebtState, SimConfig, advance_age, make_instance,
+                    restricted_hop_distance, run, update_destination_debt,
+                    update_intermediate_debt)
 from aoisim.network import adjacency_map, bfs_distances
 from conftest import lyapunov
 from dict_reference import initial_age, initial_buffer, initial_debt
@@ -12,40 +13,37 @@ from dict_reference import initial_age, initial_buffer, initial_debt
 # ---------------- age advance ----------------
 
 def test_delivery_min_rule():
-    age = [7]
-    stamp = [-1]
-    t = 50
-    nxt = advance_age(age, stamp, [(0, t - 2)], t)
+    # a sender whose packet is 2 slots old
+    held = [False]
+    nxt = advance_age([7], held, [(0, 2)])
     assert nxt[0] == min(7, 2) + 1 == 3
-    assert stamp[0] == t - 2
+    assert held == [True]
 
 
 def test_no_delivery_increments():
-    assert advance_age([3], [-1], [], 9)[0] == 4
+    held = [False]
+    assert advance_age([3], held, [])[0] == 4
+    assert held == [False]
 
 
 def test_same_slot_generation_resets_to_one():
-    # single-hop delivery generated this slot
-    nxt = advance_age([12], [-1], [(0, 7)], 7)
+    # single-hop delivery of the source's fresh update
+    nxt = advance_age([12], [False], [(0, 0)])
     assert nxt[0] == 1
 
 
-def test_causality_violation_rejected():
-    with pytest.raises(ValueError, match="causality"):
-        advance_age([3], [-1], [(0, 8)], 7)
-
-
 def test_buffer_keeps_freshest_only():
-    stamp = [40]
-    advance_age([5], stamp, [(0, 38)], 42)  # staler than held
-    assert stamp[0] == 40
-    advance_age([5], stamp, [(0, 41)], 42)
-    assert stamp[0] == 41
+    held = [True]
+    assert advance_age([5], held, [(0, 7)]) == [6]  # staler than held
+    assert advance_age([5], held, [(0, 1)]) == [2]
+    assert held == [True]
 
 
 def test_two_deliveries_same_slot_use_freshest():
-    nxt = advance_age([9], [-1], [(0, 10), (0, 14)], 20)
-    assert nxt[0] == min(9, 20 - 14) + 1
+    held = [False, False]
+    nxt = advance_age([9, 5], held, [(1, 4), (0, 10), (0, 6), (1, 0)])
+    assert nxt == [min(9, 6) + 1, 1]
+    assert held == [True, True]
 
 
 # ---------------- destination debt ----------------
@@ -180,7 +178,7 @@ def test_case1_forwarding_fresh_packet_decreases():
     age = {(1, 3): 9, (1, 2): 1}
     hops = [restricted_hop_distance(adj, 2, 3, [(2, 3)])]
     priced = [cost_fns[(1, 3)](10)]  # destination's next age is 10
-    update_intermediate_debt(relay_debt, RELAYS, hops, age, 20, cost_fns,
+    update_intermediate_debt(relay_debt, RELAYS, hops, age, {(1, 2): True}, cost_fns,
                              TWO_HOP_TARGETS, priced)
     assert relay_debt == [4.0]
 
@@ -190,7 +188,7 @@ def test_case2_idle_tracks_destination_cost():
     relay_debt = [0.0]
     age = {(1, 3): 9, (1, 2): 9}
     priced = [cost_fns[(1, 3)](10)]  # destination's next age is 10
-    update_intermediate_debt(relay_debt, RELAYS, [None], age, 20, cost_fns,
+    update_intermediate_debt(relay_debt, RELAYS, [None], age, {(1, 2): True}, cost_fns,
                              TWO_HOP_TARGETS, priced)
     assert relay_debt == [7.0]
 
@@ -198,29 +196,30 @@ def test_case2_idle_tracks_destination_cost():
 def test_case2_reuses_the_slot_prices():
     # without a forwarded packet, every queue takes the destination's price
     # from the slot's priced costs and prices nothing itself; a relay that
-    # never received a packet is t + 1 old and forwards nothing
+    # holds no packet forwards nothing
     class Unpriced:
         def __getitem__(self, age):
             raise AssertionError(f"priced age {age} again")
 
     tables = {(1, 3): Unpriced()}
-    for hops, age in (([None], {(1, 3): 9, (1, 2): 9}), ([1], {(1, 3): 9, (1, 2): 21})):
+    age = {(1, 3): 9, (1, 2): 9}
+    for hops, held in (([None], True), ([1], False)):
         relay_debt = [0.0]
-        update_intermediate_debt(relay_debt, RELAYS, hops, age, 20, tables,
+        update_intermediate_debt(relay_debt, RELAYS, hops, age, {(1, 2): held}, tables,
                                  TWO_HOP_TARGETS, [10.0])
         assert relay_debt == [7.0]
 
 
-def test_relay_holds_a_packet_iff_its_age_is_at_most_t():
-    # a relay that got the packet stamped at slot 0 is t old at slot t and
-    # forwards it (case 1); one that never received is t + 1 old (case 2)
+def test_relay_charges_case1_iff_it_holds_a_packet():
+    # a forwarding relay that holds a packet charges its case-1 price
+    # f(min(20, 30) + 1); one that holds none shadows the destination's
+    # price, whatever its age
     cost_fns, adj = two_hop_state()
     hops = [restricted_hop_distance(adj, 2, 3, [(2, 3)])]
-    t = 20
-    for relay_age, expected in ((t, 5.0 + 21.0 - 3.0), (t + 1, 5.0 + 10.0 - 3.0)):
+    for held, expected in ((True, 5.0 + 21.0 - 3.0), (False, 5.0 + 10.0 - 3.0)):
         relay_debt = [5.0]
-        update_intermediate_debt(relay_debt, RELAYS, hops, {(1, 3): 30, (1, 2): relay_age}, t,
-                                 cost_fns, TWO_HOP_TARGETS, [10.0])
+        update_intermediate_debt(relay_debt, RELAYS, hops, {(1, 3): 30, (1, 2): 20},
+                                 {(1, 2): held}, cost_fns, TWO_HOP_TARGETS, [10.0])
         assert relay_debt == [expected]
 
 
@@ -242,9 +241,9 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
             self.looked.append(age)
             return self.tab[age]
 
-    def spy(relay_debt, relays, hops, age, t, tables, *rest):
+    def spy(relay_debt, relays, hops, age, held, tables, *rest):
         looked = []
-        update(relay_debt, relays, hops, age, t,
+        update(relay_debt, relays, hops, age, held,
                [None if tab is None else Recording(tab, looked) for tab in tables], *rest)
         seen.append(bool(looked))
 
@@ -256,10 +255,18 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
                                           policy_params={"variant": "exact"}))
         assert len(seen) == 50
         assert any(seen) == (tie_break == "freshest")
+    # a relay that receives and forwards in one action sends what it held
+    # before the slot: here relay 2 first forwards a packet at slot 1
+    pipeline = make_instance(4, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}, [(1, {4})],
+                             interference="explicit",
+                             explicit_actions=[[(1, 2, 1), (2, 3, 1), (3, 4, 1)]])
+    seen.clear()
+    run(pipeline, {(1, 4): CostFunction.linear(1.0)}, SimConfig(
+        horizon=3, seed=0, targets=2.5, tie_break="freshest", policy_params={"variant": "exact"}))
+    assert seen == [False, True, True]
 
 
 def test_broadcast_flow_has_no_intermediate_queues():
-    from aoisim import make_instance
     ring = {(1, 2): 1.0, (2, 3): 1.0, (1, 3): 1.0}
     inst = make_instance(3, ring, [(1, {2, 3})])
     debt = initial_debt(inst)

@@ -57,7 +57,7 @@ def scenario_error(**overrides):
 
 
 def test_unknown_node_in_flow():
-    # a node out of range is a value rule: validate_instance owns it
+    # a node out of range is a value rule: make_instance owns it
     assert scenario_error(flows=[{"source": 1, "destinations": [7]}]) == \
         "network: invalid instance: flow 1: destination 7 is not a node"
 

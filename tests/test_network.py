@@ -6,7 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoisim import (ActionSpaceError, IDLE_ACTION, build_action_space,
-                    make_flow, make_instance, validate_instance)
+                    make_flow, make_instance, validate_action)
+from aoisim.network import _graph_errors
+
+
+def validate_instance(instance):
+    """Every violation of the instance invariants: those ``make_instance``
+    checks, then the idle action first and each action's own."""
+    errors = _graph_errors(instance.node_count, instance.edges, instance.reliability,
+                           instance.flows)
+    flow_ids = {f.source for f in instance.flows}
+    if instance.action_space[:1] != (IDLE_ACTION,):
+        errors.append("action space does not start with the idle action")
+    for a in instance.action_space:
+        errors.extend(validate_action(a, instance.edges, flow_ids))
+    return errors
 
 
 def flows_of(node_count, spec):

@@ -16,7 +16,10 @@ from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy
                     age_debt_action, broadcast_instance, enumerate_connected_graphs, gen_line,
                     make_instance, max_weight_action, optimize_randomized, parse_config, run,
                     run_sweep, single_hop_age_debt_action)
+from aoisim.age import advance_age as advance_age_rows
 from aoisim.age import restricted_hop_distance, row_plan
+from aoisim.age import update_destination_debt as update_destination_debt_rows
+from aoisim.age import update_intermediate_debt as update_intermediate_debt_rows
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
 from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
@@ -395,6 +398,58 @@ def test_compiled_scores_and_decisions_match_dict_reference_with_relay_queues_on
             got = ev.decide(*rows, tie_break, np.random.default_rng(7))[0]
             assert got == ref.decide(state, age, buffer, targets, cost_fns, tie_break,
                                      np.random.default_rng(7)), tie_break
+
+
+def reliable_instances():
+    """Instances whose every link delivers, so an action's one-slot change
+    is deterministic: lines under both interference models, the diamond, a
+    4-node broadcast, and a pipeline whose relays receive and forward in the
+    same slot."""
+    diamond_edges = [(1, 2), (1, 3), (2, 4), (3, 4)]
+    pipeline = [[(1, 2, 1), (2, 3, 1), (3, 4, 1)], [(1, 2, 1), (3, 4, 1)], [(2, 3, 1)]]
+    return {
+        "parity-line": gen_line(5, interference="parity")[0],
+        "single-transmitter-line": gen_line(6, interference="single-transmitter")[0],
+        "diamond": make_instance(
+            4, {e: 1.0 for e in diamond_edges}, [(1, {4})], interference="explicit",
+            explicit_actions=[[(1, 2, 1), (1, 3, 1)], [(2, 4, 1), (3, 4, 1)]]),
+        "broadcast": broadcast_instance(4, enumerate_connected_graphs(4)[0])[0],
+        "pipeline": make_instance(4, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}, [(1, {4})],
+                                  interference="explicit", explicit_actions=pipeline),
+    }
+
+
+@pytest.mark.parametrize("name", reliable_instances())
+def test_scores_equal_the_realized_lyapunov_change_on_reliable_links(name):
+    # the compiled score and the slot's own updates (advance_age, then the
+    # destination and relay debt updates, relay queues kept) are two copies
+    # of each rule, the relay queue's case 1 included; on reliable links the
+    # expected drift is the realized change
+    instance = reliable_instances()[name]
+    ev, plan = get_drift_evaluator(instance), row_plan(instance)
+    costs = [CostFunction.linear(1.5), CostFunction.power(2.0), CostFunction.power(0.5)]
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        age = [int(a) for a in rng.integers(1, 9, plan.n_rows)]
+        held = [bool(h) for h in rng.integers(0, 2, plan.n_rows)]
+        debt, targets, tables = [0.0] * plan.n_rows, [0.0] * plan.n_rows, [None] * plan.n_rows
+        for r in plan.dest_rows:
+            debt[r] = float(rng.choice([0.0, rng.uniform(0.0, 60.0)]))
+            targets[r] = float(rng.uniform(0.0, 40.0))
+            tables[r] = costs[int(rng.integers(len(costs)))]
+        relay_debt = [float(rng.choice([0.0, rng.uniform(0.0, 60.0)])) for _ in plan.relays]
+        before = sum(q * q for q in debt + relay_debt)
+        scores = ev.score(debt, relay_debt, age, held, targets, tables)
+        for a, links in enumerate(plan.action_links):
+            deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links
+                          if m < 0 or held[m]]
+            d, rd = list(debt), list(relay_debt)
+            age_next = advance_age_rows(age, list(held), deliveries)
+            priced = update_destination_debt_rows(d, tables, age_next, targets, plan.dest_rows)
+            update_intermediate_debt_rows(rd, plan.relays, ev.relay_hops[a], age, held, tables,
+                                          targets, priced)
+            realized = sum(q * q for q in d + rd) - before
+            assert math.isclose(scores[a], realized, rel_tol=1e-9), (a, scores[a], realized)
 
 
 def test_generated_source_is_the_same_in_every_interpreter():

@@ -62,8 +62,8 @@ def test_ages_never_below_one_and_delivery_only_helps():
 
 
 def test_age_buffer_consistency_invariant():
-    # replay the run and check A_ki == t - t_g for every held packet, and
-    # that a node that never received one is exactly t + 1 old
+    # replay the run and check that a node holds a packet iff it is at most
+    # t + 1 old after slot t: one that never received one is exactly t + 2
     from aoisim.age import advance_age, row_plan
     from aoisim.channels import ChannelProcess
 
@@ -77,19 +77,17 @@ def test_age_buffer_consistency_invariant():
     rng = np.random.default_rng(0)
     plan = row_plan(inst)
     age = [1] * plan.n_rows
-    stamp = [-1] * (plan.n_rows + len(inst.flows))
+    held = [False] * plan.n_rows
     channels = ChannelProcess(inst, 2)
     for t in range(400):
         links = plan.action_links[int(rng.integers(len(inst.action_space)))]
         bits = channels.slot(t)
-        deliveries = []
-        for (r, m, e) in links:
-            t_g = t if m >= plan.n_rows else stamp[m]
-            if t_g >= 0 and bits[e]:
-                deliveries.append((r, t_g))
-        age = advance_age(age, stamp, deliveries, t)
+        deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links
+                      if bits[e] and (m < 0 or held[m])]
+        age = advance_age(age, held, deliveries)
         for r in range(plan.n_rows):
-            assert age[r] == (t + 1 - stamp[r] if stamp[r] >= 0 else t + 2)
+            assert held[r] == (age[r] <= t + 1)
+            assert held[r] or age[r] == t + 2
 
 
 def test_dp_table_rejects_another_instances_solution():
@@ -156,11 +154,11 @@ def test_flow_control_does_not_starve_an_unreliable_parity_line():
     assert m.sum_cost <= 1.1 * 7.0977
 
 
-def test_runaway_abort():
+def test_runaway_abort(monkeypatch):
+    monkeypatch.setattr(sim, "RUNAWAY_AGE", 2 ** 12)
     inst, costs = single_source()
     cfg = SimConfig(horizon=50_000, seed=0, policy="constant",
-                    policy_params={"action_index": 0}, targets=1.0,
-                    runaway_age=2 ** 12)
+                    policy_params={"action_index": 0}, targets=1.0)
     with pytest.raises(RuntimeError, match="runaway"):
         run(inst, costs, cfg)
 
@@ -280,11 +278,12 @@ def test_flow_control_targets_move_every_slot(two_hop):
     assert len(alphas) == 2  # both branches of the threshold rule fire
 
 
-def test_open_loop_runaway_abort():
+def test_open_loop_runaway_abort(monkeypatch):
     # the same abort on the open-loop path: idle forever at target 0
+    monkeypatch.setattr(sim, "RUNAWAY_AGE", 2 ** 12)
     inst, costs = single_source()
     cfg = SimConfig(horizon=50_000, seed=0, policy="constant",
-                    policy_params={"action_index": 0}, runaway_age=2 ** 12)
+                    policy_params={"action_index": 0})
     with pytest.raises(RuntimeError, match="runaway"):
         run(inst, costs, cfg)
 
