@@ -128,15 +128,22 @@ def _check(value, spec, path, errors):
             _check(item, spec[str], f"{path}[{key!r}]", errors)
 
 
+def _not_a_number(name):
+    """Reject the NaN, Infinity and -Infinity that ``json.loads`` reads."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_config(text):
     """Parse a JSON experiment config and check its shape.
 
     Returns (ExperimentConfig or None, list of error strings).
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_not_a_number)
     except json.JSONDecodeError as exc:
         return None, [f"line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+    except ValueError as exc:
+        return None, [str(exc)]
     net = raw.get("network") if isinstance(raw, dict) else None
     errors = []
     _check(raw, _INLINE if isinstance(net, dict) and "generator" not in net else _GENERATED,

@@ -36,11 +36,11 @@ class CostFunction:
             raise ValueError(f"unknown cost kind {kind!r}")
         if cap <= 0 or not math.isfinite(cap):
             raise ValueError("cap must be positive and finite")
-        if kind == "linear" and weight < 0:
+        if kind == "linear" and not weight >= 0:  # NaN too
             raise ValueError("linear weight must be >= 0")
-        if kind == "power" and exponent < 0:
+        if kind == "power" and not exponent >= 0:
             raise ValueError("power exponent must be >= 0")
-        if kind == "indicator" and threshold < 1:
+        if kind == "indicator" and not threshold >= 1:
             raise ValueError("indicator threshold must be >= 1")
         self.kind = kind
         self.weight = float(weight)

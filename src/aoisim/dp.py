@@ -33,10 +33,12 @@ against every slab.
 
 A solve of more than one slab runs on one thread per CPU the process may
 use, started and joined inside the solve. Each thread sweeps a contiguous
-run of slabs with its own buffers; the one that owns slab 0 publishes the
-new value of state 0, which every slab subtracts. The power iteration of
-the stationary stage splits the closed-loop transitions by destination
-range, so each thread adds up the flows into its own states.
+run of slabs with its own buffers. Before the threads start, the caller
+computes the new value of state 0 with the sweep's own arithmetic, and
+every slab subtracts it, so the parts are independent of one another.
+The power iteration of the stationary stage splits the closed-loop
+transitions by destination range, so each thread adds up the flows into
+its own states.
 
 The sweep's arithmetic is pinned: ``cost + (1 - tau) h``, then ``+ tau
 best``, then ``th - th[0]``, with each action's outcomes summed in their
@@ -61,7 +63,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ _SLAB_STATES = 1 << 16
 # threads per solve of more than one slab: one per CPU this process may use
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+STATE_CAP = 5_000_000  # cap on the joint state count a_cap ** rows
+MAX_ITER = 30_000  # cap on the sweeps of value iteration and the power iteration's steps
+LAZINESS = 0.9  # weight of each action's kernel against a self-loop
 
 
 class StateSpaceError(ValueError):
@@ -99,30 +103,24 @@ class DpSolution:
     span_history: list           # span of the value differences after each sweep
 
 
-def dp_state_count(instance, a_cap=30, tolerance=1e-3, state_cap=5_000_000,
-                   max_iter=30_000, laziness=0.9):
+def dp_state_count(instance, a_cap=30, tolerance=1e-3):
     """The joint state count, a_cap ** rows, of a ``dp_optimal`` solve with
-    these arguments. Raises ``ValueError`` for ``a_cap < 1``, a ``tolerance``
-    that is not positive, a ``laziness`` outside (0, 1] or ``max_iter < 1``,
-    and ``StateSpaceError`` for a count above ``state_cap``."""
+    these arguments. Raises ``ValueError`` for ``a_cap < 1`` or a
+    ``tolerance`` that is not positive, and ``StateSpaceError`` for a count
+    above ``STATE_CAP``."""
     if a_cap < 1:
         raise ValueError(f"a_cap must be at least 1, got {a_cap}")
     if not tolerance > 0:  # NaN too: no span is ever below it
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if not 0 < laziness <= 1:
-        raise ValueError(f"laziness must be in (0, 1], got {laziness}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = row_plan(instance).n_rows
     n_states = a_cap ** n
-    if n_states > state_cap:
+    if n_states > STATE_CAP:
         raise StateSpaceError(
-            f"state space too large: {a_cap}^{n} = {n_states} > cap {state_cap}")
+            f"state space too large: {a_cap}^{n} = {n_states} > cap {STATE_CAP}")
     return n_states
 
 
-def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
-               state_cap=5_000_000, max_iter=30_000, laziness=0.9):
+def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3):
     """Optimal stationary policy and gain for the average age cost objective.
 
     Returns a DpSolution whose ``per_pair_average`` holds the exact per-pair
@@ -130,7 +128,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
     channels alike, from the closed loop started with every age at 1: the
     mean over its limit cycle when it is deterministic, else the averages
     under its stationary distribution, found by the same lazy power
-    iteration (up to ``max_iter`` steps) over the states it reaches.
+    iteration (up to ``MAX_ITER`` steps) over the states it reaches.
 
     The span of successive value differences brackets the gain, so the gain
     is accurate to ``tolerance`` at termination; ``span_history`` holds it
@@ -148,7 +146,7 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
 
     Raises the errors of ``dp_state_count`` before any work.
     """
-    dp_state_count(instance, a_cap, tolerance, state_cap, max_iter, laziness)
+    dp_state_count(instance, a_cap, tolerance)
     plan = row_plan(instance)
     n = plan.n_rows
     dims = (a_cap,) * n
@@ -200,16 +198,15 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3,
         pool = ThreadPoolExecutor(n_parts - 1, thread_name_prefix="aoisim-dp")
     # the workers live for this solve only: ``run_sweep`` may fork after it
     with pool or contextlib.nullcontext():
-        h, policy, gain, span, span_history = _relative_value_iteration(
-            cost, maps, outcomes_per_action, slabs, n_parts, pool,
-            laziness, tolerance, max_iter)
+        h, policy, gain, span_history = _relative_value_iteration(
+            cost, maps, outcomes_per_action, slabs, n_parts, pool, tolerance)
         del cost  # free the state-sized cost table before the next stage
         per_pair = _stationary_averages(policy, outcomes_per_action, maps, pair_costs,
-                                        dims, n_parts, pool, laziness, max_iter)
+                                        dims, n_parts, pool)
     return DpSolution(gain=gain, per_pair_average=per_pair, pairs=list(plan.tracked),
                       a_cap=a_cap, policy=policy,
                       relative_values=h, actions=list(instance.action_space),
-                      residual_span=span, iterations=len(span_history),
+                      residual_span=span_history[-1], iterations=len(span_history),
                       span_history=span_history)
 
 
@@ -228,7 +225,7 @@ def _run_parts(pool, body, parts):
 
 
 def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, pool,
-                              tau, tolerance, max_iter):
+                              tolerance):
     """Lazy RVI sweeps until the span of the value differences is below
     ``tolerance``, then the greedy policy, lowest action index on ties.
 
@@ -237,8 +234,8 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
     ``slabs`` with its own slab buffers; each sweep writes its relative
     values to a second state array, swapped in after it, whose slab is
     scratch space until then. Returns the flat relative values and policy,
-    the gain, the last span and the span after each sweep; the slab buffers
-    are freed on return.
+    the gain and the span after each sweep; the slab buffers are freed on
+    return.
     """
     dims = cost.shape
     rows = slabs[0].stop
@@ -257,52 +254,40 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
     h, h_next = np.zeros(dims), np.empty(dims)
     lows, highs = np.empty((2, len(slabs)))
     span_history = []
-    published = threading.Event()  # set when th0, the new value of state 0, is known
-    th0 = None
+    tau = LAZINESS
 
     def sweep(part):
-        nonlocal th0
         own, gathered, best, spare = part
-        try:
-            for k, s, views, b in _slabs(h, maps, own, gathered, best):
-                th = h_next[s]  # scratch until it takes the slab's new values
-                e = _expected(outcomes_per_action[0], views, b, spare)
-                for outs in outcomes_per_action[1:]:
-                    e = np.minimum(e, _expected(outs, views, th, spare), out=b)
-                # th = cost + (1 - tau) h + tau best, in that order (see the
-                # module docstring); best then holds th - h
-                np.multiply(h[s], 1.0 - tau, out=th)
-                np.add(cost[s], th, out=th)
-                np.add(th, np.multiply(e, tau, out=b), out=th)
-                delta = np.subtract(th, h[s], out=b)
-                lows[k], highs[k] = delta.min(), delta.max()
-                if k == 0:  # state 0 opens the first slab
-                    th0 = th.flat[0]
-                    published.set()
-                else:
-                    published.wait()
-                    if th0 is None:
-                        return  # slab 0 failed, and its error re-raises in the caller
-                np.subtract(th, th0, out=th)
-        finally:
-            if part is parts[0]:
-                published.set()  # no waiter is left behind when slab 0 fails
+        for k, s, views, b in _slabs(h, maps, own, gathered, best):
+            th = h_next[s]  # scratch until it takes the slab's new values
+            e = _best(outcomes_per_action, views, b, th, spare)
+            # th = cost + (1 - tau) h + tau best, in that order (see the
+            # module docstring); best then holds th - h
+            np.multiply(h[s], 1.0 - tau, out=th)
+            np.add(cost[s], th, out=th)
+            np.add(th, np.multiply(e, tau, out=b), out=th)
+            delta = np.subtract(th, h[s], out=b)
+            lows[k], highs[k] = delta.min(), delta.max()
+            np.subtract(th, th0, out=th)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         _gather_whole(h, maps, whole)
-        th0 = None
-        published.clear()
+        # the new value of state 0, by the sweep's arithmetic on one-element
+        # views of h at each map's successor of state 0
+        h_flat = h.reshape(-1)
+        e = _best(outcomes_per_action, [h_flat[m.flat[0]:m.flat[0] + 1] for m in maps],
+                  *np.empty((3, 1)))
+        th0 = cost.flat[0] + h_flat[0] * (1.0 - tau) + e[0] * tau
         _run_parts(pool, sweep, parts)
         h, h_next = h_next, h
         lo, hi = float(lows.min()), float(highs.max())
-        span = hi - lo
-        span_history.append(span)
+        span_history.append(hi - lo)
         gain = 0.5 * (lo + hi)
-        if span < tolerance:
+        if span_history[-1] < tolerance:
             break
     else:
-        raise ConvergenceError(
-            f"not converged within iteration cap ({max_iter} iterations, span {span:g})")
+        raise ConvergenceError(f"not converged within iteration cap "
+                               f"({MAX_ITER} iterations, span {span_history[-1]:g})")
 
     def settle(part):
         own, gathered, best, spare = part
@@ -316,7 +301,7 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
 
     _gather_whole(h, maps, whole)
     _run_parts(pool, settle, parts)
-    return h.reshape(-1), policy.reshape(-1), gain, span, span_history
+    return h.reshape(-1), policy.reshape(-1), gain, span_history
 
 
 def _successor_map(rule, grids, a_cap):
@@ -372,6 +357,16 @@ def _slabs(h, maps, slabs, gathered, best):
                      for m, g in zip(maps, gathered)], best[:n]
 
 
+def _best(outcomes_per_action, gathered, out, scratch, spare):
+    """The least expected next relative value over the actions: a chain of
+    ``np.minimum`` in action order into ``out``, each later action summed in
+    ``scratch``."""
+    e = _expected(outcomes_per_action[0], gathered, out, spare)
+    for outs in outcomes_per_action[1:]:
+        e = np.minimum(e, _expected(outs, gathered, scratch, spare), out=out)
+    return e
+
+
 def _expected(outs, gathered, out, spare):
     """Expected next relative value of one action: the sum over its outcomes,
     in order, of weight times gathered block.
@@ -395,15 +390,22 @@ def _expected(outs, gathered, out, spare):
     return out
 
 
-def _successors(flat_map, coords):
-    """Flat successor indices under a compact map of the states whose
-    per-axis coordinates are ``coords``."""
-    idx = tuple(c if size > 1 else 0 for c, size in zip(coords, flat_map.shape))
-    return np.broadcast_to(flat_map[idx], coords[0].shape)
+def _steps(states, policy, outcomes_per_action, maps, dims):
+    """The closed loop's moves out of the flat ``states``, by action, then
+    outcome: per outcome, its weight, the positions in ``states`` of the
+    states whose policy takes the action, and their flat successors."""
+    acts = policy[states]
+    coords = np.unravel_index(states, dims)
+    for a_i, outs in enumerate(outcomes_per_action):
+        pos = np.flatnonzero(acts == a_i)
+        sub = tuple(c[pos] for c in coords)
+        for w, m in outs:
+            idx = tuple(c if size > 1 else 0 for c, size in zip(sub, maps[m].shape))
+            yield w, pos, np.broadcast_to(maps[m][idx], pos.shape)
 
 
 def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_parts,
-                         pool, tau, max_iter):
+                         pool):
     """Per-pair long-run average costs of the closed loop that starts with
     every age at 1 (flat index 0), over the states the policy reaches from
     there through outcomes of positive probability.
@@ -420,14 +422,8 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        acts = policy[frontier]
-        coords = np.unravel_index(frontier, dims)
-        succ = []
-        for a_i, outs in enumerate(outcomes_per_action):
-            sel = acts == a_i
-            sub = tuple(c[sel] for c in coords)
-            succ.extend(_successors(maps[m], sub) for (_w, m) in outs)
-        succ = np.unique(np.concatenate(succ))
+        succ = np.unique(np.concatenate(
+            [nxt for _w, _pos, nxt in _steps(frontier, policy, outcomes_per_action, maps, dims)]))
         frontier = succ[~reached[succ]]
         reached[frontier] = True
     states = np.flatnonzero(reached)  # state 0 stays at position 0
@@ -447,6 +443,7 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_
     else:
         weights[0] = 1.0
         nxt, gap = np.empty(states.size), np.empty(states.size)
+        tau = LAZINESS
 
         def step(part):
             # nxt = tau * (flows in) + (1 - tau) * weights, in that order, and
@@ -461,7 +458,7 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_
             np.add(nxt[lo:hi], into, out=nxt[lo:hi])
             np.abs(np.subtract(nxt[lo:hi], weights[lo:hi], out=gap[lo:hi]), out=gap[lo:hi])
 
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             _run_parts(pool, step, parts)
             moved = float(gap.sum())
             weights, nxt = nxt, weights
@@ -470,7 +467,7 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_
         else:
             raise ConvergenceError(
                 f"stationary distribution not converged within iteration cap "
-                f"({max_iter} iterations, L1 step {moved:g})")
+                f"({MAX_ITER} iterations, L1 step {moved:g})")
         scale = 1.0
 
     # each pair's coordinate of every reached state, in the flat C order
@@ -490,18 +487,13 @@ def _transitions(states, policy, outcomes_per_action, maps, dims, n_parts):
     the range, and a buffer for the flow along each. Each part is built from
     per-outcome pieces, with no array of every transition.
     """
-    acts = policy[states]
-    coords = np.unravel_index(states, dims)
     bounds = [states.size * i // n_parts for i in range(n_parts + 1)]
     pieces = [[] for _ in range(n_parts)]  # per part: (weight, sources, destinations)
-    for a_i, outs in enumerate(outcomes_per_action):
-        pos = np.flatnonzero(acts == a_i)
-        sub = tuple(c[pos] for c in coords)
-        for w, m in outs:
-            dst = np.searchsorted(states, _successors(maps[m], sub))
-            for lo, hi, got in zip(bounds, bounds[1:], pieces):
-                sel = (dst >= lo) & (dst < hi)
-                got.append((w, pos[sel], dst[sel] - lo))
+    for w, pos, nxt in _steps(states, policy, outcomes_per_action, maps, dims):
+        dst = np.searchsorted(states, nxt)
+        for lo, hi, got in zip(bounds, bounds[1:], pieces):
+            sel = (dst >= lo) & (dst < hi)
+            got.append((w, pos[sel], dst[sel] - lo))
     parts = []
     for lo, hi, got in zip(bounds, bounds[1:], pieces):
         stops = np.cumsum([p.size for _w, p, _d in got]).tolist()

@@ -40,30 +40,20 @@ class Flow:
     """One flow: a source node streaming updates to a set of destinations.
 
     Flows are identified by their source node; two flows never share a
-    source. ``kind`` is one of unicast / multicast / broadcast and must be
-    consistent with the destination set (see classify_flow).
+    source.
     """
 
     source: int
     destinations: frozenset
-    kind: str
 
 
-def classify_flow(source, destinations, node_count):
-    if len(destinations) == 1:
-        return "unicast"
-    if len(destinations) == node_count - 1:
-        return "broadcast"
-    return "multicast"
-
-
-def make_flow(source, destinations, node_count):
+def make_flow(source, destinations):
     dests = frozenset(destinations)
     if not dests:
         raise ValueError(f"flow {source} has no destinations")
     if source in dests:
         raise ValueError(f"flow {source}: source in destination set")
-    return Flow(source, dests, classify_flow(source, dests, node_count))
+    return Flow(source, dests)
 
 
 @dataclass
@@ -324,7 +314,7 @@ def make_instance(node_count, reliability, flows, interference="single-transmitt
             raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
         rel[e] = float(p)
     edges = tuple(sorted(rel))
-    flow_objs = sorted((make_flow(source, dests, node_count) for source, dests in flows),
+    flow_objs = sorted((make_flow(source, dests) for source, dests in flows),
                        key=lambda f: f.source)
     errors = _graph_errors(node_count, edges, rel, flow_objs)
     if errors:
@@ -360,9 +350,6 @@ def _graph_errors(n, edges, reliability, flows):
         if not (1 <= f.source <= n):
             errors.append(f"flow {f.source}: source is not a node")
             continue
-        expected = classify_flow(f.source, f.destinations, n)
-        if f.kind != expected:
-            errors.append(f"flow {f.source}: kind {f.kind!r} but destinations imply {expected!r}")
         dist = bfs_distances(adj, f.source)
         for j in sorted(f.destinations):
             if not (1 <= j <= n):

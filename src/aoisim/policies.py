@@ -456,11 +456,12 @@ class RandomizedPolicy:
     """Stationary distribution over the action space, sampled i.i.d."""
 
     probabilities: tuple
-    actions: tuple = None
     tuned_cost: float = None
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"non-finite probability in {self.probabilities}")
         if np.any(p < 0):
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -558,4 +559,4 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
             di += 1
             if di >= len(deltas):
                 break
-    return RandomizedPolicy(tuple(best_p), actions=instance.action_space, tuned_cost=best_c)
+    return RandomizedPolicy(tuple(best_p), tuned_cost=best_c)

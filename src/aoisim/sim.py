@@ -191,16 +191,21 @@ def _constant_action(instance, params):
     return idx
 
 
-def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
+def _resolve_targets(cfg, dest_pairs):
+    """Each destination pair's starting target. A per-pair table must name
+    only ``dest_pairs``, all of them but in gradient descent's floor."""
     mode = cfg.target_mode
     if mode == "flow-control":
         if cfg.flow_control is None:
             raise ValueError("flow-control mode needs a FlowControlConfig")
         return {pair: 1.0 for pair in dest_pairs}
     if mode == "gradient-descent":
-        if cfg.gradient_descent is None:
+        gd = cfg.gradient_descent
+        if gd is None:
             raise ValueError("gradient-descent mode needs a GradientDescentConfig")
-        tg, what = cfg.gradient_descent.initial, "gradient-descent initial targets"
+        if isinstance(gd.floor, dict):
+            _named_pairs(gd.floor, dest_pairs, "gradient-descent floor")
+        tg, what = gd.initial, "gradient-descent initial targets"
     else:
         tg, what = cfg.targets, "targets"
         if tg is None:
@@ -212,7 +217,13 @@ def _resolve_targets(instance, cost_fns, cfg, dest_pairs):
     missing = [p for p in dest_pairs if p not in tg]
     if missing:
         raise ValueError(f"{what} missing pairs {missing}")
+    _named_pairs(tg, dest_pairs, what)
     return {pair: float(tg[pair]) for pair in dest_pairs}
+
+
+def _named_pairs(table, dest_pairs, what):
+    if extra := [p for p in table if p not in dest_pairs]:
+        raise ValueError(f"{what}: not destination pairs {extra}")
 
 
 def _gd_floor(cost_fns, gd):
@@ -243,7 +254,7 @@ def _slot_loop(instance, cost_fns, cfg):
     age = [1] * n_rows
     held = [False] * n_rows
     debt = [0.0] * n_rows
-    targets = _by_row(_resolve_targets(instance, cost_fns, cfg, dest_pairs).values(), plan, 0.0)
+    targets = _by_row(_resolve_targets(cfg, dest_pairs).values(), plan, 0.0)
     by_age = [array("d", [math.nan]) for _ in dest_pairs]  # per pair: index a holds f(a)
     tables = _by_row(by_age, plan, None)
 
@@ -373,7 +384,7 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     ``_open_loop_blocks`` if already drawn."""
     plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
-    targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
+    targets = _resolve_targets(cfg, dest_pairs)
     randomized = cfg.policy == "randomized"
     if randomized:
         cum = np.asarray(_randomized_policy(instance, cfg.policy_params)._cum)
@@ -396,10 +407,10 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
         block = plan.stamps(before, start, plan.active[actions].T & bits)
         before = block[:, -1]
         t1 = np.arange(start + 1, start + n_slots + 1)
-        # the loop's runaway check: every tracked age, every 4096th slot
-        for i in range(-start % 4096, n_slots, 4096):
-            if (t1[i] - block[:, i]).max() > RUNAWAY_AGE:
-                raise RuntimeError("runaway instance: age exceeded the abort bound")
+        # the loop's runaway check of every tracked age, every 4096th slot: the
+        # first slot of each channel block of _BLOCK = 4096 slots
+        if (t1[0] - block[:, 0]).max() > RUNAWAY_AGE:
+            raise RuntimeError("runaway instance: age exceeded the abort bound")
         ages = t1 - block[plan.dest_rows]
         debts = np.empty(ages.shape)
         for p, pair in enumerate(dest_pairs):

@@ -296,7 +296,7 @@ def check_policies(config, scenarios):
             inst = scenario.instance
             try:
                 if pol.get("target_mode") != "oracle-dp":
-                    _resolve_targets(inst, scenario.cost_fns, cfg, inst.dest_pairs())
+                    _resolve_targets(cfg, inst.dest_pairs())
                 if cfg.policy in ("max-weight", "constant") or \
                         "probabilities" in cfg.policy_params:
                     _policy(inst, scenario.cost_fns, cfg, None, None)  # run's decide rule

@@ -22,9 +22,9 @@ class GradientDescentConfig:
     floor: dict = None                   # pair -> alpha_min; None = f(1) per pair
 
     def __post_init__(self):
-        if self.epoch_length < 1 or self.epochs < 1:
+        if not (self.epoch_length >= 1 and self.epochs >= 1):  # NaN too
             raise ValueError("epoch_length and epochs must be >= 1")
-        if self.step <= 0 or self.threshold <= 0:
+        if not (self.step > 0 and self.threshold > 0):
             raise ValueError("step and threshold must be > 0")
 
 
@@ -34,9 +34,9 @@ class FlowControlConfig:
     alpha_max: float
 
     def __post_init__(self):
-        if self.V <= 0:
+        if not self.V > 0:  # NaN too
             raise ValueError("V must be > 0")
-        if self.alpha_max < 1:
+        if not self.alpha_max >= 1:
             raise ValueError("alpha_max must be >= 1")
 
 

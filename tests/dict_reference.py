@@ -329,7 +329,7 @@ def dict_slot_loop(instance, cost_fns, cfg):
     debt = initial_debt(instance)
     dest_pairs = list(debt.dest)
 
-    targets = _resolve_targets(instance, cost_fns, cfg, dest_pairs)
+    targets = _resolve_targets(cfg, dest_pairs)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
     controller = _controller(instance, cost_fns, cfg, rng)
     evaluator = getattr(controller, "evaluator", None)

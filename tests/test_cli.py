@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -377,10 +378,17 @@ GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5
      "network.interference: not read by a star network"),
     (inline_cfg(network={"nodes": 3, "edges": ["1-2", "2-3"], "sizes": [4]}),
      "network.sizes: not read by an inline network"),
+    (inline_cfg(policies=[{"name": "age-debt", "targets": {"1-3": 4.0, "3-1": 2.0}}]),
+     "policies[0] on inline: targets: not destination pairs [(3, 1)]"),
+    (inline_cfg(policies=[dict(GD5, epoch_length=5, initial={"1-3": 4.0, "2-9": 1.0})]),
+     "policies[0] on inline: gradient-descent initial targets: not destination pairs [(2, 9)]"),
+    (inline_cfg(policies=[dict(GD5, epoch_length=5, floor={"3-1": 1.0})]),
+     "policies[0] on inline: gradient-descent floor: not destination pairs [(3, 1)]"),
 ], ids=["a-exponent", "b-star-n", "c-epoch-length", "d-duplicate-edge", "e-pair-key",
         "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
         "model", "explicit", "cost-kind", "generator", "weight-rule", "graph-ids",
-        "line-unread", "star-unread", "inline-unread"])
+        "line-unread", "star-unread", "inline-unread", "target-key", "gd-initial-key",
+        "gd-floor-key"])
 def test_value_rules_fail_at_their_owner_with_the_key_path(cfg, message, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -389,4 +397,23 @@ def test_value_rules_fail_at_their_owner_with_the_key_path(cfg, message, tmp_pat
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(p), "--out", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy, constant", [
+    ({"name": "age-debt", "target_mode": "flow-control", "V": math.nan, "alpha_max": 10},
+     "NaN"),
+    ({"name": "randomized", "probabilities": [math.nan, 0.5, 0.5]}, "NaN"),
+    ({"name": "age-debt", "targets": math.inf}, "Infinity"),
+    ({"name": "age-debt", "targets": {"1-3": -math.inf}}, "-Infinity"),
+])
+def test_non_finite_numbers_are_config_errors(policy, constant, tmp_path, capsys):
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON does not allow
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(inline_cfg(policies=[policy])))
+    assert constant in p.read_text()
+    assert main(["validate", "--config", str(p)]) == 1
+    assert f"config error: {constant} is not a JSON number" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 1
     assert not out.exists()

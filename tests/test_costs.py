@@ -63,6 +63,11 @@ def test_invalid_specs_rejected():
         CostFunction.linear(-1.0)
     with pytest.raises(ValueError):
         CostFunction.indicator(0)
+    # NaN fails every range check
+    with pytest.raises(ValueError, match="linear weight"):
+        CostFunction.linear(math.nan)
+    with pytest.raises(ValueError, match="power exponent"):
+        CostFunction.power(math.nan)
 
 
 def test_dict_round_trip():

@@ -83,33 +83,37 @@ def test_unreliable_per_pair_averages_sum_to_gain():
     assert sum(sol.per_pair_average.values()) == pytest.approx(sol.gain, abs=1e-4)
 
 
-def test_span_history_records_every_sweep():
+def test_span_history_records_every_sweep(monkeypatch):
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
     sol = dp_optimal(inst, costs, a_cap=10, tolerance=1e-5)
     assert len(sol.span_history) == sol.iterations
     assert sol.span_history[-1] == sol.residual_span < 1e-5
     # the sweeps stop at the first span below the tolerance
     assert min(sol.span_history[:-1]) >= 1e-5
+    monkeypatch.setattr(aoisim.dp, "MAX_ITER", sol.iterations - 1)
     with pytest.raises(ConvergenceError, match="not converged"):
-        dp_optimal(inst, costs, a_cap=10, tolerance=1e-5, max_iter=sol.iterations - 1)
+        dp_optimal(inst, costs, a_cap=10, tolerance=1e-5)
 
 
-def test_state_space_guard():
+def test_state_space_guard(monkeypatch):
+    monkeypatch.setattr(aoisim.dp, "STATE_CAP", 10_000)
     inst, costs = gen_star(6, reliability_rule="reliable")
     with pytest.raises(StateSpaceError, match="state space too large"):
-        dp_optimal(inst, costs, a_cap=30, state_cap=10_000)
+        dp_optimal(inst, costs, a_cap=30)
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(aoisim.dp, "MAX_ITER", 3)
     inst, costs = gen_star(3, reliability_rule="reliable")
     with pytest.raises(ConvergenceError, match="not converged"):
-        dp_optimal(inst, costs, a_cap=8, tolerance=1e-9, max_iter=3)
+        dp_optimal(inst, costs, a_cap=8, tolerance=1e-9)
     # value iteration converges in 50 steps here; the lazy power iteration for
     # the stationary distribution needs more
+    monkeypatch.setattr(aoisim.dp, "MAX_ITER", 60)
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0),
                            cost_rule="functions-of-age")
     with pytest.raises(ConvergenceError, match="stationary distribution not converged"):
-        dp_optimal(inst, costs, a_cap=12, tolerance=1e-4, max_iter=60)
+        dp_optimal(inst, costs, a_cap=12, tolerance=1e-4)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -118,16 +122,11 @@ def test_iteration_cap_raises():
     ({"tolerance": 0.0}, "tolerance must be positive"),
     ({"tolerance": -1e-3}, "tolerance must be positive"),
     ({"tolerance": float("nan")}, "tolerance must be positive"),
-    ({"laziness": 0.0}, r"laziness must be in \(0, 1\]"),
-    ({"laziness": 1.5}, r"laziness must be in \(0, 1\]"),
-    ({"laziness": float("nan")}, r"laziness must be in \(0, 1\]"),
-    ({"max_iter": 0}, "max_iter must be at least 1"),
-    ({"max_iter": -1}, "max_iter must be at least 1"),
 ])
 def test_arguments_that_can_only_spin_fail_fast(kwargs, match):
-    # raised before any work: a_cap < 1 leaves no state, max_iter < 1 no
-    # sweep, and with the others the sweeps would run to max_iter without
-    # the span going below tolerance
+    # raised before any work: a_cap < 1 leaves no state, and with a
+    # tolerance that is not positive the sweeps would run to MAX_ITER
+    # without the span going below it
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=match):
         dp_optimal(inst, costs, **kwargs)
@@ -195,8 +194,9 @@ def test_solve_that_does_not_converge_joins_its_threads(monkeypatch):
     _split(monkeypatch)
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
     before = threading.enumerate()
+    monkeypatch.setattr(aoisim.dp, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="1 iterations"):
-        dp_optimal(inst, costs, a_cap=8, tolerance=1e-12, max_iter=1)
+        dp_optimal(inst, costs, a_cap=8, tolerance=1e-12)
     assert threading.enumerate() == before
 
 
@@ -206,7 +206,7 @@ class Boom(RuntimeError):
 
 def _record_caller(monkeypatch):
     """The list that will hold the thread that calls value iteration: the
-    caller of the solve, which owns slab 0."""
+    caller of the solve, which values state 0 and sweeps the first part."""
     callers = []
     rvi = aoisim.dp._relative_value_iteration
 
@@ -242,30 +242,44 @@ def test_worker_error_reraises_in_the_caller(monkeypatch, body):
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_failure_before_state_zero_is_published_leaves_no_waiter(monkeypatch, threads):
-    # the caller owns slab 0: when it fails before publishing the new value
-    # of state 0, the workers waiting for that value stop instead of hanging
+def test_failure_on_the_caller_leaves_no_thread_running(monkeypatch, threads):
+    # an error on the caller, which values state 0 before the parts start
+    # and then sweeps the first part, reaches the test with every worker done
     _split(monkeypatch, threads)
     callers = _record_caller(monkeypatch)
     expected = aoisim.dp._expected
 
     def fail_on_the_caller(*args):
         if threading.current_thread() in callers:
-            raise Boom("slab 0")
+            raise Boom("caller")
         return expected(*args)
 
     monkeypatch.setattr(aoisim.dp, "_expected", fail_on_the_caller)
     inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
     before = threading.enumerate()
-    with pytest.raises(Boom, match="slab 0"):
+    with pytest.raises(Boom, match="caller"):
         _solve_within(60, inst, costs, a_cap=8, tolerance=1e-4)
     assert threading.enumerate() == before
 
 
-def test_full_laziness_is_allowed():
-    inst, costs = gen_star(3, weight_rule="unit", reliability_rule="reliable")
-    sol = dp_optimal(inst, costs, a_cap=8, tolerance=1e-6, laziness=1.0)
-    assert sol.gain == pytest.approx(3.0, abs=1e-4)
+def test_sweep_parts_run_in_any_order(monkeypatch):
+    # each slab subtracts the value of state 0 that the caller computed
+    # before the parts start, so no part waits on another: run one after
+    # the other in reverse on the caller, they give the same bits
+    inst, costs = gen_star(4, reliability_rule="uniform", rng=np.random.default_rng(0))
+    ref = dp_optimal(inst, costs, a_cap=8, tolerance=1e-4)
+    _split(monkeypatch, 3)
+
+    def in_reverse(pool, body, parts):
+        for part in reversed(parts):
+            body(part)
+
+    monkeypatch.setattr(aoisim.dp, "_run_parts", in_reverse)
+    sol = _solve_within(20, inst, costs, a_cap=8, tolerance=1e-4)
+    assert np.array(sol.span_history).tobytes() == np.array(ref.span_history).tobytes()
+    assert sol.policy.tobytes() == ref.policy.tobytes()
+    assert sol.relative_values.tobytes() == ref.relative_values.tobytes()
+    assert repr(sol.per_pair_average) == repr(ref.per_pair_average)
 
 
 def test_two_hop_dp_alternates(two_hop):

@@ -298,9 +298,9 @@ def test_golden_dp_solution_in_slabs(golden_dp, name, monkeypatch):
 @pytest.mark.parametrize("reliability", ["reliable", "uniform"])
 def test_dp_split_keeps_every_bit_at_benchmark_size(monkeypatch, reliability):
     # the benchmark's functions-of-age star at a_cap 30 (810 000 states), on
-    # one thread, then in slabs of a drawn size on three threads (two of them
-    # wait for slab 0 every sweep) that switch every 10 us; the unreliable
-    # star's stationary stage splits ~160 000 reached states
+    # one thread, then in slabs of a drawn size on three threads that switch
+    # every 10 us; the unreliable star's stationary stage splits ~160 000
+    # reached states
     instance, cost_fns = gen_star(5, reliability_rule=reliability,
                                   rng=np.random.default_rng(0), cost_rule="functions-of-age")
     monkeypatch.setattr(aoisim.dp, "_THREADS", 1)

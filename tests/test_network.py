@@ -23,13 +23,13 @@ def validate_instance(instance):
     return errors
 
 
-def flows_of(node_count, spec):
-    return [make_flow(s, d, node_count) for (s, d) in spec]
+def flows_of(spec):
+    return [make_flow(s, d) for (s, d) in spec]
 
 
 def test_star_single_transmitter_path_pruned():
     # two sources into a hub: only the source->hub assignments survive
-    flows = flows_of(3, [(1, {3}), (2, {3})])
+    flows = flows_of([(1, {3}), (2, {3})])
     space = build_action_space(3, [(1, 3), (2, 3)], flows, "single-transmitter",
                                eligibility="path")
     assert space == ((), ((1, 3, 1),), ((2, 3, 2),))
@@ -41,7 +41,7 @@ def test_two_hop_line_action_set(two_hop):
 
 
 def test_four_node_line_parity_matches_brute_force():
-    flows = flows_of(4, [(1, {4})])
+    flows = flows_of([(1, {4})])
     edges = [(1, 2), (2, 3), (3, 4)]
     space = build_action_space(4, edges, flows, "parity", eligibility="path")
     # oracle: forward-right sender sets whose senders are all-odd or all-even
@@ -53,7 +53,7 @@ def test_four_node_line_parity_matches_brute_force():
 
 
 def test_explicit_model_adds_idle_and_validates():
-    flows = flows_of(3, [(1, {3})])
+    flows = flows_of([(1, {3})])
     edges = [(1, 2), (2, 3)]
     space = build_action_space(3, edges, flows, "explicit",
                                explicit_actions=[[(1, 2, 1)]])
@@ -65,7 +65,7 @@ def test_explicit_model_adds_idle_and_validates():
 
 def test_single_transmitter_count_no_pruning():
     # |S| = 1 + edges * directions * flows under "any" eligibility
-    flows = flows_of(4, [(1, {4}), (2, {4})])
+    flows = flows_of([(1, {4}), (2, {4})])
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
     space = build_action_space(4, edges, flows, "single-transmitter",
                                eligibility="any")
@@ -73,7 +73,7 @@ def test_single_transmitter_count_no_pruning():
 
 
 def test_matching_model_node_exclusive():
-    flows = flows_of(4, [(1, {4})])
+    flows = flows_of([(1, {4})])
     edges = [(1, 2), (2, 3), (3, 4)]
     space = build_action_space(4, edges, flows, "matching", eligibility="path")
     for action in space:
@@ -85,14 +85,14 @@ def test_matching_model_node_exclusive():
 
 
 def test_action_space_cap():
-    flows = flows_of(4, [(1, {4}), (2, {4}), (3, {4})])
+    flows = flows_of([(1, {4}), (2, {4}), (3, {4})])
     edges = [(1, 2), (2, 3), (3, 4), (1, 4), (2, 4), (1, 3)]
     with pytest.raises(ActionSpaceError):
         build_action_space(4, edges, flows, "single-transmitter", cap=10)
 
 
 def test_deterministic_ordering():
-    flows = flows_of(4, [(1, {4}), (2, {4})])
+    flows = flows_of([(1, {4}), (2, {4})])
     edges = [(3, 4), (1, 2), (2, 3)]
     a = build_action_space(4, edges, flows, "single-transmitter")
     b = build_action_space(4, list(reversed(edges)), flows, "single-transmitter")
@@ -100,7 +100,7 @@ def test_deterministic_ordering():
 
 
 def test_parity_requires_line():
-    flows = flows_of(3, [(1, {3})])
+    flows = flows_of([(1, {3})])
     with pytest.raises(ValueError):
         build_action_space(3, [(1, 2), (2, 3), (1, 3)], flows, "parity")
 
@@ -109,7 +109,6 @@ def test_validate_instance_ok():
     ring = [(i, i + 1) for i in range(1, 5)] + [(1, 5)]
     inst = make_instance(5, {e: 1.0 for e in ring}, [(1, set(range(2, 6)))])
     assert validate_instance(inst) == []
-    assert inst.flows[0].kind == "broadcast"
 
 
 def test_validate_instance_wants_idle_first(two_hop):
@@ -145,12 +144,6 @@ def test_duplicate_edge_in_either_orientation_rejected():
 def test_validate_unreachable_destination():
     with pytest.raises(ValueError, match="unreachable"):
         make_instance(4, {(1, 2): 1.0, (3, 4): 1.0}, [(1, {4})])
-
-
-def test_flow_kinds():
-    assert make_flow(1, {2}, 4).kind == "unicast"
-    assert make_flow(1, {2, 3}, 4).kind == "multicast"
-    assert make_flow(1, {2, 3, 4}, 4).kind == "broadcast"
 
 
 def test_relays_two_hop(two_hop):

@@ -590,9 +590,9 @@ def test_max_weight_symmetric_two_sources_alternates():
 
 def test_point_mass_always_picks_same(two_hop):
     instance, _ = two_hop
-    pol = RandomizedPolicy((1.0, 0.0, 0.0), actions=instance.action_space)
+    pol = RandomizedPolicy((1.0, 0.0, 0.0))
     rng = np.random.default_rng(0)
-    assert all(pol.actions[pol.sample_index(rng)] == () for _ in range(20))
+    assert all(instance.action_space[pol.sample_index(rng)] == () for _ in range(20))
 
 
 def test_uniform_two_actions_split():
@@ -608,6 +608,9 @@ def test_distribution_must_normalize():
         RandomizedPolicy((0.5, 0.6))
     with pytest.raises(ValueError):
         RandomizedPolicy((-0.1, 1.1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite probability"):
+            RandomizedPolicy((bad, 1.0))
 
 
 def test_empirical_frequencies_chi_square():

@@ -197,6 +197,6 @@ def test_enumeration_deterministic_order():
 def test_broadcast_instance_all_pairs():
     edges = [(1, 2), (2, 3), (1, 3)]
     inst, costs = broadcast_instance(3, edges)
-    assert all(f.kind == "broadcast" for f in inst.flows)
+    assert all(f.destinations == {1, 2, 3} - {f.source} for f in inst.flows)
     assert len(costs) == 6  # 3 sources x 2 destinations
     assert all(not inst.relays(f) for f in inst.flows)

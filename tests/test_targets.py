@@ -125,3 +125,11 @@ def test_config_validation():
         GradientDescentConfig(epoch_length=0, epochs=1, step=0.1, threshold=0.1)
     with pytest.raises(ValueError):
         GradientDescentConfig(epoch_length=1, epochs=1, step=-0.1, threshold=0.1)
+    # NaN fails every range check
+    nan = float("nan")
+    with pytest.raises(ValueError, match="V must be"):
+        FlowControlConfig(V=nan, alpha_max=10.0)
+    with pytest.raises(ValueError, match="alpha_max must be"):
+        FlowControlConfig(V=1.0, alpha_max=nan)
+    with pytest.raises(ValueError, match="step and threshold"):
+        GradientDescentConfig(epoch_length=1, epochs=1, step=nan, threshold=0.1)
