@@ -1,7 +1,6 @@
 """Age-of-information scheduling: simulator, policies, and oracles."""
 
-from .age import (DebtState, advance_age, restricted_hop_distance,
-                  update_destination_debt, update_intermediate_debt)
+from .age import DebtState, restricted_hop_distance
 from .channels import ChannelProcess
 from .costs import CostFunction
 from .dp import ConvergenceError, DpSolution, StateSpaceError, dp_optimal, export_table
@@ -15,7 +14,6 @@ from .scenarios import (broadcast_instance, enumerate_connected_graphs,
                         gen_line, gen_star)
 from .sim import RunMetrics, SimConfig, export_trace, run, stability_diagnostic
 from .sweep import build_sim_config, expand_scenarios, run_sweep
-from .targets import (FlowControlConfig, GradientDescentConfig, flow_control_update,
-                      gd_epoch_update)
+from .targets import FlowControlConfig, GradientDescentConfig, gd_epoch_update
 
 __version__ = "0.1.0"

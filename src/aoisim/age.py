@@ -15,12 +15,12 @@ Ages advance once per slot: +1 without a delivery, and a successful link
 m -> i sets A_i to min(A_i, A_m) + 1, where A_m is the sender's pre-slot age
 (0 for the flow's source, which sends a fresh update). Only a node that holds
 a packet can send one. Debt queues accumulate the positive part of (cost of
-next age - target) and never go negative.
+next age - target) and never go negative. The slot loop that ``sim``
+generates for each instance applies these rules.
 
 Intermediate queues are read only by the exact-drift policy, so a run keeps
 them only under that policy. Their case-1 hop distances are computed once
-per action by the drift evaluator (``policies.DriftEvaluator.relay_hops``);
-the update here takes the chosen action's hops.
+per action by the drift evaluator (``policies.DriftEvaluator.relay_hops``).
 
 ``DebtState`` holds the same queues keyed by tuples, the form that the
 public ``age_debt_action`` takes.
@@ -44,35 +44,6 @@ class DebtState:
     intermediate: dict = field(default_factory=dict)  # (k, j, i) -> Q >= 0
 
 
-def advance_age(age, held, deliveries):
-    """One slot of age evolution.
-
-    ``deliveries`` is an iterable of (row, g): packets that arrived during
-    the slot, g being the sender's pre-slot age (0 for a fresh update from
-    the source). Returns the new age list, min(age, g) + 1 on each
-    receiving row and age + 1 elsewhere; ``held`` is updated in place, every
-    receiving row now holding a packet.
-    """
-    nxt = [a + 1 for a in age]
-    for (r, g) in deliveries:
-        a = g + 1
-        if a < nxt[r]:
-            nxt[r] = a
-        held[r] = True
-    return nxt
-
-
-def update_destination_debt(debt, tables, age_next, targets, rows):
-    """Q_kj <- [Q_kj + f_kj(next age) - alpha_kj]^+ for every destination
-    row in ``rows``, with f_kj read from the row's table. Returns those
-    costs in ``rows`` order, for the caller's metrics to reuse."""
-    priced = [tables[r][age_next[r]] for r in rows]
-    for r, c in zip(rows, priced):
-        q = debt[r] + c - targets[r]
-        debt[r] = q if q > 0.0 else 0.0
-    return priced
-
-
 def restricted_hop_distance(adjacency, i, j, first_hops):
     """Fewest hops from i to j when the first hop must use an edge in
     ``first_hops`` (directed edges out of i); later hops are unrestricted.
@@ -90,28 +61,6 @@ def restricted_hop_distance(adjacency, i, j, first_hops):
         if d is not None and (best is None or d + 1 < best):
             best = d + 1
     return best
-
-
-def update_intermediate_debt(relay_debt, relays, hops, age, held, tables, targets, priced):
-    """Advance every intermediate queue one slot.
-
-    Queue q has ``relays[q]`` = (destination position in ``priced``,
-    destination row, relay row). When the action has the relay forwarding
-    (``hops[q]``, its first-hop-restricted hop distance h, is not None) and
-    it held a packet before the slot (``held[ri]``), the queue charges the
-    most optimistic deliverable cost f(min(relay age, dest age) + h) on
-    pre-slot ages. Otherwise, including a forwarding assignment with no
-    packet on board (a no-op on the wire), it shadows the destination's
-    realized cost, ``priced[p]``, from ``update_destination_debt``.
-    """
-    for q, (p, rd, ri) in enumerate(relays):
-        h = hops[q]
-        if h is not None and held[ri]:
-            term = tables[rd][min(age[ri], age[rd]) + h]
-        else:
-            term = priced[p]
-        nq = relay_debt[q] + term - targets[rd]
-        relay_debt[q] = nq if nq > 0.0 else 0.0
 
 
 def row_plan(instance):

@@ -78,6 +78,11 @@ class NetworkInstance:
         self.flow_by_source = {f.source: f for f in self.flows}
         self._drift_evaluator = None
         self._row_plan = None
+        self._slot_loops = {}  # run shape -> compiled slot loop (sim._loop)
+
+    def __getstate__(self):
+        # functions do not pickle; a copy compiles its own loops
+        return {**self.__dict__, "_slot_loops": {}}
 
     def edge_prob(self, i, j):
         return self.reliability[canon_edge(i, j)]

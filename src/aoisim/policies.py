@@ -56,21 +56,30 @@ class PolicyDecision:
     scores: tuple
 
 
-# The case-1 charge of a relay queue whose relay row ``ri`` forwards a held
-# packet, at hop distance ``h``: the destination's cost at the most
-# optimistic deliverable age. ``age.update_intermediate_debt`` charges the
-# same price when the relay has forwarded.
-_CASE1_CHARGE = "tab[(age[{ri}] if age[{ri}] < a else a) + {h}]"
+# Per-row rules as Python text, for every generated function that applies
+# them. The case-1 charge of a relay queue whose relay row ``ri`` forwards a
+# held packet, at hop distance ``h``: the destination's cost (table ``tab``,
+# age ``a``) at the most optimistic deliverable age; the drift evaluator
+# scores it and the slot loop charges it.
+_CASE1_CHARGE = "{tab}[(age[{ri}] if age[{ri}] < {a} else {a}) + {h}]"
+# A star source's closed-form score from its age a, debt q, reliability p
+# and cost table tab, and its max-weight score from a and p * w; the slot
+# loop writes them with each source's reliability as a literal.
+_STAR_SCORE = "{p} * {q} * ({tab}[{a} + 1] - {tab}[1])"
+_MAX_WEIGHT_SCORE = "{pw} * {a} * ({a} + 2)"
+_star_score = eval(f"lambda a, q, p, tab: {_STAR_SCORE.format(a='a', q='q', p='p', tab='tab')}")
+_max_weight_score = eval(f"lambda a, p, w: {_MAX_WEIGHT_SCORE.format(a='a', pw='p * w')}")
 
 
 @lru_cache(maxsize=256)
 def _compiled(source):
-    """The code objects of an evaluator's generated source, one per
-    function. Keyed by the text, so every evaluator of an identical instance
-    in this process (each unpickled copy of one, each sweep task's) shares
-    one compilation. The parser holds ~0.4 kB per token of the text it
-    reads at once, so each function compiles on its own."""
-    return [compile(part, "<aoisim drift evaluator>", "exec") for part in source.split("\n\n")]
+    """The code objects of generated source (an evaluator's, or a slot
+    loop's), one per function. Keyed by the text, so every evaluator or loop
+    of an identical instance in this process (each unpickled copy of one,
+    each sweep task's) shares one compilation. The parser holds ~0.4 kB per
+    token of the text it reads at once, so each function compiles on its
+    own."""
+    return [compile(part, "<aoisim generated>", "exec") for part in source.split("\n\n")]
 
 
 def _walk_terms(key, age, held, width):
@@ -118,7 +127,7 @@ def _group_terms(r, terms, t, how, p, p_stay, st="st", fr="fr", al="al", q_set=F
                   f"    t{i} = 0.0  # a run that keeps no relay queues"]
         if h is not None:
             lines += [f"elif held[{ri}]:",
-                      f"    nq = q + {_CASE1_CHARGE.format(ri=ri, h=h)} - {al}",
+                      f"    nq = q + {_CASE1_CHARGE.format(tab='tab', a='a', ri=ri, h=h)} - {al}",
                       f"    t{i} = (nq * nq if nq > 0.0 else 0.0) - q * q"]
         lines += ["else:", *_indent(_shadow_term(i, how, p, p_stay, st, fr, al))]
     return lines
@@ -439,15 +448,14 @@ def single_hop_age_debt_action(ages, debts, reliabilities, tables):
     ties. Sequences are aligned over the sources; ``tables`` holds their
     costs indexed by age: a run's cost tables, or ``CostFunction``s, whose
     ``f[age]`` is ``f(age)``."""
-    scores = [p * q * (tab[a + 1] - tab[1])
-              for a, q, p, tab in zip(ages, debts, reliabilities, tables)]
+    scores = list(map(_star_score, ages, debts, reliabilities, tables))
     return scores.index(max(scores))  # the first maximum
 
 
 def max_weight_action(ages, reliabilities, weights):
     """Single-hop max-weight baseline: argmax p_i * w_i * A_i * (A_i + 2),
     lowest index on ties."""
-    scores = [p * w * a * (a + 2) for a, p, w in zip(ages, reliabilities, weights)]
+    scores = list(map(_max_weight_score, ages, reliabilities, weights))
     return scores.index(max(scores))
 
 

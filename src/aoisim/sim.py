@@ -24,6 +24,20 @@ at most one per slot, could reach its end.
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
 
+Every closed-loop run executes one generated function, ``slots``, whose
+Python text ``_loop_source`` writes for the instance and the run's shape:
+the policy kind, the target mode, whether relay queues are kept, and trace
+detail. It keeps the slot order above and unrolls each per-row phase over
+the instance's rows, with row constants as literals and the star scores
+and case-1 charge from the templates in ``policies``. Ages and held flags
+stay row lists, and deliveries walk ``RowPlan.action_links``; debts,
+targets and cost sums are locals unless the drift evaluator, which
+``slots`` calls with its row lists, reads them. The text performs the
+rules' float operations in their order, so runs keep their bits. Code is
+compiled once per source text, as the drift evaluator's is, and each loop
+is kept on the instance by shape; an instance pickles without its loops,
+and a copy writes and compiles its own on first use.
+
 Randomized and constant runs at fixed targets with metrics only skip the
 slot loop. Their actions never read state, so the whole action sequence
 is known up front: a constant index, or the same uniforms from the policy
@@ -41,18 +55,17 @@ update, so the metrics are the same bits as the loop's.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
-from operator import add
 
 import numpy as np
 
-from .age import advance_age, row_plan, update_destination_debt, update_intermediate_debt
+from .age import row_plan
 from .channels import _BLOCK, ChannelProcess
-from .policies import (TIE_BREAKS, RandomizedPolicy, get_drift_evaluator, max_weight_action,
-                       single_hop_age_debt_action)
-from .targets import (FlowControlConfig, GradientDescentConfig,
-                      flow_control_update, gd_epoch_update)
+from .policies import (_CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE, TIE_BREAKS, RandomizedPolicy,
+                       _compiled, _indent, get_drift_evaluator)
+from .targets import FlowControlConfig, GradientDescentConfig, gd_epoch_update
 
 _POLICY_RNG_TAG = 0x90110EC
 
@@ -79,12 +92,19 @@ class SimConfig:
     trace_detail: str = "metrics-only"  # metrics-only | full
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not _is_int(self.horizon) or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        # channel streams key on the seed's low 64 bits
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name, ok in (("policy", POLICIES), ("target_mode", TARGET_MODES),
                          ("tie_break", TIE_BREAKS), ("trace_detail", ("metrics-only", "full"))):
             if getattr(self, name) not in ok:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -129,45 +149,36 @@ def star_structure(instance):
     }
 
 
-def _policy(instance, cost_fns, cfg, rng, tables):
-    """The run's policy as ``decide(age, held, debt, relay_debt, targets)``,
-    from the pre-slot row state to the slot's action index. Star rules are
-    looked up in this module's globals at each call, so a wrapper patched
-    over them there sees every decision."""
+def _policy(instance, cost_fns, cfg, rng):
+    """The run's decision rule as (kind, what the slot loop reads for it):
+    "star" (the closed form, written from the instance), "max-weight"
+    (each source's p * w), "dp-table" (a_cap and the table), "exact" (the
+    drift evaluator's ``decide``, tie-break and stream) or "pick" (a
+    function of nothing). Raises ``ValueError`` for a policy that does not
+    fit the instance."""
     params = cfg.policy_params
     if cfg.policy == "randomized":
         pol = _randomized_policy(instance, params)
-        return lambda age, held, debt, relay_debt, targets: pol.sample_index(rng)
+        return "pick", lambda: pol.sample_index(rng)
     if cfg.policy == "constant":
         idx = _constant_action(instance, params)
-        return lambda age, held, debt, relay_debt, targets: idx
+        return "pick", lambda: idx
     if cfg.policy == "dp-table":
         # the solution's axes are the rows, each age capped at a_cap
         sol, tracked = params["solution"], row_plan(instance).tracked
         if sol.pairs != tracked:
             raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
-        a_cap, table = sol.a_cap, sol.policy.tolist()
-        strides = [a_cap ** (len(tracked) - 1 - r) for r in range(len(tracked))]
-        return (lambda age, held, debt, relay_debt, targets:
-                table[sum((min(a, a_cap) - 1) * s for a, s in zip(age, strides))])
+        return "dp-table", (sol.a_cap, sol.policy.tolist())
     if cfg.policy == "max-weight":
         star = star_structure(instance)
         if star is None:
             raise ValueError("max-weight policy needs a single-hop star instance")
         fns = [cost_fns[(s, star["hub"])] for s in star["sources"]]
         weights = [f.weight if getattr(f, "kind", None) == "linear" else 1.0 for f in fns]
-        actions, probs = star["actions"], star["probs"]
-        return (lambda age, held, debt, relay_debt, targets:
-                actions[max_weight_action(age, probs, weights)])
-    star = star_structure(instance) if _age_debt_variant(params) == "auto" else None
-    if star is not None:
-        actions, probs = star["actions"], star["probs"]
-        # a star's rows are its sources
-        return (lambda age, held, debt, relay_debt, targets:
-                actions[single_hop_age_debt_action(age, debt, probs, tables)])
-    evaluator, tie_break = get_drift_evaluator(instance), cfg.tie_break
-    return lambda age, held, debt, relay_debt, targets: evaluator.decide(
-        debt, relay_debt, age, held, targets, tables, tie_break, rng)[0]
+        return "max-weight", [p * w for p, w in zip(star["probs"], weights)]
+    if _age_debt_variant(params) == "auto" and star_structure(instance) is not None:
+        return "star", None
+    return "exact", (get_drift_evaluator(instance).decide, cfg.tie_break, rng)
 
 
 def _age_debt_variant(params):
@@ -193,7 +204,8 @@ def _constant_action(instance, params):
 
 def _resolve_targets(cfg, dest_pairs):
     """Each destination pair's starting target. A per-pair table must name
-    only ``dest_pairs``, all of them but in gradient descent's floor."""
+    only ``dest_pairs``, all of them but in gradient descent's floor, and
+    every value, floor included, must be finite."""
     mode = cfg.target_mode
     if mode == "flow-control":
         if cfg.flow_control is None:
@@ -205,6 +217,9 @@ def _resolve_targets(cfg, dest_pairs):
             raise ValueError("gradient-descent mode needs a GradientDescentConfig")
         if isinstance(gd.floor, dict):
             _named_pairs(gd.floor, dest_pairs, "gradient-descent floor")
+            _finite(gd.floor, "gradient-descent floor")
+        elif gd.floor is not None:
+            _finite(dict.fromkeys(dest_pairs, gd.floor), "gradient-descent floor")
         tg, what = gd.initial, "gradient-descent initial targets"
     else:
         tg, what = cfg.targets, "targets"
@@ -213,17 +228,31 @@ def _resolve_targets(cfg, dest_pairs):
                 raise ValueError("age-debt with fixed targets needs 'targets'")
             tg = 0.0  # policies that ignore debts; queues become cost accumulators
     if isinstance(tg, (int, float)):
-        return {pair: float(tg) for pair in dest_pairs}
-    missing = [p for p in dest_pairs if p not in tg]
-    if missing:
-        raise ValueError(f"{what} missing pairs {missing}")
-    _named_pairs(tg, dest_pairs, what)
-    return {pair: float(tg[pair]) for pair in dest_pairs}
+        tg = dict.fromkeys(dest_pairs, tg)
+    else:
+        missing = [p for p in dest_pairs if p not in tg]
+        if missing:
+            raise ValueError(f"{what} missing pairs {missing}")
+        _named_pairs(tg, dest_pairs, what)
+    return _finite({pair: tg[pair] for pair in dest_pairs}, what)
 
 
 def _named_pairs(table, dest_pairs, what):
     if extra := [p for p in table if p not in dest_pairs]:
         raise ValueError(f"{what}: not destination pairs {extra}")
+
+
+def _finite(table, what):
+    """``table``'s values as floats, each checked to be finite."""
+    out = {}
+    for pair, v in table.items():
+        try:
+            out[pair] = float(v)
+        except OverflowError:  # an int past the float range
+            out[pair] = math.inf
+        if not math.isfinite(out[pair]):
+            raise ValueError(f"{what}: non-finite value {out[pair]!r} for pair {pair}")
+    return out
 
 
 def _gd_floor(cost_fns, gd):
@@ -248,90 +277,171 @@ def run(instance, cost_fns, cfg):
 
 
 def _slot_loop(instance, cost_fns, cfg):
-    """``run`` one slot at a time, for every kind of run."""
+    """``run`` one slot at a time, for every kind of run, by the instance's
+    compiled loop for the run's shape."""
     plan = row_plan(instance)
-    n_rows, dest_pairs, rows = plan.n_rows, plan.dest_pairs, plan.dest_rows
-    age = [1] * n_rows
-    held = [False] * n_rows
-    debt = [0.0] * n_rows
+    dest_pairs = plan.dest_pairs
     targets = _by_row(_resolve_targets(cfg, dest_pairs).values(), plan, 0.0)
     by_age = [array("d", [math.nan]) for _ in dest_pairs]  # per pair: index a holds f(a)
-    tables = _by_row(by_age, plan, None)
-
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
-    decide = _policy(instance, cost_fns, cfg, rng, tables)
+    kind, rule = _policy(instance, cost_fns, cfg, rng)
     # relay queues are read only by the exact-drift policy (an instance
     # with relays is never a star), whose evaluator holds their hop distances
     keep = cfg.policy == "age-debt" and cfg.use_intermediate_queues and bool(plan.relays)
-    relay_hops = get_drift_evaluator(instance).relay_hops if keep else None
-    relay_debt = [0.0 if keep else None] * len(plan.relays)
-    channels = ChannelProcess(instance, cfg.seed, cfg.horizon)
-    links = plan.action_links
+    full = cfg.trace_detail == "full"
+    slots = _loop(instance, (kind, cfg.target_mode, keep, full))
 
-    fc = cfg.flow_control if cfg.target_mode == "flow-control" else None
-    gd = cfg.gradient_descent if cfg.target_mode == "gradient-descent" else None
-    gd_floor = _gd_floor(cost_fns, gd) if gd is not None else None
-    target_history = [_by_pair(targets, plan)] if gd is not None else None
-
-    cost_sum = [0.0] * len(rows)
-    max_sum_debt = 0.0
-    full_trace = cfg.trace_detail == "full"
-    trace = [] if full_trace else None
-    hists = {pair: {} for pair in dest_pairs} if full_trace else None
+    fns = [cost_fns[pair] for pair in dest_pairs]
     # a slot reads costs up to n + 1 ages past the oldest age: a + 1 for
     # next ages, a + h with h <= n for a forwarding relay
     margin = instance.node_count + 1
-    grow_at = 0
 
-    for t in range(cfg.horizon):
-        if t == grow_at:
-            top = max(age) + margin
-            for pair, tab in zip(dest_pairs, by_age):
-                tab.extend(map(cost_fns[pair], range(len(tab), 2 * top)))
-            grow_at = t + top  # until then no age can pass 2 * top - margin
-        if fc is not None:
-            flow_control_update(debt, targets, rows, fc)
-        elif gd is not None and t > 0 and t % gd.epoch_length == 0:
-            target_history.append(gd_epoch_update(_by_pair(targets, plan), _by_pair(debt, plan),
-                                                  gd, floor=gd_floor))
-            targets = _by_row(target_history[-1].values(), plan, 0.0)
-            debt = [0.0] * n_rows
-            relay_debt = [0.0 if keep else None] * len(relay_debt)
+    def grow(age):
+        """Extend every table to 2 * top, top being the oldest age plus the
+        margin, and return top: ages rise by at most one per slot, so no
+        read passes the end for top slots."""
+        top = max(age) + margin
+        for f, tab in zip(fns, by_age):
+            tab.extend(map(f, range(len(tab), 2 * top)))
+        return top
 
-        action_idx = decide(age, held, debt, relay_debt, targets)
-        bits = channels.slot(t)
-        # a source sends a fresh update (age 0); a relay that holds nothing
-        # sends nothing, a no-op on the wire
-        deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links[action_idx]
-                      if bits[e] and (m < 0 or held[m])]
+    history = [_by_pair(targets, plan)] if cfg.target_mode == "gradient-descent" else None
+    gd = cfg.gradient_descent
+    floor = _gd_floor(cost_fns, gd) if history is not None else None
 
+    def epoch(debts):
+        """The next epoch's targets, in pair order, from the debts at the end of this one."""
+        history.append(gd_epoch_update(history[-1], dict(zip(dest_pairs, debts)), gd,
+                                       floor=floor))
+        return list(history[-1].values())
+
+    trace, hists = ([], {pair: {} for pair in dest_pairs}) if full else (None, None)
+    debt, cost_sum, max_sum_debt, final = slots(
+        cfg.horizon, age=[1] * plan.n_rows, held=[False] * plan.n_rows,
+        debt=[0.0] * plan.n_rows, relay_debt=[0.0 if keep else None] * len(plan.relays),
+        targets=targets, tables=_by_row(by_age, plan, None), rule=rule,
+        slot=ChannelProcess(instance, cfg.seed, cfg.horizon).slot, links=plan.action_links,
+        hops=get_drift_evaluator(instance).relay_hops if keep else None, grow=grow,
+        targeting=cfg.flow_control if history is None else gd, epoch=epoch, runaway=RUNAWAY_AGE,
+        trace=trace, hists=list(hists.values()) if full else None)
+    return _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, dict(zip(dest_pairs, final)),
+                    target_history=history, age_histograms=hists, trace=trace)
+
+
+def _loop(instance, shape):
+    """The instance's compiled ``slots`` for a run ``shape`` (policy kind,
+    target mode, relay queues kept, full trace), built on first use and
+    kept on the instance."""
+    loops = instance._slot_loops
+    if shape not in loops:
+        names = {}
+        for code in _compiled(_loop_source(instance, *shape)):
+            exec(code, names)
+        loops[shape] = names["slots"]
+    return loops[shape]
+
+
+def _loop_source(instance, kind, mode, keep, full):
+    """Python text of ``slots``, which runs every slot of one run in the
+    order of the module docstring, each per-row phase unrolled over the
+    instance's rows with their constants as literals. It performs the float
+    operations of the row rules in their order, so its runs are the same
+    bits as the rules applied one call at a time (``tests/row_reference.py``)."""
+    plan = row_plan(instance)
+    rows, relays = plan.dest_rows, plan.relays
+    # the drift evaluator reads debts and targets as row lists; every other
+    # policy leaves them to locals
+    lists = kind == "exact"
+    q = (lambda r: f"debt[{r}]") if lists else (lambda r: f"q{r}")
+    al = (lambda r: f"targets[{r}]") if lists else (lambda r: f"al{r}")
+    head = [f"tab{r} = tables[{r}]" for r in rows] + [f"s{r} = 0.0" for r in rows]
+    if not lists:
+        head += [f"q{r} = debt[{r}]" for r in rows] + [f"al{r} = targets[{r}]" for r in rows]
+    if full:
+        head += [f"hist{r} = hists[{i}]" for i, r in enumerate(rows)]
+    head += ["max_sum_debt = 0.0", "grow_at = 0"]
+
+    body = ["if t == grow_at:", "    grow_at = t + grow(age)"]
+    if mode == "flow-control":
+        head.append("v, high = targeting.V, targeting.alpha_max")
+        body += [f"{al(r)} = high if {q(r)} > v else 1.0" for r in rows]
+    elif mode == "gradient-descent":
+        head.append("epoch_at = targeting.epoch_length")
+        body += ["if t == epoch_at:", "    epoch_at += targeting.epoch_length",
+                 f"    new = epoch([{', '.join(q(r) for r in rows)}])",
+                 *(f"    {al(r)} = new[{i}]" for i, r in enumerate(rows)),
+                 *(f"    {q(r)} = 0.0" for r in rows)]
         if keep:
-            was_held = held[:]  # case 1 reads the buffers before this slot's deliveries
-        age_next = advance_age(age, held, deliveries)
-        priced = update_destination_debt(debt, tables, age_next, targets, rows)
-        if keep:
-            update_intermediate_debt(relay_debt, plan.relays, relay_hops[action_idx],
-                                     age, was_held, tables, targets, priced)
-        age = age_next
+            body.append(f"    relay_debt[:] = [0.0] * {len(relays)}")
 
-        sum_debt = 0.0
-        for q in debt:  # relay rows hold 0.0, which adds nothing
-            sum_debt += q
-        if sum_debt > max_sum_debt:
-            max_sum_debt = sum_debt
-        cost_sum = list(map(add, cost_sum, priced))
-        if full_trace:
-            for pair, r, c in zip(dest_pairs, rows, priced):
-                a = age[r]
-                hists[pair][a] = hists[pair].get(a, 0) + 1
-                trace.append((t, pair, a, c, debt[r], targets[r], action_idx))
+    if kind in ("star", "max-weight"):
+        # a star's rows are its sources; the first maximum wins
+        actions, probs = (star_structure(instance)[k] for k in ("actions", "probs"))
+        if kind == "star":
+            scores = [_STAR_SCORE.format(p=repr(p), q=q(r), tab=f"tab{r}", a=f"age[{r}]")
+                      for r, p in enumerate(probs)]
+        else:
+            head += [f"pw{r} = rule[{r}]" for r in range(len(actions))]
+            scores = [_MAX_WEIGHT_SCORE.format(pw=f"pw{r}", a=f"age[{r}]")
+                      for r in range(len(actions))]
+        body += [f"best = {scores[0]}", f"action = {actions[0]}"]
+        for score, a in zip(scores[1:], actions[1:]):
+            body += [f"x = {score}", "if x > best:", "    best = x", f"    action = {a}"]
+    elif kind == "dp-table":
+        n = plan.n_rows
+        head += ["cap, table = rule", *(f"stride{r} = cap ** {n - 1 - r}" for r in range(n))]
+        body.append("action = table[" + " + ".join(
+            f"((age[{r}] if age[{r}] < cap else cap) - 1) * stride{r}" for r in range(n)) + "]")
+    elif kind == "exact":
+        head.append("decide, tie_break, rng = rule")
+        body.append("action = decide(debt, relay_debt, age, held, targets, tables, tie_break, "
+                    "rng)[0]")
+    else:
+        body.append("action = rule()")
 
-        if (t & 4095) == 0 and max(age) > RUNAWAY_AGE:
-            raise RuntimeError("runaway instance: age exceeded the abort bound")
+    body.append("bits = slot(t)")
+    if keep:
+        # case 1 reads the ages and buffers from before this slot's deliveries
+        body.append("hs = hops[action]")
+        for i, (_, rd, ri) in enumerate(relays):
+            charge = _CASE1_CHARGE.format(tab=f"tab{rd}", a=f"age[{rd}]", ri=ri, h="h")
+            body += [f"h = hs[{i}]", f"x{i} = {charge} if h is not None and held[{ri}] else None"]
+    # a source sends a fresh update (age 0); a relay that holds nothing
+    # sends nothing, a no-op on the wire
+    if plan.relay_links.size:
+        body += ["sent = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links[action]",
+                 "        if bits[e] and (m < 0 or held[m])]",
+                 *(f"age[{r}] += 1" for r in range(plan.n_rows)),
+                 "for (r, g) in sent:", "    held[r] = True", "    g += 1",
+                 "    if g < age[r]:", "        age[r] = g"]
+    else:  # every sender is a source, so a delivery sets the age to 1
+        body += [*(f"age[{r}] += 1" for r in range(plan.n_rows)),
+                 "for (r, m, e) in links[action]:", "    if bits[e]:",
+                 "        held[r] = True", "        age[r] = 1"]
+    for r in rows:
+        body += [f"c{r} = tab{r}[age[{r}]]", f"nq = {q(r)} + c{r} - {al(r)}",
+                 f"{q(r)} = nq if nq > 0.0 else 0.0"]
+    for i, (_, rd, _) in enumerate(relays if keep else ()):
+        body += [f"nq = relay_debt[{i}] + (c{rd} if x{i} is None else x{i}) - {al(rd)}",
+                 f"relay_debt[{i}] = nq if nq > 0.0 else 0.0"]
+    # relay rows hold 0.0, which adds nothing: the sum runs in row order
+    body += ["sum_debt = 0.0 + " + " + ".join(q(r) for r in sorted(rows)),
+             "if sum_debt > max_sum_debt:", "    max_sum_debt = sum_debt",
+             *(f"s{r} += c{r}" for r in rows)]
+    if full:
+        for pair, r in zip(plan.dest_pairs, rows):
+            body += [f"a = age[{r}]", f"hist{r}[a] = hist{r}.get(a, 0) + 1",
+                     f"trace.append((t, {pair!r}, a, c{r}, {q(r)}, {al(r)}, action))"]
+    body += ["if (t & 4095) == 0 and max(age) > runaway:",
+             "    raise RuntimeError(\"runaway instance: age exceeded the abort bound\")"]
 
-    return _metrics(cfg, dest_pairs, cost_sum, [debt[r] for r in rows], max_sum_debt,
-                    _by_pair(targets, plan), target_history=target_history,
-                    age_histograms=hists, trace=trace)
+    tail = (f"return [{', '.join(map(q, rows))}], [{', '.join(f's{r}' for r in rows)}], "
+            f"max_sum_debt, [{', '.join(map(al, rows))}]")
+    return "\n".join([
+        "def slots(horizon, age, held, debt, relay_debt, targets, tables, rule, slot, links, "
+        "hops, grow, targeting, epoch, runaway, trace, hists):",
+        *_indent(head), "    for t in range(horizon):", *_indent(_indent(body)),
+        *_indent([tail])]) + "\n"
 
 
 def _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, targets, **extra):

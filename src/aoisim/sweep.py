@@ -274,10 +274,15 @@ def check_policies(config, scenarios):
     or running, by the entry's constructors, ``run``'s own helpers and the
     DP's state count. Raises one ``ValueError`` with a line per problem, each
     starting ``policies[i]`` and naming the scenario where it depends on one,
-    and a line for a ``sim.seeds`` list with no seed to run."""
+    and a line for a ``sim.seeds`` list with no seed to run or per bad seed."""
     horizon, errors = config.sim["horizon"], []
     if not config.sim["seeds"]:
         errors.append("sim.seeds: need at least one seed")
+    for i, seed in enumerate(config.sim["seeds"]):
+        try:
+            SimConfig(horizon=1, seed=seed)  # the seed's own rule
+        except ValueError as exc:
+            errors.append(f"sim.seeds[{i}]: {exc}")
     for i, pol in enumerate(config.policies):
         try:
             cfg = _entry_config(pol, horizon, 0, config.sim)
@@ -289,7 +294,7 @@ def check_policies(config, scenarios):
                 _age_debt_variant(cfg.policy_params)
             if cfg.policy == "randomized" and not ("probabilities" in pol or pol.get("budget")):
                 raise ValueError("randomized needs 'probabilities' or a tuning 'budget'")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
             errors.append(f"policies[{i}]: {exc}")
             continue
         for scenario in scenarios:
@@ -299,7 +304,7 @@ def check_policies(config, scenarios):
                     _resolve_targets(cfg, inst.dest_pairs())
                 if cfg.policy in ("max-weight", "constant") or \
                         "probabilities" in cfg.policy_params:
-                    _policy(inst, scenario.cost_fns, cfg, None, None)  # run's decide rule
+                    _policy(inst, scenario.cost_fns, cfg, None)  # run's decision rule
                 if cfg.policy == "dp-table" or pol.get("target_mode") == "oracle-dp":
                     dp_state_count(inst, **_dp_args(pol))
             except (TypeError, ValueError) as exc:

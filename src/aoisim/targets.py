@@ -60,11 +60,3 @@ def gd_epoch_update(targets, debt_at_epoch_end, cfg, floor=None):
             na = max(na, floor.get(pair, 0.0))
         out[pair] = na
     return out
-
-
-def flow_control_update(debt, targets, rows, cfg):
-    """Per-slot threshold rule, in place on ``targets``: alpha = alpha_max
-    for each row in ``rows`` whose debt exceeds V, else 1."""
-    high, v = cfg.alpha_max, cfg.V
-    for r in rows:
-        targets[r] = high if debt[r] > v else 1.0

@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import (CostFunction, DebtState, SimConfig, advance_age, make_instance,
-                    restricted_hop_distance, run, update_destination_debt,
-                    update_intermediate_debt)
+from aoisim import CostFunction, DebtState, SimConfig, make_instance, restricted_hop_distance, run
 from aoisim.network import adjacency_map, bfs_distances
 from conftest import lyapunov
 from dict_reference import initial_age, initial_buffer, initial_debt
+from row_reference import advance_age, update_destination_debt, update_intermediate_debt
 
 
 # ---------------- age advance ----------------
@@ -227,10 +226,19 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
     # run() charges case 1 only for a relay that holds a packet: under
     # "last" the relay is scheduled in every slot but never receives one, so
     # its queue takes the shadowing update; under "freshest" it does forward.
-    # Case 1 is the update's only cost lookup.
-    import aoisim.sim
-    update = aoisim.sim.update_intermediate_debt
-    seen = []
+    # Each slot's state, as the drift evaluator sees it, is replayed through
+    # the reference relay update, whose case 1 is its only cost lookup; the
+    # run's relay queues must follow the replay slot by slot.
+    from aoisim.policies import DriftEvaluator
+
+    decide = DriftEvaluator.decide
+    states = []
+
+    def spy(self, debt, relay_debt, age, held, targets, tables, *rest):
+        out = decide(self, debt, relay_debt, age, held, targets, tables, *rest)
+        states.append((self, list(relay_debt), list(age), list(held), list(targets), tables,
+                       out[0]))
+        return out
 
     class Recording:
         def __init__(self, tab, looked):
@@ -241,18 +249,28 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
             self.looked.append(age)
             return self.tab[age]
 
-    def spy(relay_debt, relays, hops, age, held, tables, *rest):
-        looked = []
-        update(relay_debt, relays, hops, age, held,
-               [None if tab is None else Recording(tab, looked) for tab in tables], *rest)
-        seen.append(bool(looked))
+    def case1_slots(instance, cost_fns, cfg):
+        """Per slot but the last, whether the relay update charged case 1."""
+        states.clear()
+        run(instance, cost_fns, cfg)
+        seen = []
+        for (ev, relay_debt, age, held, targets, tables, action), nxt in zip(states, states[1:]):
+            priced = [tables[r][nxt[2][r]] for r in ev.plan.dest_rows]
+            looked = []
+            update_intermediate_debt(
+                relay_debt, ev.plan.relays, ev.relay_hops[action], age, held,
+                [None if tab is None else Recording(tab, looked) for tab in tables], targets,
+                priced)
+            assert relay_debt == nxt[1]
+            seen.append(bool(looked))
+        return seen
 
-    monkeypatch.setattr(aoisim.sim, "update_intermediate_debt", spy)
+    monkeypatch.setattr(DriftEvaluator, "decide", spy)
     instance, cost_fns = two_hop
     for tie_break in ("last", "freshest"):
-        seen.clear()
-        run(instance, cost_fns, SimConfig(horizon=50, seed=0, targets=2.5, tie_break=tie_break,
-                                          policy_params={"variant": "exact"}))
+        seen = case1_slots(instance, cost_fns, SimConfig(
+            horizon=51, seed=0, targets=2.5, tie_break=tie_break,
+            policy_params={"variant": "exact"}))
         assert len(seen) == 50
         assert any(seen) == (tie_break == "freshest")
     # a relay that receives and forwards in one action sends what it held
@@ -260,10 +278,9 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
     pipeline = make_instance(4, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}, [(1, {4})],
                              interference="explicit",
                              explicit_actions=[[(1, 2, 1), (2, 3, 1), (3, 4, 1)]])
-    seen.clear()
-    run(pipeline, {(1, 4): CostFunction.linear(1.0)}, SimConfig(
-        horizon=3, seed=0, targets=2.5, tie_break="freshest", policy_params={"variant": "exact"}))
-    assert seen == [False, True, True]
+    assert case1_slots(pipeline, {(1, 4): CostFunction.linear(1.0)}, SimConfig(
+        horizon=4, seed=0, targets=2.5, tie_break="freshest",
+        policy_params={"variant": "exact"})) == [False, True, True]
 
 
 def test_broadcast_flow_has_no_intermediate_queues():

@@ -304,8 +304,13 @@ GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
     (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "gradient-descent",
                                "epochs": 10, "step": 0.5}]), {},
      "policies[0]: target_mode 'gradient-descent' needs 'epoch_length', 'threshold'"),
+    (dict(TWO_NODE, sim={"horizon": 100, "seeds": [0, -1]},
+          policies=[{"name": "constant", "action_index": 1}]), {},
+     "sim.seeds[1]: seed must be an integer in [0, 2**64), got -1"),
+    (dict(TWO_NODE, policies=[{"name": "age-debt", "targets": 10 ** 400}]), {},
+     "policies[0]: int too large to convert to float"),
 ], ids=["probabilities", "action-index", "max-weight", "dp-size", "targets", "gd-horizon",
-        "fc-field", "gd-fields"])
+        "fc-field", "gd-fields", "seed", "huge-target"])
 def test_bad_entry_fails_before_any_tuning_or_solving(cfg, overrides, message, tmp_path,
                                                       capsys, monkeypatch):
     import aoisim.dp

@@ -16,14 +16,14 @@ from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy
                     age_debt_action, broadcast_instance, enumerate_connected_graphs, gen_line,
                     make_instance, max_weight_action, optimize_randomized, parse_config, run,
                     run_sweep, single_hop_age_debt_action)
-from aoisim.age import advance_age as advance_age_rows
 from aoisim.age import restricted_hop_distance, row_plan
-from aoisim.age import update_destination_debt as update_destination_debt_rows
-from aoisim.age import update_intermediate_debt as update_intermediate_debt_rows
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
 from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
                             update_destination_debt, update_intermediate_debt)
+from row_reference import advance_age as advance_age_rows
+from row_reference import update_destination_debt as update_destination_debt_rows
+from row_reference import update_intermediate_debt as update_intermediate_debt_rows
 
 
 # ---------------- expected drift ----------------
@@ -421,10 +421,10 @@ def reliable_instances():
 
 @pytest.mark.parametrize("name", reliable_instances())
 def test_scores_equal_the_realized_lyapunov_change_on_reliable_links(name):
-    # the compiled score and the slot's own updates (advance_age, then the
+    # the compiled score and the slot's row rules (advance_age, then the
     # destination and relay debt updates, relay queues kept) are two copies
-    # of each rule, the relay queue's case 1 included; on reliable links the
-    # expected drift is the realized change
+    # of each rule but the relay queue's case-1 charge, a template they
+    # share; on reliable links the expected drift is the realized change
     instance = reliable_instances()[name]
     ev, plan = get_drift_evaluator(instance), row_plan(instance)
     costs = [CostFunction.linear(1.5), CostFunction.power(2.0), CostFunction.power(0.5)]

@@ -64,8 +64,9 @@ def test_ages_never_below_one_and_delivery_only_helps():
 def test_age_buffer_consistency_invariant():
     # replay the run and check that a node holds a packet iff it is at most
     # t + 1 old after slot t: one that never received one is exactly t + 2
-    from aoisim.age import advance_age, row_plan
+    from aoisim.age import row_plan
     from aoisim.channels import ChannelProcess
+    from row_reference import advance_age
 
     inst, costs = gen_line(5, interference="parity")
     cfg = SimConfig(horizon=400, seed=2, policy="age-debt",
@@ -114,6 +115,43 @@ def test_run_rejects_a_policy_that_does_not_fit(policy, params, match, trace_det
                     trace_detail=trace_detail)
     with pytest.raises(ValueError, match=match):
         run(instance, cost_fns, cfg)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"horizon": True}, "horizon"),     # a bool would run one slot
+    ({"horizon": 2.5}, "horizon"),
+    ({"horizon": 0}, "horizon"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2 ** 64}, "seed"),        # would reuse seed 0's channel bits
+    ({"seed": 1.0}, "seed"),
+])
+def test_config_rejects_a_bad_horizon_or_seed(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{"horizon": 10, **kw})
+    SimConfig(horizon=1, seed=2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("mode, kw", [
+    ("fixed", {"targets": math.inf}),
+    ("fixed", {"targets": math.nan}),
+    ("fixed", {"targets": {(1, 3): 2.0, (2, 3): -math.inf}}),
+    ("fixed", {"targets": 10 ** 400}),  # past the float range
+    ("gradient-descent", {"initial": math.nan}),
+    ("gradient-descent", {"initial": 2.0, "floor": math.inf}),
+    ("gradient-descent", {"initial": 2.0, "floor": {(2, 3): math.nan}}),
+])
+def test_non_finite_targets_are_rejected_with_their_pair(mode, kw):
+    # an infinite target read every pair stable and a NaN one every pair
+    # unstable
+    inst, costs = gen_star(3, reliability_rule="reliable")
+    if mode == "fixed":
+        cfg = SimConfig(horizon=200, policy="age-debt", **kw)
+    else:
+        cfg = SimConfig(horizon=200, policy="age-debt", target_mode=mode,
+                        gradient_descent=GradientDescentConfig(
+                            epoch_length=20, epochs=10, step=0.5, threshold=0.1, **kw))
+    with pytest.raises(ValueError, match=r"non-finite value .* for pair \(\d, 3\)"):
+        run(inst, costs, cfg)
 
 
 def test_stability_diagnostic_thresholds():
@@ -463,3 +501,96 @@ def test_run_matches_dict_reference_past_table_growth():
         b = dict_slot_loop(instance, cost_fns, cfg)
         for f in fields(a):
             assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+# ---------------- the generated slot loop, shape by shape ----------------
+
+def _shape_instance(name):
+    if name == "star":
+        return gen_star(4, rng=np.random.default_rng(7))
+    instance, _ = gen_line(4, interference="single-transmitter", reliability=0.8)
+    if name == "two-hop":
+        instance, _ = gen_line(3, interference="single-transmitter", reliability=0.8)
+    return instance, {pair: CostFunction.power(1.5) for pair in instance.dest_pairs()}
+
+
+# policy entry -> (instance, run fields, the loop's policy kind, relay queues kept)
+SHAPE_POLICIES = {
+    "closed-form": ("star", {"policy": "age-debt"}, "star", False),
+    "max-weight": ("star", {"policy": "max-weight"}, "max-weight", False),
+    "dp-table": ("two-hop", {"policy": "dp-table"}, "dp-table", False),
+    "exact-relays-kept": ("line", {"policy": "age-debt"}, "exact", True),
+    "exact-relays-off": ("line", {"policy": "age-debt", "use_intermediate_queues": False,
+                                  "tie_break": "random"}, "exact", False),
+    "randomized": ("line", {"policy": "randomized"}, "pick", False),
+    "constant": ("line", {"policy": "constant", "policy_params": {"action_index": 2}},
+                 "pick", False),
+}
+SHAPE_MODES = {
+    "fixed": {"targets": 3.0},
+    "flow-control": {"flow_control": FlowControlConfig(V=3.0, alpha_max=6.0)},
+    "gradient-descent": {"gradient_descent": GradientDescentConfig(
+        epoch_length=25, epochs=12, step=0.5, threshold=0.05, initial=4.0)},
+}
+
+
+def _shape_case(policy, mode, trace_detail, horizon=300):
+    name, kw, kind, keep = SHAPE_POLICIES[policy]
+    instance, cost_fns = _shape_instance(name)
+    kw = dict(kw)
+    if policy == "dp-table":
+        kw["policy_params"] = {"solution": dp_optimal(instance, cost_fns, a_cap=4)}
+    elif policy == "randomized":
+        n = len(instance.action_space)
+        kw["policy_params"] = {"probabilities": tuple([1.0 / n] * n)}
+    cfg = SimConfig(horizon=horizon, seed=3, target_mode=mode, trace_detail=trace_detail,
+                    **kw, **SHAPE_MODES[mode])
+    return instance, cost_fns, cfg, (kind, mode, keep, trace_detail == "full")
+
+
+@pytest.mark.parametrize("trace_detail", ["metrics-only", "full"])
+@pytest.mark.parametrize("mode", list(SHAPE_MODES))
+@pytest.mark.parametrize("policy", list(SHAPE_POLICIES))
+def test_every_loop_shape_matches_dict_reference(policy, mode, trace_detail):
+    # one run of every shape the generator writes; the hypothesis test above
+    # reaches them only as it draws
+    instance, cost_fns, cfg, shape = _shape_case(policy, mode, trace_detail)
+    a = sim._slot_loop(instance, cost_fns, cfg)
+    assert list(instance._slot_loops) == [shape]
+    b = dict_slot_loop(instance, cost_fns, cfg)
+    for f in fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("policy", ["closed-form", "dp-table", "exact-relays-kept"])
+def test_loop_matches_dict_reference_across_a_block_boundary(policy):
+    # past slot 4096, the first channel block, and many table growth steps
+    instance, cost_fns, cfg, _ = _shape_case(policy, "flow-control", "metrics-only", 4200)
+    a = run(instance, cost_fns, cfg)
+    b = dict_slot_loop(instance, cost_fns, cfg)
+    for f in fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+def test_loop_compiles_once_per_shape_and_again_after_unpickling(monkeypatch):
+    # sweep workers unpickle a fresh instance per task, and functions do not
+    # pickle: a copy writes and compiles its own loop
+    import pickle
+
+    written = []
+    source = sim._loop_source
+
+    def counting(*args):
+        written.append(args[1:])
+        return source(*args)
+
+    monkeypatch.setattr(sim, "_loop_source", counting)
+    instance, cost_fns, cfg, shape = _shape_case("exact-relays-kept", "flow-control",
+                                                 "metrics-only")
+    first = run(instance, cost_fns, cfg)
+    assert repr(run(instance, cost_fns, cfg)) == repr(first)
+    assert written == [shape]
+    copy = pickle.loads(pickle.dumps(instance))
+    assert copy._slot_loops == {} and list(instance._slot_loops) == [shape]
+    assert repr(run(copy, cost_fns, cfg)) == repr(first)
+    assert written == [shape, shape]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig,
-                    SimConfig, flow_control_update, gd_epoch_update, gen_star, run)
+from aoisim import (CostFunction, FlowControlConfig, GradientDescentConfig, SimConfig,
+                    gd_epoch_update, gen_star, run)
+from row_reference import flow_control_update
 
 
 def gd_cfg(**kw):
