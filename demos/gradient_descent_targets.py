@@ -1,10 +1,11 @@
 """Learning targets by epoch-level gradient descent.
 
 Two sources with different weights share one reliable hub link. Every epoch
-the debt queues restart at zero; targets of pairs whose queues overflowed
-the threshold move up, and when everything stays quiet all targets move
-down. The trajectory descends until it hovers around the smallest achievable
-average costs, oscillating by about one step size.
+of 500 slots (the horizon sets their number: 80) the debt queues restart at
+zero; targets of pairs whose queues overflowed the threshold move up, and
+when everything stays quiet all targets move down. The trajectory descends
+until it hovers around the smallest achievable average costs, oscillating by
+about one step size.
 """
 
 from aoisim import GradientDescentConfig, SimConfig, gen_star, run
@@ -15,7 +16,7 @@ cfg = SimConfig(
     horizon=40_000, seed=0, policy="age-debt",
     target_mode="gradient-descent",
     gradient_descent=GradientDescentConfig(
-        epoch_length=500, epochs=80, step=0.25, threshold=0.05, initial=8.0))
+        epoch_length=500, step=0.25, threshold=0.05, initial=8.0))
 metrics = run(instance, cost_fns, cfg)
 
 print("epoch-by-epoch targets (alternating optimum averages are 1.5 each):")

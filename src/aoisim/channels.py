@@ -5,6 +5,10 @@ seed, edge index)), so the success bit of edge e at slot t is a pure function
 of (seed, e, t). Policies can consume as much or as little randomness as they
 like without perturbing the channel sequence, which keeps policy comparisons
 on common random numbers.
+
+Bits are drawn in blocks of ``_BLOCK`` slots. The slot loop reads them in
+slot order through ``ChannelProcess.bits``; the open-loop path reads whole
+blocks as arrays through ``_rows``.
 """
 
 from __future__ import annotations
@@ -23,18 +27,13 @@ def _edge_key(seed, edge_idx):
 
 
 class ChannelProcess:
-    """Random-access success bits for every edge of an instance.
+    """Success bits for every edge of an instance, drawn one block of slots
+    at a time."""
 
-    With a ``horizon``, ``slot`` serves only slots below it and draws no
-    rows past it; the bits are the same as without one."""
-
-    def __init__(self, instance, seed, horizon=None):
-        self.horizon = horizon
+    def __init__(self, instance, seed):
         self.n_edges = len(instance.edges)
         self._keys = [_edge_key(seed, i) for i in range(self.n_edges)]
         self._probs = np.array([instance.reliability[e] for e in instance.edges])
-        self._block_start = -1
-        self._block = None
 
     def _rows(self, start, stop):
         """Success bits of slots start..stop-1 (start a block boundary,
@@ -48,14 +47,9 @@ class ChannelProcess:
             draws[:, i] = np.random.Generator(bg).random(stop - start)
         return draws < self._probs
 
-    def slot(self, t):
-        """Success bits of slot t, a list of bools indexed like
-        instance.edges (one block is converted to lists at a time)."""
-        if t < 0 or (self.horizon is not None and t >= self.horizon):
-            raise ValueError(f"slot {t} is not in the run (0 <= t < horizon)")
-        start = (t // _BLOCK) * _BLOCK
-        if start != self._block_start:
-            stop = start + _BLOCK if self.horizon is None else min(start + _BLOCK, self.horizon)
-            self._block = self._rows(start, stop).tolist()
-            self._block_start = start
-        return self._block[t - start]
+    def bits(self, horizon):
+        """Success bits of slots 0..horizon-1 in slot order, each a list of
+        bools indexed like instance.edges. Rows are drawn one block at a
+        time and none past the horizon."""
+        for start in range(0, horizon, _BLOCK):
+            yield from self._rows(start, min(start + _BLOCK, horizon)).tolist()

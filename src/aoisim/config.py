@@ -41,7 +41,7 @@ _PAIR_VALUES = ("number", {str: "number"})  # one value, or one per "k-j" pair
 _POLICY = _Object({
     "name": "string", "label": "string", "variant": "string", "tie_break": "string",
     "target_mode": "string", "targets": _PAIR_VALUES, "V": "number", "alpha_max": "number",
-    "epoch_length": "integer", "epochs": "integer", "step": "number", "threshold": "number",
+    "epoch_length": "integer", "step": "number", "threshold": "number",
     "initial": _PAIR_VALUES, "floor": _PAIR_VALUES, "a_cap": "integer", "tolerance": "number",
     "probabilities": ["number"], "budget": "integer", "tuning_horizon": "integer",
     "tuning_seed": "integer", "action_index": "integer", "use_intermediate_queues": "boolean",

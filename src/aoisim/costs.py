@@ -40,8 +40,8 @@ class CostFunction:
             raise ValueError("linear weight must be >= 0")
         if kind == "power" and not exponent >= 0:
             raise ValueError("power exponent must be >= 0")
-        if kind == "indicator" and not threshold >= 1:
-            raise ValueError("indicator threshold must be >= 1")
+        if kind == "indicator" and not (threshold >= 1 and threshold % 1 == 0):  # inf % 1 is NaN
+            raise ValueError(f"indicator threshold must be a whole number >= 1, got {threshold!r}")
         self.kind = kind
         self.weight = float(weight)
         self.exponent = float(exponent)

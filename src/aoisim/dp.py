@@ -98,9 +98,17 @@ class DpSolution:
     policy: np.ndarray           # flat state index -> action index
     relative_values: np.ndarray  # flat state index -> relative value
     actions: list
-    residual_span: float
-    iterations: int
     span_history: list           # span of the value differences after each sweep
+
+    @property
+    def residual_span(self):
+        """The span after the last sweep, below the tolerance."""
+        return self.span_history[-1]
+
+    @property
+    def iterations(self):
+        """The sweeps the solve took."""
+        return len(self.span_history)
 
 
 def dp_state_count(instance, a_cap=30, tolerance=1e-3):
@@ -206,7 +214,6 @@ def dp_optimal(instance, cost_fns, a_cap=30, tolerance=1e-3):
     return DpSolution(gain=gain, per_pair_average=per_pair, pairs=list(plan.tracked),
                       a_cap=a_cap, policy=policy,
                       relative_values=h, actions=list(instance.action_space),
-                      residual_span=span_history[-1], iterations=len(span_history),
                       span_history=span_history)
 
 

@@ -21,7 +21,7 @@ Action = tuple
 
 IDLE_ACTION: Action = ()
 
-DEFAULT_ACTION_CAP = 10 ** 6
+ACTION_CAP = 10 ** 6
 
 
 class ActionSpaceError(ValueError):
@@ -62,8 +62,9 @@ class NetworkInstance:
     tuple of actions that ``build_action_space`` returns.
 
     Safe to share read-only across parallel runs; the simulation engine never
-    mutates it (the drift evaluator and the row plan are private
-    caches, each built once).
+    mutates it (the row plan, the drift evaluator and the compiled slot
+    loops are private caches, each built once). It pickles as data only: a
+    copy rebuilds each cache on first use.
     """
 
     node_count: int
@@ -81,8 +82,7 @@ class NetworkInstance:
         self._slot_loops = {}  # run shape -> compiled slot loop (sim._loop)
 
     def __getstate__(self):
-        # functions do not pickle; a copy compiles its own loops
-        return {**self.__dict__, "_slot_loops": {}}
+        return {**self.__dict__, "_drift_evaluator": None, "_row_plan": None, "_slot_loops": {}}
 
     def edge_prob(self, i, j):
         return self.reliability[canon_edge(i, j)]
@@ -196,8 +196,7 @@ def _is_line(node_count, edges):
 
 
 def build_action_space(node_count, edges, flows, model,
-                       eligibility="any", explicit_actions=None,
-                       cap=DEFAULT_ACTION_CAP):
+                       eligibility="any", explicit_actions=None):
     """Enumerate the feasible action set for one of the interference models.
 
     explicit            -- take ``explicit_actions`` as given (idle is added
@@ -211,6 +210,7 @@ def build_action_space(node_count, edges, flows, model,
 
     Returns a tuple of actions, sorted (idle first, then lexicographic by
     assignment), so identical inputs always produce the identical tuple.
+    Raises ``ActionSpaceError`` for more than ``ACTION_CAP`` actions.
     """
     edges = tuple(sorted(canon_edge(i, j) for (i, j) in edges))
     eligible = _eligible_flows(node_count, edges, flows, eligibility)
@@ -233,7 +233,7 @@ def build_action_space(node_count, edges, flows, model,
             for k in eligible[(tx, rx)]:
                 actions.append(((tx, rx, k),))
     elif model == "matching":
-        actions = _enumerate_matchings(edges, eligible, cap)
+        actions = _enumerate_matchings(edges, eligible)
     elif model == "parity":
         if not _is_line(node_count, edges):
             raise ValueError("parity interference is defined for line networks only")
@@ -251,23 +251,23 @@ def build_action_space(node_count, edges, flows, model,
     else:
         raise ValueError(f"unknown interference model {model!r}")
 
-    if len(actions) > cap:
+    if len(actions) > ACTION_CAP:
         raise ActionSpaceError(
             f"instance too large for enumerative scheduling: "
-            f"{len(actions)} actions exceed the cap of {cap}")
+            f"{len(actions)} actions exceed the cap of {ACTION_CAP}")
     return tuple(actions)
 
 
-def _enumerate_matchings(edges, eligible, cap):
+def _enumerate_matchings(edges, eligible):
     """All (direction, flow)-labeled matchings, idle included."""
     actions = [IDLE_ACTION]
     n_edges = len(edges)
 
     def extend(start, used_nodes, chosen):
-        if len(actions) > cap:
+        if len(actions) > ACTION_CAP:
             raise ActionSpaceError(
                 f"instance too large for enumerative scheduling: more than "
-                f"{cap} actions under the matching model")
+                f"{ACTION_CAP} actions under the matching model")
         for idx in range(start, n_edges):
             (i, j) = edges[idx]
             if i in used_nodes or j in used_nodes:
@@ -303,7 +303,7 @@ def validate_action(action, edges, flow_ids):
 
 
 def make_instance(node_count, reliability, flows, interference="single-transmitter",
-                  eligibility="any", explicit_actions=None, cap=DEFAULT_ACTION_CAP):
+                  eligibility="any", explicit_actions=None):
     """Assemble and validate a NetworkInstance.
 
     ``reliability`` maps undirected edges to delivery probabilities, as a
@@ -326,7 +326,7 @@ def make_instance(node_count, reliability, flows, interference="single-transmitt
         raise ValueError("invalid instance: " + "; ".join(errors))
     space = build_action_space(node_count, edges, flow_objs, interference,
                                eligibility=eligibility,
-                               explicit_actions=explicit_actions, cap=cap)
+                               explicit_actions=explicit_actions)
     return NetworkInstance(node_count, edges, rel, tuple(flow_objs), space)
 
 

@@ -28,8 +28,8 @@ in the same order as the dict reference in the tests, writes every float by
 its ``repr``, and never calls ``sum()``, which adds floats with compensation
 from Python 3.12 on. Code objects are cached per process by source text, so
 each worker of a parallel sweep, which unpickles a fresh instance per task,
-compiles each distinct instance once; an evaluator pickles without its
-functions and rebuilds them on load.
+compiles each distinct instance once. An instance pickles without its
+evaluator, and a copy builds its own on first use.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ import numpy as np
 from .age import restricted_hop_distance, row_plan
 
 TIE_BREAKS = ("first", "last", "random", "freshest")
+
+TUNING_SEEDS = (0, 1)  # the run seeds ``optimize_randomized`` scores each candidate on
 
 
 @dataclass
@@ -67,8 +69,6 @@ _CASE1_CHARGE = "{tab}[(age[{ri}] if age[{ri}] < {a} else {a}) + {h}]"
 # loop writes them with each source's reliability as a literal.
 _STAR_SCORE = "{p} * {q} * ({tab}[{a} + 1] - {tab}[1])"
 _MAX_WEIGHT_SCORE = "{pw} * {a} * ({a} + 2)"
-_star_score = eval(f"lambda a, q, p, tab: {_STAR_SCORE.format(a='a', q='q', p='p', tab='tab')}")
-_max_weight_score = eval(f"lambda a, p, w: {_MAX_WEIGHT_SCORE.format(a='a', pw='p * w')}")
 
 
 @lru_cache(maxsize=256)
@@ -320,24 +320,10 @@ class DriftEvaluator:
         # per action: the leading 0.0, then its rows' age terms in row order
         self._age_picks = [itemgetter(0, *(i for k in ids for i in where[k]))
                            for ids in self.action_dists]
-        self._load()
-
-    def _load(self):
-        """Bind the compiled ``score`` and ``age_terms``."""
         names = {"next_age_dist": DriftEvaluator.next_age_dist, "walk": _walk_terms}
         for code in _compiled(self._source):
             exec(code, names)
         self._score, self._age_terms = names["score"], names["age_terms"]
-
-    def __getstate__(self):
-        # functions do not pickle; the source rebuilds them on load
-        state = dict(self.__dict__)
-        del state["_score"], state["_age_terms"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._load()
 
     @property
     def source(self):
@@ -442,23 +428,6 @@ def age_debt_action(debt, age, buffer, targets, cost_fns, instance, tie_break="f
     return PolicyDecision(idx, instance.action_space[idx], tuple(scores))
 
 
-def single_hop_age_debt_action(ages, debts, reliabilities, tables):
-    """Closed-form drift bound minimizer for a single-hop star: the 0-based
-    position of argmax p_i * Q_i * (f_i(A_i + 1) - f_i(1)), lowest index on
-    ties. Sequences are aligned over the sources; ``tables`` holds their
-    costs indexed by age: a run's cost tables, or ``CostFunction``s, whose
-    ``f[age]`` is ``f(age)``."""
-    scores = list(map(_star_score, ages, debts, reliabilities, tables))
-    return scores.index(max(scores))  # the first maximum
-
-
-def max_weight_action(ages, reliabilities, weights):
-    """Single-hop max-weight baseline: argmax p_i * w_i * A_i * (A_i + 2),
-    lowest index on ties."""
-    scores = list(map(_max_weight_score, ages, reliabilities, weights))
-    return scores.index(max(scores))
-
-
 @dataclass
 class RandomizedPolicy:
     """Stationary distribution over the action space, sampled i.i.d."""
@@ -494,9 +463,9 @@ def _project_simplex(v):
     return v / s
 
 
-def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
-                        horizon=2000, seeds=(0, 1)):
-    """Tune a stationary randomized policy by direct search on simulated cost.
+def optimize_randomized(instance, cost_fns, search_budget=200, rng=None, horizon=2000):
+    """Tune a stationary randomized policy by direct search on simulated cost,
+    averaged over the runs of seeds ``TUNING_SEEDS``.
 
     Seeds the search with point masses and uniform mixtures, then spends the
     budget on Dirichlet samples followed by coordinate perturbations around
@@ -512,13 +481,13 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None,
     evals = 0
     # every candidate runs on the same channels and uniforms: draw them once
     blocks = {s: list(_open_loop_blocks(instance, s, horizon, randomized=True))
-              for s in seeds}
+              for s in TUNING_SEEDS}
 
     def objective(probs):
         nonlocal evals
         evals += 1
         costs = []
-        for s in seeds:
+        for s in TUNING_SEEDS:
             cfg = SimConfig(horizon=horizon, seed=s, policy="randomized",
                             policy_params={"probabilities": tuple(probs)})
             costs.append(_open_loop_run(instance, cost_fns, cfg, blocks[s]).sum_cost)

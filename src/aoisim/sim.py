@@ -32,11 +32,13 @@ the instance's rows, with row constants as literals and the star scores
 and case-1 charge from the templates in ``policies``. Ages and held flags
 stay row lists, and deliveries walk ``RowPlan.action_links``; debts,
 targets and cost sums are locals unless the drift evaluator, which
-``slots`` calls with its row lists, reads them. The text performs the
-rules' float operations in their order, so runs keep their bits. Code is
-compiled once per source text, as the drift evaluator's is, and each loop
-is kept on the instance by shape; an instance pickles without its loops,
-and a copy writes and compiles its own on first use.
+``slots`` calls with its row lists, reads them. Each slot's channel bits
+come with the slot, in slot order, from ``ChannelProcess.bits``; they
+depend on nothing the slot does. The text performs the rules' float
+operations in their order, so runs keep their bits. Code is compiled once
+per source text, as the drift evaluator's is, and each loop is kept on the
+instance by shape; an instance pickles as data only, and a copy writes and
+compiles its own loops on first use.
 
 Randomized and constant runs at fixed targets with metrics only skip the
 slot loop. Their actions never read state, so the whole action sequence
@@ -320,7 +322,7 @@ def _slot_loop(instance, cost_fns, cfg):
         cfg.horizon, age=[1] * plan.n_rows, held=[False] * plan.n_rows,
         debt=[0.0] * plan.n_rows, relay_debt=[0.0 if keep else None] * len(plan.relays),
         targets=targets, tables=_by_row(by_age, plan, None), rule=rule,
-        slot=ChannelProcess(instance, cfg.seed, cfg.horizon).slot, links=plan.action_links,
+        channel=ChannelProcess(instance, cfg.seed).bits(cfg.horizon), links=plan.action_links,
         hops=get_drift_evaluator(instance).relay_hops if keep else None, grow=grow,
         targeting=cfg.flow_control if history is None else gd, epoch=epoch, runaway=RUNAWAY_AGE,
         trace=trace, hists=list(hists.values()) if full else None)
@@ -399,7 +401,6 @@ def _loop_source(instance, kind, mode, keep, full):
     else:
         body.append("action = rule()")
 
-    body.append("bits = slot(t)")
     if keep:
         # case 1 reads the ages and buffers from before this slot's deliveries
         body.append("hs = hops[action]")
@@ -438,9 +439,9 @@ def _loop_source(instance, kind, mode, keep, full):
     tail = (f"return [{', '.join(map(q, rows))}], [{', '.join(f's{r}' for r in rows)}], "
             f"max_sum_debt, [{', '.join(map(al, rows))}]")
     return "\n".join([
-        "def slots(horizon, age, held, debt, relay_debt, targets, tables, rule, slot, links, "
+        "def slots(horizon, age, held, debt, relay_debt, targets, tables, rule, channel, links, "
         "hops, grow, targeting, epoch, runaway, trace, hists):",
-        *_indent(head), "    for t in range(horizon):", *_indent(_indent(body)),
+        *_indent(head), "    for t, bits in zip(range(horizon), channel):", *_indent(_indent(body)),
         *_indent([tail])]) + "\n"
 
 

@@ -287,9 +287,9 @@ def check_policies(config, scenarios):
         try:
             cfg = _entry_config(pol, horizon, 0, config.sim)
             gd = cfg.gradient_descent
-            if gd is not None and gd.epochs * gd.epoch_length != horizon:
-                raise ValueError(f"epochs * epoch_length must equal sim.horizon "
-                                 f"({gd.epochs} * {gd.epoch_length} != {horizon})")
+            if gd is not None and horizon % gd.epoch_length:
+                raise ValueError(f"epoch_length must divide sim.horizon "
+                                 f"({horizon} % {gd.epoch_length} != 0)")
             if cfg.policy == "age-debt":
                 _age_debt_variant(cfg.policy_params)
             if cfg.policy == "randomized" and not ("probabilities" in pol or pol.get("budget")):

@@ -9,23 +9,24 @@ on whether the pair's current debt exceeds V.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 
 @dataclass
 class GradientDescentConfig:
-    epoch_length: int                    # W, slots per epoch
-    epochs: int                          # E
+    epoch_length: int                    # W, slots per epoch; the run's horizon sets the epochs
     step: float                          # eta > 0
     threshold: float                     # epsilon > 0; unstable iff Q(W) > eps*W
     initial: dict = field(default_factory=dict)   # pair -> starting target
     floor: dict = None                   # pair -> alpha_min; None = f(1) per pair
 
     def __post_init__(self):
-        if not (self.epoch_length >= 1 and self.epochs >= 1):  # NaN too
-            raise ValueError("epoch_length and epochs must be >= 1")
-        if not (self.step > 0 and self.threshold > 0):
-            raise ValueError("step and threshold must be > 0")
+        if not (isinstance(self.epoch_length, numbers.Integral) and self.epoch_length >= 1):
+            raise ValueError(f"epoch_length must be an integer >= 1, got {self.epoch_length!r}")
+        if not (0 < self.step < math.inf and 0 < self.threshold < math.inf):  # NaN too
+            raise ValueError("step and threshold must be finite and > 0")
 
 
 @dataclass
@@ -34,10 +35,10 @@ class FlowControlConfig:
     alpha_max: float
 
     def __post_init__(self):
-        if not self.V > 0:  # NaN too
-            raise ValueError("V must be > 0")
-        if not self.alpha_max >= 1:
-            raise ValueError("alpha_max must be >= 1")
+        if not 0 < self.V < math.inf:  # NaN too
+            raise ValueError("V must be finite and > 0")
+        if not 1 <= self.alpha_max < math.inf:
+            raise ValueError("alpha_max must be finite and >= 1")
 
 
 def gd_epoch_update(targets, debt_at_epoch_end, cfg, floor=None):

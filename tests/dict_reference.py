@@ -16,9 +16,10 @@ from aoisim import DebtState, RunMetrics, sim
 from aoisim.age import restricted_hop_distance
 from aoisim.channels import ChannelProcess
 from aoisim.network import canon_edge
-from aoisim.policies import RandomizedPolicy, max_weight_action
+from aoisim.policies import RandomizedPolicy
 from aoisim.sim import _POLICY_RNG_TAG, _gd_floor, _resolve_targets, star_structure
 from aoisim.targets import gd_epoch_update
+from row_reference import max_weight_action
 
 
 # ---------------------------------------------------------------- state
@@ -335,7 +336,7 @@ def dict_slot_loop(instance, cost_fns, cfg):
     evaluator = getattr(controller, "evaluator", None)
     if evaluator is None or not cfg.use_intermediate_queues:
         debt.intermediate = {}
-    channels = ChannelProcess(instance, cfg.seed)
+    channels = ChannelProcess(instance, cfg.seed).bits(cfg.horizon)
     space = instance.action_space
     edge_idx = instance.edge_index
 
@@ -362,7 +363,7 @@ def dict_slot_loop(instance, cost_fns, cfg):
                 debt.intermediate[key] = 0.0
 
         action_idx = controller.decide(t, age, buffer, debt, targets)
-        bits = channels.slot(t)
+        bits = next(channels)
         deliveries = []
         forwarded = set()
         for (tx, rx, k) in space[action_idx]:

@@ -3,15 +3,36 @@ that the slot loop's generated text (``sim._loop_source``) and the drift
 evaluator's scores are compared against.
 
 State is indexed by row, as in ``aoisim.age``; a dict keyed by pair serves
-as rows too. The relay queue's case-1 charge is read from the template that
-the generated code writes, ``policies._CASE1_CHARGE``, so that the rule has
-one owner in the package.
+as rows too. The relay queue's case-1 charge and the star scores are read
+from the templates that the generated code writes, ``policies._CASE1_CHARGE``,
+``_STAR_SCORE`` and ``_MAX_WEIGHT_SCORE``, so that each rule has one owner in
+the package.
 """
 
-from aoisim.policies import _CASE1_CHARGE
+from aoisim.policies import _CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE
 
-_case1_charge = eval(  # the template as a function of its fields
+# the templates as functions of their fields
+_case1_charge = eval(
     f"lambda tab, age, a, ri, h: {_CASE1_CHARGE.format(tab='tab', a='a', ri='ri', h='h')}")
+_star_score = eval(f"lambda a, q, p, tab: {_STAR_SCORE.format(a='a', q='q', p='p', tab='tab')}")
+_max_weight_score = eval(f"lambda a, p, w: {_MAX_WEIGHT_SCORE.format(a='a', pw='p * w')}")
+
+
+def single_hop_age_debt_action(ages, debts, reliabilities, tables):
+    """Closed-form drift bound minimizer for a single-hop star: the 0-based
+    position of argmax p_i * Q_i * (f_i(A_i + 1) - f_i(1)), lowest index on
+    ties. Sequences are aligned over the sources; ``tables`` holds their
+    costs indexed by age: a run's cost tables, or ``CostFunction``s, whose
+    ``f[age]`` is ``f(age)``."""
+    scores = list(map(_star_score, ages, debts, reliabilities, tables))
+    return scores.index(max(scores))  # the first maximum
+
+
+def max_weight_action(ages, reliabilities, weights):
+    """Single-hop max-weight baseline: argmax p_i * w_i * A_i * (A_i + 2),
+    lowest index on ties."""
+    scores = list(map(_max_weight_score, ages, reliabilities, weights))
+    return scores.index(max(scores))
 
 
 def flow_control_update(debt, targets, rows, cfg):

@@ -12,10 +12,10 @@ import pytest
 
 from aoisim import (CostFunction, FlowControlConfig, SimConfig, dp_optimal,
                     enumerate_connected_graphs, gen_line, gen_star,
-                    make_instance, optimize_randomized, run,
-                    single_hop_age_debt_action, stability_diagnostic)
+                    make_instance, optimize_randomized, run, stability_diagnostic)
 from aoisim.cli import main as cli_main
 from aoisim.targets import FlowControlConfig as FCC
+from row_reference import single_hop_age_debt_action
 
 
 def report(criterion, detail):

@@ -9,32 +9,33 @@ def simple_instance(p):
 
 def test_reliable_always_succeeds():
     cp = ChannelProcess(simple_instance(1.0), seed=3)
-    assert all(cp.slot(t)[0] for t in range(500))
+    assert all(bits[0] for bits in cp.bits(500))
 
 
 def test_empirical_mean_matches_probability():
     # binomial CI: 10^5 draws of p=0.6, tolerance 0.005 (approx 3 sigma)
     cp = ChannelProcess(simple_instance(0.6), seed=11)
-    hits = sum(int(cp.slot(t)[0]) for t in range(100_000))
+    hits = sum(int(bits[0]) for bits in cp.bits(100_000))
     assert abs(hits / 100_000 - 0.6) < 0.005
 
 
 def test_fixed_seed_reproduces_sequence():
     inst = simple_instance(0.5)
-    a = [ChannelProcess(inst, seed=7).slot(t)[0] for t in range(200)]
-    b = [ChannelProcess(inst, seed=7).slot(t)[0] for t in range(200)]
+    a = [bits[0] for bits in ChannelProcess(inst, seed=7).bits(200)]
+    b = [bits[0] for bits in ChannelProcess(inst, seed=7).bits(200)]
     assert a == b
-    c = [ChannelProcess(inst, seed=8).slot(t)[0] for t in range(200)]
+    c = [bits[0] for bits in ChannelProcess(inst, seed=8).bits(200)]
     assert a != c
 
 
-def test_random_access_matches_sequential():
+def test_every_horizon_reads_the_first_slots_of_a_longer_one():
     inst = simple_instance(0.5)
     cp = ChannelProcess(inst, seed=5)
-    seq = [bool(cp.slot(t)[0]) for t in range(5000)]
-    cp2 = ChannelProcess(inst, seed=5)
-    for t in (4999, 4096, 4095, 100, 0):  # cross block boundaries, reversed
-        assert bool(cp2.slot(t)[0]) == seq[t]
+    seq = list(cp.bits(5000))
+    assert len(seq) == 5000
+    for horizon in (4999, 4097, 4096, 4095, 100, 1):  # about the block boundary
+        assert list(cp.bits(horizon)) == seq[:horizon]
+    assert list(cp.bits(0)) == []
 
 
 def test_short_blocks_match_slots_across_a_boundary():
@@ -44,14 +45,14 @@ def test_short_blocks_match_slots_across_a_boundary():
     cp = ChannelProcess(inst, seed=5)
     rows = np.vstack([cp._rows(0, 4096), cp._rows(4096, 4200)])
     ref = ChannelProcess(inst, seed=5)
-    assert np.array_equal(rows, np.array([ref.slot(t) for t in range(4200)]))
+    assert np.array_equal(rows, np.array(list(ref.bits(4200))))
     assert np.array_equal(cp._rows(0, 17), rows[:17])
 
 
 def test_edges_get_independent_streams():
     inst = make_instance(3, {(1, 3): 0.5, (2, 3): 0.5}, [(1, {3}), (2, {3})])
     cp = ChannelProcess(inst, seed=9)
-    bits = np.array([cp.slot(t) for t in range(4000)])
+    bits = np.array(list(cp.bits(4000)))
     assert bits[:, 0].mean() != bits[:, 1].mean() or \
         not np.array_equal(bits[:, 0], bits[:, 1])
     # correlation of independent fair coins stays small
@@ -61,6 +62,6 @@ def test_edges_get_independent_streams():
 
 def test_sample_channels_dict_form():
     inst = simple_instance(1.0)
-    bits = ChannelProcess(inst, seed=0).slot(17)
+    bits = list(ChannelProcess(inst, seed=0).bits(18))[17]
     out = {e: bool(bits[i]) for i, e in enumerate(inst.edges)}
     assert out == {(1, 2): True}

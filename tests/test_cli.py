@@ -281,7 +281,7 @@ TWO_NODE = {
 }
 TUNED = {"name": "randomized", "budget": 10, "tuning_horizon": 200}
 GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
-      "epochs": 10, "step": 0.5, "threshold": 0.1, "initial": 5.0}
+      "step": 0.5, "threshold": 0.1, "initial": 5.0}
 
 
 @pytest.mark.parametrize("cfg, overrides, message", [
@@ -298,11 +298,11 @@ GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
     (dict(TWO_NODE, policies=[{"name": "age-debt", "targets": {"2-1": 3.0}}]), {},
      "policies[0] on inline: targets missing pairs [(1, 2)]"),
     (dict(TWO_NODE, policies=[GD]), {"horizon": 55},
-     "policies[0]: epochs * epoch_length must equal sim.horizon (10 * 10 != 55)"),
+     "policies[0]: epoch_length must divide sim.horizon (55 % 10 != 0)"),
     (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "flow-control", "V": 10}]),
      {}, "policies[0]: target_mode 'flow-control' needs 'alpha_max'"),
     (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "gradient-descent",
-                               "epochs": 10, "step": 0.5}]), {},
+                               "step": 0.5}]), {},
      "policies[0]: target_mode 'gradient-descent' needs 'epoch_length', 'threshold'"),
     (dict(TWO_NODE, sim={"horizon": 100, "seeds": [0, -1]},
           policies=[{"name": "constant", "action_index": 1}]), {},
@@ -339,7 +339,7 @@ def inline_cfg(**sections):
 
 
 GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5",
-       "epochs": 400, "step": 0.5, "threshold": 0.1, "initial": 5.0}
+       "step": 0.5, "threshold": 0.1, "initial": 5.0}
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -349,6 +349,8 @@ GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5
       "sim": {"horizon": 10, "seeds": [0]}},
      "network.n: expected integer, got string"),
     (inline_cfg(policies=[GD5]), "policies[0].epoch_length: expected integer, got string"),
+    (inline_cfg(policies=[dict(GD5, epoch_length=5, epochs=400)]),
+     "policies[0]: unknown key 'epochs'"),
     (inline_cfg(network={"nodes": 3, "edges": ["1-2:0.5", "2-1:0.9", "2-3"]}),
      "network: duplicate edge 1-2"),
     (inline_cfg(costs={"per_pair": {"3-1": {"kind": "linear"}}}),
@@ -389,8 +391,8 @@ GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5
      "policies[0] on inline: gradient-descent initial targets: not destination pairs [(2, 9)]"),
     (inline_cfg(policies=[dict(GD5, epoch_length=5, floor={"3-1": 1.0})]),
      "policies[0] on inline: gradient-descent floor: not destination pairs [(3, 1)]"),
-], ids=["a-exponent", "b-star-n", "c-epoch-length", "d-duplicate-edge", "e-pair-key",
-        "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
+], ids=["a-exponent", "b-star-n", "c-epoch-length", "gd-epochs-key", "d-duplicate-edge",
+        "e-pair-key", "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
         "model", "explicit", "cost-kind", "generator", "weight-rule", "graph-ids",
         "line-unread", "star-unread", "inline-unread", "target-key", "gd-initial-key",
         "gd-floor-key"])

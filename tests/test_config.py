@@ -130,7 +130,7 @@ def test_policy_validation():
         "policies[0] on inline: age-debt with fixed targets needs 'targets'"]
     assert policy_errors(policies=[
         {"name": "age-debt", "target_mode": "flow-control", "V": -2,
-         "alpha_max": 50}]) == ["policies[0]: V must be > 0"]
+         "alpha_max": 50}]) == ["policies[0]: V must be finite and > 0"]
 
 
 def test_unknown_age_debt_variant_rejected():
@@ -146,11 +146,14 @@ def test_unknown_age_debt_variant_rejected():
 
 def test_gd_epochs_must_partition_horizon():
     pol = {"name": "age-debt", "target_mode": "gradient-descent",
-           "epoch_length": 30, "epochs": 4, "step": 0.5, "threshold": 0.1,
-           "initial": 5.0}
+           "epoch_length": 30, "step": 0.5, "threshold": 0.1, "initial": 5.0}
     assert policy_errors(policies=[pol]) == [
-        "policies[0]: epochs * epoch_length must equal sim.horizon (4 * 30 != 100)"]
-    assert policy_errors(policies=[dict(pol, epochs=5, epoch_length=20)]) == []
+        "policies[0]: epoch_length must divide sim.horizon (100 % 30 != 0)"]
+    assert policy_errors(policies=[dict(pol, epoch_length=20)]) == []
+    assert policy_errors(policies=[dict(pol, epoch_length=100)]) == []
+    # the horizon sets the epoch count, so no key names it
+    _, errors = parse_config(cfg_text(policies=[dict(pol, epoch_length=20, epochs=5)]))
+    assert errors == ["policies[0]: unknown key 'epochs'"]
 
 
 def test_round_trip_identity():
@@ -211,7 +214,7 @@ def test_gd_policy_resolution_parses_pair_keys():
     from aoisim.sweep import build_sim_config
     config, errors = parse_config(cfg_text(policies=[{
         "name": "age-debt", "target_mode": "gradient-descent",
-        "epoch_length": 20, "epochs": 5, "step": 0.5, "threshold": 0.1,
+        "epoch_length": 20, "step": 0.5, "threshold": 0.1,
         "initial": {"1-2": 4.0}, "floor": {"1-2": 1.0}}]))
     assert errors == []
     scenario = expand_scenarios(config)[0]

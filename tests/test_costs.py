@@ -68,6 +68,11 @@ def test_invalid_specs_rejected():
         CostFunction.linear(math.nan)
     with pytest.raises(ValueError, match="power exponent"):
         CostFunction.power(math.nan)
+    # a threshold is a whole age: 2.5 would read as 2, and 1e400 overflows int()
+    for threshold in (2.5, 1e400, math.nan):
+        with pytest.raises(ValueError, match="whole number"):
+            CostFunction.indicator(threshold)
+    assert CostFunction.indicator(2.0) == CostFunction.indicator(2)
 
 
 def test_dict_round_trip():

@@ -117,7 +117,7 @@ def _cases():
         lambda: gen_line(5, interference="single-transmitter"),
         SimConfig(horizon=400, seed=7, target_mode="gradient-descent",
                   gradient_descent=GradientDescentConfig(
-                      epoch_length=50, epochs=8, step=0.5, threshold=0.05, initial=4.0)))
+                      epoch_length=50, step=0.5, threshold=0.05, initial=4.0)))
     cases["star-n5-closed-form-fixed"] = (
         lambda: gen_star(5, rng=np.random.default_rng(0)),
         SimConfig(horizon=400, seed=7, targets=1.5))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aoisim import (ActionSpaceError, IDLE_ACTION, build_action_space,
                     make_flow, make_instance, validate_action)
+from aoisim import network
 from aoisim.network import _graph_errors
 
 
@@ -84,11 +85,12 @@ def test_matching_model_node_exclusive():
     assert len(space) == 5
 
 
-def test_action_space_cap():
+def test_action_space_cap(monkeypatch):
     flows = flows_of([(1, {4}), (2, {4}), (3, {4})])
     edges = [(1, 2), (2, 3), (3, 4), (1, 4), (2, 4), (1, 3)]
+    monkeypatch.setattr(network, "ACTION_CAP", 10)
     with pytest.raises(ActionSpaceError):
-        build_action_space(4, edges, flows, "single-transmitter", cap=10)
+        build_action_space(4, edges, flows, "single-transmitter")
 
 
 def test_deterministic_ordering():
@@ -179,8 +181,9 @@ def random_instances(draw):
 @settings(max_examples=40, deadline=None)
 def test_generated_actions_always_valid(params):
     n, edges, flows, model, eligibility = params
-    inst = make_instance(n, {e: 1.0 for e in edges}, flows,
-                         interference=model, eligibility=eligibility,
-                         cap=200_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "ACTION_CAP", 200_000)
+        inst = make_instance(n, {e: 1.0 for e in edges}, flows,
+                             interference=model, eligibility=eligibility)
     assert validate_instance(inst) == []
     assert inst.action_space[0] == IDLE_ACTION

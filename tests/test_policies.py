@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import aoisim.sweep
 from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy, SimConfig,
                     age_debt_action, broadcast_instance, enumerate_connected_graphs, gen_line,
-                    make_instance, max_weight_action, optimize_randomized, parse_config, run,
-                    run_sweep, single_hop_age_debt_action)
+                    make_instance, optimize_randomized, parse_config, run, run_sweep)
 from aoisim.age import restricted_hop_distance, row_plan
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
@@ -23,6 +22,7 @@ from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, ini
                             update_destination_debt, update_intermediate_debt)
 from row_reference import advance_age as advance_age_rows
 from row_reference import update_destination_debt as update_destination_debt_rows
+from row_reference import max_weight_action, single_hop_age_debt_action
 from row_reference import update_intermediate_debt as update_intermediate_debt_rows
 
 
@@ -483,7 +483,10 @@ def test_pickled_instance_with_a_compiled_evaluator_sweeps_the_same_bytes(tmp_pa
                     flow_control=FlowControlConfig(V=10.0, alpha_max=20.0))
     want = run(instance, cost_fns, cfg)
     copy = pickle.loads(pickle.dumps(instance))
-    assert copy._drift_evaluator.source == instance._drift_evaluator.source
+    # an instance pickles as data only: the copy holds no plan, evaluator or
+    # loop, and rebuilds the same evaluator text
+    assert (copy._row_plan, copy._drift_evaluator, copy._slot_loops) == (None, None, {})
+    assert get_drift_evaluator(copy).source == instance._drift_evaluator.source
     assert run(copy, cost_fns, cfg) == want
     # every task, serial or in a worker, runs on the unpickled copy
     monkeypatch.setattr(aoisim.sweep, "expand_scenarios",
@@ -670,13 +673,14 @@ def test_single_edge_tuner_finds_point_mass():
     assert pol.probabilities[1] > 0.95
 
 
-def test_tuner_scores_candidates_as_run_does():
+def test_tuner_scores_candidates_as_run_does(monkeypatch):
     # the tuner draws each seed's channels once and scores every candidate
     # on them; its cost must be the bits that run() reports
     from aoisim import SimConfig, gen_line, run
     instance, cost_fns = gen_line(5, interference="parity")
+    monkeypatch.setattr(aoisim.policies, "TUNING_SEEDS", (2, 9))
     pol = optimize_randomized(instance, cost_fns, search_budget=12,
-                              rng=np.random.default_rng(3), horizon=4500, seeds=(2, 9))
+                              rng=np.random.default_rng(3), horizon=4500)
     costs = [run(instance, cost_fns, SimConfig(
         horizon=4500, seed=s, policy="randomized",
         policy_params={"probabilities": pol.probabilities})).sum_cost for s in (2, 9)]

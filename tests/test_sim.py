@@ -79,10 +79,8 @@ def test_age_buffer_consistency_invariant():
     plan = row_plan(inst)
     age = [1] * plan.n_rows
     held = [False] * plan.n_rows
-    channels = ChannelProcess(inst, 2)
-    for t in range(400):
+    for t, bits in enumerate(ChannelProcess(inst, 2).bits(400)):
         links = plan.action_links[int(rng.integers(len(inst.action_space)))]
-        bits = channels.slot(t)
         deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links
                       if bits[e] and (m < 0 or held[m])]
         age = advance_age(age, held, deliveries)
@@ -149,7 +147,7 @@ def test_non_finite_targets_are_rejected_with_their_pair(mode, kw):
     else:
         cfg = SimConfig(horizon=200, policy="age-debt", target_mode=mode,
                         gradient_descent=GradientDescentConfig(
-                            epoch_length=20, epochs=10, step=0.5, threshold=0.1, **kw))
+                            epoch_length=20, step=0.5, threshold=0.1, **kw))
     with pytest.raises(ValueError, match=r"non-finite value .* for pair \(\d, 3\)"):
         run(inst, costs, cfg)
 
@@ -277,31 +275,27 @@ def test_max_weight_reads_plain_costs_as_unit_weights():
 @pytest.mark.parametrize("horizon", [300, 4096, 4200])
 def test_slot_loop_draws_full_block_bits_for_its_slots_only(monkeypatch, horizon):
     # below, at and across the first block boundary: the loop's channel
-    # process draws rows only up to the horizon, with the full blocks' bits
+    # process draws each block below the horizon once, and no row past it,
+    # with the bits of a fresh process's full blocks
     from aoisim.channels import ChannelProcess
 
-    procs, seen = [], []
+    drawn = []
 
     class Recording(ChannelProcess):
-        def __init__(self, *args):
-            super().__init__(*args)
-            procs.append(self)
-
-        def slot(self, t):
-            seen.append((t, super().slot(t)))
-            return seen[-1][1]
+        def _rows(self, start, stop):
+            drawn.append((start, stop, super()._rows(start, stop)))
+            return drawn[-1][2]
 
     inst = make_instance(3, {(1, 2): 0.5, (2, 3): 0.3}, [(1, {3})])
     monkeypatch.setattr(sim, "ChannelProcess", Recording)
     sim._slot_loop(inst, {(1, 3): CostFunction.linear(1.0)}, SimConfig(
         horizon=horizon, seed=5, policy="constant", policy_params={"action_index": 1},
         targets=1.0))
+    assert [(start, stop) for start, stop, _ in drawn] == \
+        [(start, min(start + 4096, horizon)) for start in range(0, horizon, 4096)]
     full = ChannelProcess(inst, seed=5)
-    assert [t for t, _ in seen] == list(range(horizon))
-    assert all(bits == full.slot(t) for t, bits in seen)
-    assert len(procs[0]._block) == horizon - (horizon - 1) // 4096 * 4096
-    with pytest.raises(ValueError, match="not in the run"):
-        procs[0].slot(horizon)
+    for start, stop, rows in drawn:
+        assert np.array_equal(rows, full._rows(start, start + 4096)[:stop - start])
 
 
 def test_flow_control_targets_move_every_slot(two_hop):
@@ -464,7 +458,7 @@ def closed_loop_cases(draw):
             alpha_max=draw(st.sampled_from([1, 6.0, 40])))
     else:
         kw["gradient_descent"] = GradientDescentConfig(
-            epoch_length=draw(st.integers(min_value=3, max_value=40)), epochs=8,
+            epoch_length=draw(st.integers(min_value=3, max_value=40)),
             step=draw(st.sampled_from([0.25, 1.0])), threshold=0.05,
             initial=draw(st.sampled_from([1.0, 4.0])))
     cfg = SimConfig(horizon=draw(st.integers(min_value=1, max_value=200)),
@@ -530,7 +524,7 @@ SHAPE_MODES = {
     "fixed": {"targets": 3.0},
     "flow-control": {"flow_control": FlowControlConfig(V=3.0, alpha_max=6.0)},
     "gradient-descent": {"gradient_descent": GradientDescentConfig(
-        epoch_length=25, epochs=12, step=0.5, threshold=0.05, initial=4.0)},
+        epoch_length=25, step=0.5, threshold=0.05, initial=4.0)},
 }
 
 

@@ -7,7 +7,7 @@ from row_reference import flow_control_update
 
 
 def gd_cfg(**kw):
-    base = dict(epoch_length=100, epochs=5, step=1.0, threshold=0.1, initial=5.0)
+    base = dict(epoch_length=100, step=1.0, threshold=0.1, initial=5.0)
     base.update(kw)
     return GradientDescentConfig(**base)
 
@@ -54,7 +54,7 @@ def test_gd_single_source_descends_to_serve_always_optimum():
     cfg = SimConfig(
         horizon=6000, seed=0, policy="age-debt", target_mode="gradient-descent",
         gradient_descent=GradientDescentConfig(
-            epoch_length=200, epochs=30, step=0.5, threshold=0.05, initial=6.0))
+            epoch_length=200, step=0.5, threshold=0.05, initial=6.0))
     m = run(inst, costs, cfg)
     trajectory = [h[(1, 2)] for h in m.target_history]
     assert trajectory[0] == 6.0
@@ -123,9 +123,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowControlConfig(V=1.0, alpha_max=0.5)
     with pytest.raises(ValueError):
-        GradientDescentConfig(epoch_length=0, epochs=1, step=0.1, threshold=0.1)
+        GradientDescentConfig(epoch_length=0, step=0.1, threshold=0.1)
     with pytest.raises(ValueError):
-        GradientDescentConfig(epoch_length=1, epochs=1, step=-0.1, threshold=0.1)
+        GradientDescentConfig(epoch_length=1, step=-0.1, threshold=0.1)
     # NaN fails every range check
     nan = float("nan")
     with pytest.raises(ValueError, match="V must be"):
@@ -133,4 +133,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="alpha_max must be"):
         FlowControlConfig(V=1.0, alpha_max=nan)
     with pytest.raises(ValueError, match="step and threshold"):
-        GradientDescentConfig(epoch_length=1, epochs=1, step=nan, threshold=0.1)
+        GradientDescentConfig(epoch_length=1, step=nan, threshold=0.1)
+    # inf passes a lower bound but breaks a run: at V or alpha_max inf every
+    # pair reads stable, at step inf the targets turn NaN
+    inf = float("inf")
+    with pytest.raises(ValueError, match="V must be finite"):
+        FlowControlConfig(V=inf, alpha_max=10.0)
+    with pytest.raises(ValueError, match="alpha_max must be finite"):
+        FlowControlConfig(V=1.0, alpha_max=inf)
+    for step, threshold in ((inf, 0.1), (0.1, inf)):
+        with pytest.raises(ValueError, match="step and threshold must be finite"):
+            GradientDescentConfig(epoch_length=1, step=step, threshold=threshold)
+    # a fractional epoch length never meets an integer slot
+    with pytest.raises(ValueError, match="epoch_length must be an integer"):
+        GradientDescentConfig(epoch_length=2.5, step=0.1, threshold=0.1)
