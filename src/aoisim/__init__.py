@@ -8,7 +8,7 @@ from .network import (Action, ActionSpaceError, Flow, IDLE_ACTION,
                       NetworkInstance, build_action_space, canon_edge,
                       make_flow, make_instance, validate_action)
 from .policies import PolicyDecision, RandomizedPolicy, age_debt_action, optimize_randomized
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, load_config, parse_config
 from .scenarios import (broadcast_instance, enumerate_connected_graphs,
                         gen_line, gen_star)
 from .sim import RunMetrics, SimConfig, export_trace, run, stability_diagnostic

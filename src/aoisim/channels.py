@@ -6,9 +6,10 @@ of (seed, e, t). Policies can consume as much or as little randomness as they
 like without perturbing the channel sequence, which keeps policy comparisons
 on common random numbers.
 
-Bits are drawn in blocks of ``_BLOCK`` slots. The slot loop reads them in
-slot order through ``ChannelProcess.bits``; the open-loop path reads whole
-blocks as arrays through ``_rows``.
+Bits are drawn in blocks of ``_BLOCK`` slots, a power of two that also
+blocks a run's policy draws and sets its runaway check (each block's first
+slot). The slot loop reads bits in slot order through ``ChannelProcess.bits``;
+the open-loop path reads whole blocks as arrays through ``_rows``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing and serialization.
+"""Experiment configuration: parsing.
 
 Configs are JSON with six sections. ``network`` is either inline
 (nodes + "i-j:p" edge strings) or a generator reference (star / line /
@@ -14,8 +14,7 @@ from the JSON decoder, shape errors (not an object, a missing required key,
 an unknown key, a wrong JSON type) carry the offending key path. Every rule
 about a value has one owner that builds with it: ``sweep.expand_scenarios``
 and the network, flow and cost constructors for the scenarios,
-``sweep.check_policies`` for the policy entries. Serialization is
-canonical, so parse(serialize(cfg)) == cfg.
+``sweep.check_policies`` for the policy entries.
 """
 
 from __future__ import annotations
@@ -79,22 +78,6 @@ class ExperimentConfig:
     interference: dict = None
     costs: dict = None
     out: str = None
-
-    def to_dict(self):
-        d = {"network": self.network, "policies": self.policies, "sim": self.sim}
-        if self.flows is not None:
-            d["flows"] = self.flows
-        if self.interference is not None:
-            d["interference"] = self.interference
-        if self.costs is not None:
-            d["costs"] = self.costs
-        if self.out is not None:
-            d["out"] = self.out
-        return d
-
-
-def serialize_config(config):
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _kind(spec):

@@ -4,8 +4,8 @@ A cost function maps an integer age (in slots, >= 1) to a nonnegative cost.
 All cost functions here are monotone nondecreasing and capped at a finite
 bound so that per-slot debt increments stay bounded.
 
-A ``CostFunction`` is a value: equality, hashing, pickling and ``to_dict``
-see only its parameters. Runs keep their own tables of its prices.
+A ``CostFunction`` is a value: equality, hashing and pickling see only its
+parameters. Runs keep their own tables of its prices.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import math
 # Effectively unreachable for any sane run length, but finite so that queue
 # increments are bounded.
 DEFAULT_CAP = 1e12
+
+# each kind and the parameter it reads, besides cap
+_PARAMETERS = {"linear": ("weight",), "power": ("exponent",), "exponential": (),
+               "indicator": ("threshold",)}
 
 
 class CostFunction:
@@ -32,7 +36,7 @@ class CostFunction:
     __slots__ = ("kind", "weight", "exponent", "threshold", "cap", "_exp_limit")
 
     def __init__(self, kind, weight=1.0, exponent=1.0, threshold=1, cap=DEFAULT_CAP):
-        if kind not in ("linear", "power", "exponential", "indicator"):
+        if kind not in _PARAMETERS:
             raise ValueError(f"unknown cost kind {kind!r}")
         if cap <= 0 or not math.isfinite(cap):
             raise ValueError("cap must be positive and finite")
@@ -110,20 +114,14 @@ class CostFunction:
     def __hash__(self):
         return hash(self._key())
 
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == "linear":
-            d["weight"] = self.weight
-        elif self.kind == "power":
-            d["exponent"] = self.exponent
-        elif self.kind == "indicator":
-            d["threshold"] = self.threshold
-        if self.cap != DEFAULT_CAP:
-            d["cap"] = self.cap
-        return d
-
     @classmethod
     def from_dict(cls, d):
-        return cls(d["kind"], weight=d.get("weight", 1.0), exponent=d.get("exponent", 1.0),
-                   threshold=d.get("threshold", 1), cap=d.get("cap", DEFAULT_CAP))
+        """The cost a spec names: its ``kind``, that kind's parameter and
+        ``cap``; any other key is an error, as the cost would not read it."""
+        kind = d["kind"]
+        if kind in _PARAMETERS:  # else the constructor names the kind
+            unread = sorted(set(d) - {"kind", "cap", *_PARAMETERS[kind]})
+            if unread:
+                raise ValueError(f"{', '.join(map(repr, unread))} not read by cost kind {kind!r}")
+        return cls(**d)
 

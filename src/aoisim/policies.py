@@ -34,7 +34,7 @@ evaluator, and a copy builds its own on first use.
 
 from __future__ import annotations
 
-import bisect
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, itemgetter
@@ -46,6 +46,7 @@ from .age import restricted_hop_distance, row_plan
 TIE_BREAKS = ("first", "last", "random", "freshest")
 
 TUNING_SEEDS = (0, 1)  # the run seeds ``optimize_randomized`` scores each candidate on
+TUNING_HORIZON = 2000  # the slots of each of its runs, unless set
 
 
 @dataclass
@@ -444,14 +445,17 @@ class RandomizedPolicy:
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
         self.probabilities = tuple(float(x) for x in p)
-        cum = np.cumsum(p)
-        cum[-1] = 1.0
-        self._cum = cum.tolist()
+        self._cum = np.cumsum(p)
+        self._cum[-1] = 1.0
 
     def sample_index(self, rng):
-        # inverse CDF on a scalar draw; rng.choice would rebuild its alias
-        # tables every slot
-        return min(bisect.bisect_right(self._cum, rng.random()), len(self.probabilities) - 1)
+        return int(_actions(self._cum, rng.random(1))[0])
+
+
+def _actions(cum, uniforms):
+    """Each uniform draw's action by the inverse CDF ``cum``, which ends at
+    exactly 1.0 above every draw: never an action of probability 0."""
+    return np.searchsorted(cum, uniforms, side="right")
 
 
 def _project_simplex(v):
@@ -463,7 +467,14 @@ def _project_simplex(v):
     return v / s
 
 
-def optimize_randomized(instance, cost_fns, search_budget=200, rng=None, horizon=2000):
+def _check_tuning(search_budget, horizon):
+    """Raise ``ValueError`` unless ``optimize_randomized`` can search with these."""
+    for what, value in (("tuning budget", search_budget), ("tuning horizon", horizon)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def optimize_randomized(instance, cost_fns, search_budget=200, rng=None, horizon=TUNING_HORIZON):
     """Tune a stationary randomized policy by direct search on simulated cost,
     averaged over the runs of seeds ``TUNING_SEEDS``.
 
@@ -475,13 +486,13 @@ def optimize_randomized(instance, cost_fns, search_budget=200, rng=None, horizon
     # local import; sim depends on this module
     from .sim import SimConfig, _open_loop_blocks, _open_loop_run
 
+    _check_tuning(search_budget, horizon)
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(instance.action_space)
     evals = 0
     # every candidate runs on the same channels and uniforms: draw them once
-    blocks = {s: list(_open_loop_blocks(instance, s, horizon, randomized=True))
-              for s in TUNING_SEEDS}
+    blocks = {s: list(_open_loop_blocks(instance, s, horizon)) for s in TUNING_SEEDS}
 
     def objective(probs):
         nonlocal evals

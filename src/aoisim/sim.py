@@ -34,24 +34,26 @@ stay row lists, and deliveries walk ``RowPlan.action_links``; debts,
 targets and cost sums are locals unless the drift evaluator, which
 ``slots`` calls with its row lists, reads them. Each slot's channel bits
 come with the slot, in slot order, from ``ChannelProcess.bits``; they
-depend on nothing the slot does. The text performs the rules' float
-operations in their order, so runs keep their bits. Code is compiled once
-per source text, as the drift evaluator's is, and each loop is kept on the
-instance by shape; an instance pickles as data only, and a copy writes and
-compiles its own loops on first use.
+depend on nothing the slot does. So do a randomized or constant policy's
+actions: the inverse CDF of uniforms that the policy stream draws one
+channel block at a time (a block draw equals as many scalar draws), and a
+constant policy is the point mass at its index. The text performs the
+rules' float operations in their order, so runs keep their bits. Code is
+compiled once per source text, as the drift evaluator's is, and each loop
+is kept on the instance by shape; an instance pickles as data only, and a
+copy writes and compiles its own loops on first use.
 
 Randomized and constant runs at fixed targets with metrics only skip the
 slot loop. Their actions never read state, so the whole action sequence
-is known up front: a constant index, or the same uniforms from the policy
-stream that the loop draws one slot at a time. This path alone keeps
+is known up front, and this path differs from the loop only in its state:
 buffer stamps (the slot that made each row's freshest packet) in place of
 ages, as they make the run a max-plus recurrence over the slots (a source
 carries the slot's own stamp over an active, successful link, a relay the
 stamp it held the slot before), solved one channel block at a time by rounds
 of ``np.maximum.accumulate`` until nothing changes, and every age is
-t + 1 - stamp. Costs are the same calls on the same integer ages (one per
-distinct age of a block), summed in slot order, and debts follow the same
-update, so the metrics are the same bits as the loop's.
+t + 1 - stamp. Actions, cost tables and the runaway check at each block's
+first slot are the loop's own; costs are summed in slot order and debts
+follow the same update, so the metrics are the same bits as the loop's.
 """
 
 from __future__ import annotations
@@ -60,13 +62,14 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .age import row_plan
 from .channels import _BLOCK, ChannelProcess
 from .policies import (_CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE, TIE_BREAKS, RandomizedPolicy,
-                       _compiled, _indent, get_drift_evaluator)
+                       _actions, _compiled, _indent, get_drift_evaluator)
 from .targets import FlowControlConfig, GradientDescentConfig, gd_epoch_update
 
 _POLICY_RNG_TAG = 0x90110EC
@@ -75,7 +78,7 @@ POLICIES = ("age-debt", "max-weight", "randomized", "constant", "dp-table")
 TARGET_MODES = ("fixed", "flow-control", "gradient-descent")
 AGE_DEBT_VARIANTS = ("auto", "exact")  # closed form on single-hop stars, or exact drift
 
-# a run aborts once a tracked age passes this bound (checked every 4096th slot)
+# a run aborts once a tracked age passes this bound (checked each channel block)
 RUNAWAY_AGE = 2 ** 40
 
 
@@ -155,16 +158,14 @@ def _policy(instance, cost_fns, cfg, rng):
     """The run's decision rule as (kind, what the slot loop reads for it):
     "star" (the closed form, written from the instance), "max-weight"
     (each source's p * w), "dp-table" (a_cap and the table), "exact" (the
-    drift evaluator's ``decide``, tie-break and stream) or "pick" (a
-    function of nothing). Raises ``ValueError`` for a policy that does not
-    fit the instance."""
+    drift evaluator's ``decide``, tie-break and stream) or "pick" (the
+    actions in slot order, drawn from ``rng`` one channel block at a time).
+    Raises ``ValueError`` for a policy that does not fit the instance."""
     params = cfg.policy_params
-    if cfg.policy == "randomized":
-        pol = _randomized_policy(instance, params)
-        return "pick", lambda: pol.sample_index(rng)
-    if cfg.policy == "constant":
-        idx = _constant_action(instance, params)
-        return "pick", lambda: idx
+    if cfg.policy in ("randomized", "constant"):
+        cum = _action_cdf(instance, cfg)
+        return "pick", chain.from_iterable(_actions(cum, u).tolist()
+                                           for u in _uniforms(rng, cfg.horizon))
     if cfg.policy == "dp-table":
         # the solution's axes are the rows, each age capped at a_cap
         sol, tracked = params["solution"], row_plan(instance).tracked
@@ -190,18 +191,32 @@ def _age_debt_variant(params):
     return variant
 
 
-def _randomized_policy(instance, params):
-    pol = RandomizedPolicy(tuple(params["probabilities"]))
-    if len(pol.probabilities) != len(instance.action_space):
-        raise ValueError("randomized policy size does not match action space")
-    return pol
-
-
-def _constant_action(instance, params):
-    idx, n = params.get("action_index"), len(instance.action_space)
+def _action_cdf(instance, cfg):
+    """The cumulative action distribution of a randomized or constant
+    policy. A constant policy is the point mass at its index, whose inverse
+    CDF returns that index for every draw in [0, 1)."""
+    params, n = cfg.policy_params, len(instance.action_space)
+    if cfg.policy == "randomized":
+        pol = RandomizedPolicy(tuple(params["probabilities"]))
+        if len(pol.probabilities) != n:
+            raise ValueError("randomized policy size does not match action space")
+        return pol._cum
+    idx = params.get("action_index")
     if not isinstance(idx, int) or not 0 <= idx < n:
         raise ValueError(f"constant policy needs an integer action_index below {n}, got {idx!r}")
-    return idx
+    return (np.arange(n) >= idx).astype(float)
+
+
+def _policy_rng(seed):
+    """The run's policy stream, apart from its channel streams."""
+    return np.random.default_rng(np.random.SeedSequence((seed, _POLICY_RNG_TAG)))
+
+
+def _uniforms(rng, horizon):
+    """Uniform draws of ``rng`` for slots 0..horizon-1, one array per channel
+    block; a block draw equals as many scalar draws."""
+    for start in range(0, horizon, _BLOCK):
+        yield rng.random(min(_BLOCK, horizon - start))
 
 
 def _resolve_targets(cfg, dest_pairs):
@@ -284,29 +299,13 @@ def _slot_loop(instance, cost_fns, cfg):
     plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
     targets = _by_row(_resolve_targets(cfg, dest_pairs).values(), plan, 0.0)
-    by_age = [array("d", [math.nan]) for _ in dest_pairs]  # per pair: index a holds f(a)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _POLICY_RNG_TAG)))
-    kind, rule = _policy(instance, cost_fns, cfg, rng)
+    kind, rule = _policy(instance, cost_fns, cfg, _policy_rng(cfg.seed))
     # relay queues are read only by the exact-drift policy (an instance
     # with relays is never a star), whose evaluator holds their hop distances
     keep = cfg.policy == "age-debt" and cfg.use_intermediate_queues and bool(plan.relays)
     full = cfg.trace_detail == "full"
     slots = _loop(instance, (kind, cfg.target_mode, keep, full))
-
-    fns = [cost_fns[pair] for pair in dest_pairs]
-    # a slot reads costs up to n + 1 ages past the oldest age: a + 1 for
-    # next ages, a + h with h <= n for a forwarding relay
-    margin = instance.node_count + 1
-
-    def grow(age):
-        """Extend every table to 2 * top, top being the oldest age plus the
-        margin, and return top: ages rise by at most one per slot, so no
-        read passes the end for top slots."""
-        top = max(age) + margin
-        for f, tab in zip(fns, by_age):
-            tab.extend(map(f, range(len(tab), 2 * top)))
-        return top
-
+    by_age, grow = _cost_tables([cost_fns[pair] for pair in dest_pairs])
     history = [_by_pair(targets, plan)] if cfg.target_mode == "gradient-descent" else None
     gd = cfg.gradient_descent
     floor = _gd_floor(cost_fns, gd) if history is not None else None
@@ -328,6 +327,20 @@ def _slot_loop(instance, cost_fns, cfg):
         trace=trace, hists=list(hists.values()) if full else None)
     return _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, dict(zip(dest_pairs, final)),
                     target_history=history, age_histograms=hists, trace=trace)
+
+
+def _cost_tables(fns):
+    """One table per cost function of ``fns``, index a holding f(a), and
+    ``grow(end)``, which prices every table up to age end - 1. Keep no
+    buffer view of a table: ``extend`` raises ``BufferError`` while one is
+    alive."""
+    tables = [array("d", [math.nan]) for _ in fns]
+
+    def grow(end):
+        for f, tab in zip(fns, tables):
+            tab.extend(map(f, range(len(tab), end)))
+
+    return tables, grow
 
 
 def _loop(instance, shape):
@@ -363,7 +376,11 @@ def _loop_source(instance, kind, mode, keep, full):
         head += [f"hist{r} = hists[{i}]" for i, r in enumerate(rows)]
     head += ["max_sum_debt = 0.0", "grow_at = 0"]
 
-    body = ["if t == grow_at:", "    grow_at = t + grow(age)"]
+    # a slot reads costs up to n + 1 ages past the oldest age (a + 1 for next
+    # ages, a + h with h <= n for a forwarding relay), and ages rise by at
+    # most one per slot: tables up to 2 * top serve the next top slots
+    body = ["if t == grow_at:", f"    top = max(age) + {instance.node_count + 1}",
+            "    grow(2 * top)", "    grow_at = t + top"]
     if mode == "flow-control":
         head.append("v, high = targeting.V, targeting.alpha_max")
         body += [f"{al(r)} = high if {q(r)} > v else 1.0" for r in rows]
@@ -398,8 +415,6 @@ def _loop_source(instance, kind, mode, keep, full):
         head.append("decide, tie_break, rng = rule")
         body.append("action = decide(debt, relay_debt, age, held, targets, tables, tie_break, "
                     "rng)[0]")
-    else:
-        body.append("action = rule()")
 
     if keep:
         # case 1 reads the ages and buffers from before this slot's deliveries
@@ -433,15 +448,19 @@ def _loop_source(instance, kind, mode, keep, full):
         for pair, r in zip(plan.dest_pairs, rows):
             body += [f"a = age[{r}]", f"hist{r}[a] = hist{r}.get(a, 0) + 1",
                      f"trace.append((t, {pair!r}, a, c{r}, {q(r)}, {al(r)}, action))"]
-    body += ["if (t & 4095) == 0 and max(age) > runaway:",
+    # the first slot of each channel block, as the open-loop path checks
+    body += [f"if (t & {_BLOCK - 1}) == 0 and max(age) > runaway:",
              "    raise RuntimeError(\"runaway instance: age exceeded the abort bound\")"]
 
+    # a pick policy's actions come in slot order beside the channel bits
+    slot, rule = ("bits, action", ", rule") if kind == "pick" else ("bits", "")
     tail = (f"return [{', '.join(map(q, rows))}], [{', '.join(f's{r}' for r in rows)}], "
             f"max_sum_debt, [{', '.join(map(al, rows))}]")
     return "\n".join([
         "def slots(horizon, age, held, debt, relay_debt, targets, tables, rule, channel, links, "
         "hops, grow, targeting, epoch, runaway, trace, hists):",
-        *_indent(head), "    for t, bits in zip(range(horizon), channel):", *_indent(_indent(body)),
+        *_indent(head), f"    for t, {slot} in zip(range(horizon), channel{rule}):",
+        *_indent(_indent(body)),
         *_indent([tail])]) + "\n"
 
 
@@ -469,17 +488,13 @@ def _by_row(values, plan, fill):
     return out
 
 
-def _open_loop_blocks(instance, seed, horizon, randomized):
+def _open_loop_blocks(instance, seed, horizon):
     """Per channel block of the run: the delivery bits of every open-loop
-    link (link x slot) and, for a randomized policy, the block's uniforms
-    from the policy stream (a block draw equals as many scalar draws)."""
+    link (link x slot) and the block's uniforms from the policy stream."""
     edges = row_plan(instance).edges
     channels = ChannelProcess(instance, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _POLICY_RNG_TAG)))
-    for start in range(0, horizon, _BLOCK):
-        stop = min(start + _BLOCK, horizon)
-        yield (channels._rows(start, stop)[:, edges].T,
-               rng.random(stop - start) if randomized else None)
+    for start, uniforms in zip(range(0, horizon, _BLOCK), _uniforms(_policy_rng(seed), horizon)):
+        yield channels._rows(start, start + len(uniforms))[:, edges].T, uniforms
 
 
 def _running_sum(first, values):
@@ -496,13 +511,10 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     plan = row_plan(instance)
     dest_pairs = plan.dest_pairs
     targets = _resolve_targets(cfg, dest_pairs)
-    randomized = cfg.policy == "randomized"
-    if randomized:
-        cum = np.asarray(_randomized_policy(instance, cfg.policy_params)._cum)
-    else:
-        idx = _constant_action(instance, cfg.policy_params)
+    cum = _action_cdf(instance, cfg)
     if blocks is None:
-        blocks = _open_loop_blocks(instance, cfg.seed, cfg.horizon, randomized)
+        blocks = _open_loop_blocks(instance, cfg.seed, cfg.horizon)
+    tables, grow = _cost_tables([cost_fns[pair] for pair in dest_pairs])
 
     before = np.full(plan.n_rows, -1, dtype=np.int64)  # stamps before the block
     cost_sum = [0.0] * len(dest_pairs)
@@ -511,27 +523,18 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     start = 0
     for bits, uniforms in blocks:
         n_slots = bits.shape[1]
-        if randomized:
-            actions = np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
-        else:
-            actions = np.full(n_slots, idx)
-        block = plan.stamps(before, start, plan.active[actions].T & bits)
+        block = plan.stamps(before, start, plan.active[_actions(cum, uniforms)].T & bits)
         before = block[:, -1]
         t1 = np.arange(start + 1, start + n_slots + 1)
-        # the loop's runaway check of every tracked age, every 4096th slot: the
-        # first slot of each channel block of _BLOCK = 4096 slots
         if (t1[0] - block[:, 0]).max() > RUNAWAY_AGE:
             raise RuntimeError("runaway instance: age exceeded the abort bound")
         ages = t1 - block[plan.dest_rows]
+        grow(int(ages.max()) + 1)
         debts = np.empty(ages.shape)
-        for p, pair in enumerate(dest_pairs):
-            distinct, inverse = np.unique(ages[p], return_inverse=True)
-            f = cost_fns[pair]
-            priced = np.array([f(a) for a in distinct.tolist()], dtype=float)
-            costs = priced[inverse]
+        for p, (tab, alpha) in enumerate(zip(tables, targets.values())):
+            costs = np.frombuffer(tab)[ages[p]]  # a copy: no view outlives the line
             cost_sum[p] = float(_running_sum(cost_sum[p], costs)[-1])
-            alpha = targets[pair]
-            if alpha == 0.0 and priced.min() >= 0.0:
+            if alpha == 0.0 and costs.min() >= 0.0:
                 # [Q + c - 0]^+ never clips, so the debt is a running sum too
                 debts[p] = _running_sum(debt[p], costs)
             else:
@@ -551,15 +554,10 @@ def _open_loop_run(instance, cost_fns, cfg, blocks=None):
     return _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, targets)
 
 
-def stability_diagnostic(metrics, delta=None, targets=None):
-    """Flag each pair stable (True) iff Q(T)/T < delta.
-
-    delta defaults to max(0.01 * alpha, 0.1) per pair, with alpha taken from
-    ``targets`` or the run's final targets.
-    """
-    if targets is None:
-        targets = metrics.final_targets
-    return {pair: rate < (delta if delta is not None else max(0.01 * targets[pair], 0.1))
+def stability_diagnostic(metrics):
+    """Flag each pair stable (True) iff Q(T)/T < max(0.01 * alpha, 0.1),
+    alpha being the pair's final target."""
+    return {pair: rate < max(0.01 * metrics.final_targets[pair], 0.1)
             for pair, rate in metrics.per_pair_debt_rate.items()}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .costs import CostFunction
 from .network import make_instance
 from .dp import dp_state_count
-from .policies import optimize_randomized
+from .policies import TUNING_HORIZON, _check_tuning, optimize_randomized
 from .scenarios import broadcast_instance, enumerate_connected_graphs, gen_line, gen_star
 from .sim import (SimConfig, _age_debt_variant, _policy, _resolve_targets, export_trace, run,
                   stability_diagnostic)
@@ -204,12 +204,8 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
     """Translate one config policy entry into a SimConfig for a scenario."""
     cfg = _entry_config(pol, horizon, seed, sim_section)
     if pol["name"] == "randomized" and "probabilities" not in pol:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57)))
         cfg.policy_params["probabilities"] = optimize_randomized(
-            scenario.instance, scenario.cost_fns,
-            search_budget=pol.get("budget", 150), rng=rng,
-            horizon=pol.get("tuning_horizon", 2000)).probabilities
+            scenario.instance, scenario.cost_fns, **_tuner_args(pol)).probabilities
     if pol["name"] == "dp-table" or pol.get("target_mode") == "oracle-dp":
         # one solve serves both
         from .dp import dp_optimal
@@ -220,6 +216,18 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
             # solved once here, so every seed runs at the same fixed targets
             cfg.targets = dict(solution.per_pair_average)
     return cfg
+
+
+def _tuner_args(pol):
+    """``optimize_randomized``'s arguments for a randomized entry without
+    'probabilities', checked by the tuner's rule before any work: its budget,
+    its horizon and an rng from its ``tuning_seed``."""
+    if "budget" not in pol:
+        raise ValueError("randomized needs 'probabilities' or a tuning 'budget'")
+    args = {"search_budget": pol["budget"], "horizon": pol.get("tuning_horizon", TUNING_HORIZON)}
+    _check_tuning(**args)
+    return dict(args, rng=np.random.default_rng(
+        np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57))))
 
 
 def _dp_args(pol):
@@ -292,8 +300,8 @@ def check_policies(config, scenarios):
                                  f"({horizon} % {gd.epoch_length} != 0)")
             if cfg.policy == "age-debt":
                 _age_debt_variant(cfg.policy_params)
-            if cfg.policy == "randomized" and not ("probabilities" in pol or pol.get("budget")):
-                raise ValueError("randomized needs 'probabilities' or a tuning 'budget'")
+            if cfg.policy == "randomized" and "probabilities" not in pol:
+                _tuner_args(pol)
         except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
             errors.append(f"policies[{i}]: {exc}")
             continue
@@ -402,8 +410,6 @@ def run_sweep(config, out_path, jobs=1, timing=False):
 
 
 def _aggregate(group, cost_cols):
-    if not group:
-        return []
     numeric = ["sum_cost", "max_QT_over_T"] + [c for c in cost_cols if c in group[0]]
     base = {
         "scenario_id": group[0]["scenario_id"],

@@ -8,6 +8,7 @@ engine that recorded ``tests/data/golden_trajectories.json``, trimmed of its
 docstrings; the slot order is the one in ``sim``'s module docstring.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -275,11 +276,13 @@ class _MaxWeight:
 class _Randomized:
     def __init__(self, cfg, rng):
         params = cfg.policy_params
-        self.policy = RandomizedPolicy(tuple(params["probabilities"]))
+        self.cum = list(RandomizedPolicy(tuple(params["probabilities"]))._cum)
         self.rng = rng
 
     def decide(self, t, age, buffer, debt, targets):
-        return self.policy.sample_index(self.rng)
+        # the inverse CDF of one scalar draw per slot, where the run draws a
+        # block of uniforms at a time
+        return bisect.bisect_right(self.cum, self.rng.random())
 
 
 class _Constant:

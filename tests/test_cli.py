@@ -128,6 +128,12 @@ def test_graphs_counts(tmp_path, capsys):
     assert main(["graphs", "--n", "7", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 853
     assert main(["graphs", "--n", "9"]) == 1  # out of range -> config error
+    # without --out, the same CSV goes to stdout
+    capsys.readouterr()
+    assert main(["graphs", "--n", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["graphs", "--n", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == out.read_text().splitlines()
 
 
 def test_dp_subcommand(tmp_path, capsys):
@@ -156,6 +162,11 @@ def test_dp_subcommand(tmp_path, capsys):
     # a tolerance no span can go below is a config error, not a long spin
     assert main(["dp", "--config", str(p), "--tolerance", "0"]) == 1
     assert "config error: tolerance must be positive" in capsys.readouterr().err
+    # the oracle solves one scenario
+    p.write_text(json.dumps({"network": {"generator": "line", "sizes": [3, 4]},
+                             "policies": [], "sim": {"horizon": 10, "seeds": [0]}}))
+    assert main(["dp", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == "config error: 'dp' needs a single scenario\n"
 
 
 def test_runtime_error_exit_code(config_path):

@@ -1,12 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoisim import parse_config, serialize_config
+from aoisim import parse_config
 from aoisim.config import _GENERATED, _INLINE, _Object
-from aoisim.sweep import check_policies, expand_scenarios
+from aoisim.sweep import build_sim_config, check_policies, expand_scenarios
 
 
 MINIMAL = {
@@ -109,6 +109,12 @@ def test_section_rules_fail_in_expand_scenarios_or_the_policy_pass():
         "costs.per_pair['x']: invalid literal")
     assert scenario_error(costs={"cap": -1.0}) == \
         "costs.default: cap must be positive and finite"
+    # a cost spec sets only what its kind reads
+    assert scenario_error(costs={"default": {"kind": "linear", "weight": 1.0, "exponent": 3.0,
+                                             "threshold": 4}}) == \
+        "costs.default: 'exponent', 'threshold' not read by cost kind 'linear'"
+    assert scenario_error(costs={"per_pair": {"1-2": {"kind": "indicator", "weight": 2.0}}}) == \
+        "costs.per_pair['1-2']: 'weight' not read by cost kind 'indicator'"
     assert scenario_error(flows="all") == "flows: expected a list or 'all-broadcast', got 'all'"
     gen = {"generator": "line", "sizes": []}
     assert scenario_error(network=gen) == \
@@ -156,14 +162,14 @@ def test_gd_epochs_must_partition_horizon():
     assert errors == ["policies[0]: unknown key 'epochs'"]
 
 
-def test_round_trip_identity():
-    config, errors = parse_config(cfg_text())
-    assert errors == []
-    text = serialize_config(config)
-    config2, errors2 = parse_config(text)
-    assert errors2 == []
-    assert config2 == config
-    assert serialize_config(config2) == text
+def test_repeated_policy_labels_get_their_index():
+    from aoisim.sweep import policy_label
+    seen = set()
+    pols = [{"name": "max-weight"}, {"name": "max-weight"},
+            {"name": "age-debt", "target_mode": "flow-control"},
+            {"name": "constant", "label": "max-weight"}]
+    assert [policy_label(p, i, seen) for i, p in enumerate(pols)] == \
+        ["max-weight", "max-weight#1", "age-debt-flow-control", "max-weight#3"]
 
 
 def test_bad_edge_strings():
@@ -352,15 +358,43 @@ def configs(draw):
     return {**draw(drawn), **{key: base[key] for key in keep}}
 
 
+TUNED = {"name": "randomized", "budget": 2, "tuning_horizon": 5}
+
+
+def test_tuner_settings_are_checked_before_any_work():
+    # the tuner owns its budget and horizon rules; the seed's rule is the
+    # rng's, as the sweep builds it
+    for key, value, message in (
+            ("budget", -3, "tuning budget must be an integer >= 1, got -3"),
+            ("budget", 0, "tuning budget must be an integer >= 1, got 0"),
+            ("tuning_horizon", 0, "tuning horizon must be an integer >= 1, got 0"),
+            ("tuning_seed", -1, "expected non-negative integer")):
+        assert policy_errors(policies=[dict(TUNED, **{key: value})]) == \
+            [f"policies[0]: {message}"]
+    assert policy_errors(policies=[TUNED]) == []
+    assert policy_errors(policies=[{"name": "randomized"}]) == \
+        ["policies[0]: randomized needs 'probabilities' or a tuning 'budget'"]
+
+
 @given(raw=configs())
+@example(raw={**STAR, "policies": [dict(TUNED, tuning_horizon=0)]})
+@example(raw={**STAR, "policies": [dict(TUNED, tuning_seed=-1)]})
+@example(raw={**STAR, "policies": [dict(TUNED, budget=-3)]})
 @settings(max_examples=300, deadline=None)
 def test_every_value_rule_fails_as_a_value_error(raw):
     # a config of the right JSON types parses; each value rule's owner then
     # reports a problem as a ValueError, never as a TypeError, KeyError or
-    # AttributeError from deeper in the code
+    # AttributeError from deeper in the code, and before any work: an entry
+    # that check_policies accepts builds on every scenario, tuner and DP
+    # solve included
     config, errors = parse_config(json.dumps(raw))
     assert errors == []
     try:
-        check_policies(config, expand_scenarios(config))
+        scenarios = expand_scenarios(config)
+        check_policies(config, scenarios)
     except ValueError:
-        pass
+        return
+    sim = config.sim
+    for scenario in scenarios:
+        for pol in config.policies:
+            build_sim_config(pol, scenario, sim["horizon"], sim["seeds"][0], sim)

@@ -75,10 +75,24 @@ def test_invalid_specs_rejected():
     assert CostFunction.indicator(2.0) == CostFunction.indicator(2)
 
 
-def test_dict_round_trip():
-    for f in (CostFunction.linear(2.5), CostFunction.power(3, cap=99.0),
-              CostFunction.exponential(), CostFunction.indicator(7)):
-        assert CostFunction.from_dict(f.to_dict()) == f
+def test_from_dict_reads_each_kinds_keys():
+    # a spec sets its kind's one parameter and cap; unset ones keep the defaults
+    for spec, f in (({"kind": "linear", "weight": 2.5}, CostFunction.linear(2.5)),
+                    ({"kind": "power", "exponent": 3, "cap": 99.0},
+                     CostFunction.power(3, cap=99.0)),
+                    ({"kind": "exponential"}, CostFunction.exponential()),
+                    ({"kind": "indicator", "threshold": 7}, CostFunction.indicator(7)),
+                    ({"kind": "linear"}, CostFunction.linear(1.0))):
+        assert CostFunction.from_dict(spec) == f
+    # a key the kind does not read is an error, not ignored
+    with pytest.raises(ValueError,
+                       match=r"^'exponent', 'threshold' not read by cost kind 'linear'$"):
+        CostFunction.from_dict({"kind": "linear", "weight": 1.0, "exponent": 3.0,
+                                "threshold": 4})
+    with pytest.raises(ValueError, match="'weight' not read by cost kind 'exponential'"):
+        CostFunction.from_dict({"kind": "exponential", "weight": 2.0})
+    with pytest.raises(ValueError, match="unknown cost kind 'cubic'"):
+        CostFunction.from_dict({"kind": "cubic", "weight": 2.0})
 
 
 def test_power_overflow_returns_cap():
@@ -106,7 +120,7 @@ KINDS = [
 def test_table_has_the_bits_of_call(f):
     # f[a] reads f as a cost table: the call's bits, across the exponential
     # cut-off and far out
-    fresh = CostFunction.from_dict(f.to_dict())
+    fresh = CostFunction(*f._key())
     limit = math.ceil(f._exp_limit) if f.kind == "exponential" else 4
     for a in [*range(1, limit + 3), 40, 3000]:
         assert fresh[a].hex() == f(a).hex()
@@ -117,9 +131,9 @@ def test_cost_function_pickles_compares_and_hashes_by_value():
     for f in KINDS:
         for a in range(1, 500):
             f(a)  # pricing leaves nothing behind
-        fresh = CostFunction.from_dict(f.to_dict())
+        fresh = CostFunction(*f._key())
         back = pickle.loads(pickle.dumps(f))
         assert f == fresh == back and hash(f) == hash(fresh) == hash(back)
-        assert back.to_dict() == f.to_dict()
+        assert back._key() == f._key()
         assert pickle.dumps(f) == pickle.dumps(fresh)
         assert [back(a).hex() for a in range(1, 50)] == [f(a).hex() for a in range(1, 50)]

@@ -687,6 +687,16 @@ def test_tuner_scores_candidates_as_run_does(monkeypatch):
     assert pol.tuned_cost == sum(costs) / len(costs)
 
 
+def test_tuner_needs_a_budget_and_a_horizon(two_hop):
+    # checked before any run: a budget below one used to return the first
+    # candidate after one evaluation
+    instance, cost_fns = two_hop
+    for kw in ({"search_budget": 0}, {"search_budget": -3}, {"search_budget": 2.5},
+               {"horizon": 0}, {"horizon": True}):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            optimize_randomized(instance, cost_fns, **kw)
+
+
 def test_two_hop_tuner_near_fair_coin(two_hop):
     instance, cost_fns = two_hop
     pol = optimize_randomized(instance, cost_fns, search_budget=120,

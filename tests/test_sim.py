@@ -163,8 +163,24 @@ def test_stability_diagnostic_thresholds():
     m2 = run(inst, costs, cfg2)
     # Q(T)/T -> 0.5 >= max(0.01 * 0.5, 0.1)
     assert stability_diagnostic(m2) == {(1, 2): False}
-    # explicit delta overrides the default rule
-    assert stability_diagnostic(m2, delta=1.0) == {(1, 2): True}
+
+
+def test_gradient_descent_floor_scalar_or_per_pair():
+    # targets only descend here, one step at each of the run's 19 epoch
+    # boundaries, from 40 to 21 unless floored: a scalar floor holds every
+    # pair, a per-pair one each its own, and the default f(1) is below 21
+    inst, costs = gen_star(3, reliability_rule="reliable")
+    pairs = inst.dest_pairs()
+
+    def final(floor):
+        gd = GradientDescentConfig(epoch_length=20, step=1.0, threshold=1e6, initial=40.0,
+                                   floor=floor)
+        return run(inst, costs, SimConfig(horizon=400, target_mode="gradient-descent",
+                                          gradient_descent=gd)).final_targets
+
+    assert final(30) == dict.fromkeys(pairs, 30.0)
+    assert final({pairs[0]: 25.0, pairs[1]: 35.0}) == {pairs[0]: 25.0, pairs[1]: 35.0}
+    assert final(None) == dict.fromkeys(pairs, 21.0)
 
 
 def test_destination_only_two_hop_starves(two_hop):

@@ -25,3 +25,26 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_every_module_level_function_is_read():
+    # test-only helpers live in tests: each function a module of the package
+    # defines is read by name somewhere in the package, the demos or the
+    # benchmark
+    root = SRC.parent.parent
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[node.name] = path.name
+    read = set()
+    for path in [*SRC.glob("*.py"), *(root / "demos").glob("*.py"),
+                 *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert {name: module for name, module in defined.items() if name not in read} == {}
