@@ -19,8 +19,10 @@ reads its outcome costs once and scores the destination and each distinct
 relay term under that key (at most one link inline, with the walk's bits;
 two or more links build a distribution), then each action's running sum as
 a left fold over its terms, from the first term, with a prefix that actions
-share summed once. The freshest tie-break prices every row's expected next
-age once per tied slot and folds each tied action's rows in order.
+share summed once, and last the argmin with its tie-break: one compiled
+``decide`` per instance, which the slot loop calls directly and ``score``
+reads too. The freshest tie-break prices every row's expected next age once
+per tied slot and folds each tied action's rows in order.
 
 The argmin ties on exact float equality, so another order or rounding would
 change trajectories: the generated text performs the same float operations
@@ -134,11 +136,12 @@ def _group_terms(r, terms, t, how, p, p_stay, st="st", fr="fr", al="al", q_set=F
     return lines
 
 
-def _score_source(groups, cols):
-    """``score``: each group's terms into locals t0, t1, ..., then every
+def _decide_source(groups, cols):
+    """``decide``: each group's terms into locals t0, t1, ..., then every
     action's running sum as a left fold over its terms in ``cols`` order,
-    from its first term. Actions that share a prefix share its partial sum,
-    and a partial sum that only one longer prefix reads is not stored."""
+    from its first term, into ``scores``; then the argmin and tie-break.
+    Actions that share a prefix share its partial sum, and a partial sum
+    that only one longer prefix reads is not stored."""
     out = []
     t = 0
     for (d, r, m, p, p_stay, key, terms) in groups:
@@ -199,8 +202,28 @@ def _score_source(groups, cols):
         if node in stored or fan[node] != 1 or depth[node] >= 64:
             out.append(f"s{node} = {expr[node]}")
             expr[node], depth[node] = f"s{node}", 0
-    out.append(f"return [{', '.join(f's{leaf}' for leaf in leaves)}]")
-    return ["def score(debt, relay_debt, age, held, targets, tables):", *_indent(out)]
+    out += [f"scores = [{', '.join(f's{leaf}' for leaf in leaves)}]", *_DECISION]
+    return ["def decide(debt, relay_debt, age, held, targets, tables, tie_break, rng):",
+            *_indent(out)]
+
+
+# ``decide``'s argmin over ``scores`` and its tie-breaks (see
+# ``age_debt_action``). A minimum that no other score equals is the common
+# case; a NaN minimum takes the general path, which finds no tie.
+_DECISION = [
+    "best = min(scores)",
+    "if best == best and scores.count(best) == 1:",
+    "    return scores.index(best), scores",
+    "ties = [i for i, s in enumerate(scores) if s == best]",
+    "if len(ties) == 1 or tie_break == 'first':",
+    "    return ties[0], scores",
+    "if tie_break == 'last':",
+    "    return ties[-1], scores",
+    "if tie_break == 'random':",
+    "    return ties[int(rng.integers(len(ties)))], scores",
+    "terms = age_terms(age, held)",
+    "return min((reduce(add, picks[i](terms)), i) for i in ties)[1], scores",
+]
 
 
 def _age_terms_source(outcomes, dist_keys):
@@ -250,12 +273,15 @@ class DriftEvaluator:
     a group reads its outcome costs once and scores each term: at most one
     link is priced inline, with the walk's bits, and only two or more links
     build a distribution. ``source`` is the generated Python text:
-    ``score``, one straight-line block per group and then each action's
+    ``decide``, one straight-line block per group, then each action's
     running sum as a left fold over its terms (destinations in order, each
-    followed by its relay terms); and ``age_terms``, every key's expected
-    next-age terms for the ``freshest`` tie-break, which each action folds
-    over its rows. The argmin ties on exact float equality, so the text
-    fixes every float operation and its order.
+    followed by its relay terms), then the argmin and the four tie-breaks;
+    and ``age_terms``, every key's expected next-age terms, which the
+    ``freshest`` tie-break folds over each tied action's rows. The argmin
+    ties on exact float equality, so the text fixes every float operation
+    and its order. The score body is compiled once, in ``decide``: the
+    slot loop calls the compiled function directly, and ``score``,
+    ``decide`` and ``age_debt_action`` read it.
 
     The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
     relay queue q's hop distance when action ``a`` has its relay
@@ -312,7 +338,7 @@ class DriftEvaluator:
         start, flat = {}, 0  # each group's first term in the flat order
         for d, terms in groups.items():
             start[d], flat = flat, flat + 1 + len(terms)
-        source = _score_source(
+        source = _decide_source(
             [(d, *outcomes[d][:4], self.dist_keys[d] if outcomes[d][4] else None,
               [(None, outcomes[d][0], None), *terms]) for d, terms in groups.items()],
             [[start[d] + i for (d, i) in col] for col in cols])
@@ -321,14 +347,15 @@ class DriftEvaluator:
         # per action: the leading 0.0, then its rows' age terms in row order
         self._age_picks = [itemgetter(0, *(i for k in ids for i in where[k]))
                            for ids in self.action_dists]
-        names = {"next_age_dist": DriftEvaluator.next_age_dist, "walk": _walk_terms}
+        names = {"next_age_dist": DriftEvaluator.next_age_dist, "walk": _walk_terms,
+                 "reduce": reduce, "add": add, "picks": self._age_picks}
         for code in _compiled(self._source):
             exec(code, names)
-        self._score, self._age_terms = names["score"], names["age_terms"]
+        self._decide, self._age_terms = names["decide"], names["age_terms"]
 
     @property
     def source(self):
-        """The generated Python text that ``score`` and
+        """The generated Python text that ``decide``, ``score`` and
         ``expected_age_sum`` run; the same for the same instance in every
         process."""
         return self._source
@@ -373,28 +400,20 @@ class DriftEvaluator:
         """Exact E[L(t+1) - L(t)] of every action, as a list by action
         index. A relay queue that is None (not kept by the run) adds a 0.0
         term."""
-        return self._score(debt, relay_debt, age, held, targets, tables)
+        return self._decide(debt, relay_debt, age, held, targets, tables, "first", None)[1]
 
     def decide(self, debt, relay_debt, age, held, targets, tables, tie_break, rng):
-        """The drift-minimizing action index (see ``age_debt_action``), and the scores."""
-        scores = self.score(debt, relay_debt, age, held, targets, tables)
-        best = min(scores)
-        ties = [i for i, s in enumerate(scores) if s == best]
-        if len(ties) == 1 or tie_break == "first":
-            return ties[0], scores
-        if tie_break == "last":
-            return ties[-1], scores
-        if tie_break == "random":
-            return ties[int(rng.integers(len(ties)))], scores
-        memo = {}
-        return min((self.expected_age_sum(i, age, held, memo), i) for i in ties)[1], scores
+        """The drift-minimizing action index (see ``age_debt_action``), and
+        the scores, from the compiled ``decide``, which the slot loop calls
+        directly."""
+        return self._decide(debt, relay_debt, age, held, targets, tables, tie_break, rng)
 
     def expected_age_sum(self, action_idx, age, held, memo):
-        """E[sum of all tracked ages next slot]; the freshness tie-breaker.
-        Adds p * next_age over the action's rows, then outcomes, in order,
-        to 0.0. Every key's terms are priced once per state, into ``memo``
-        (a dict the caller keeps for one state), and a key with two or
-        more links walks its distribution."""
+        """E[sum of all tracked ages next slot]; the freshness tie-breaker,
+        as ``decide`` sums it. Adds p * next_age over the action's rows,
+        then outcomes, in order, to 0.0. Every key's terms are priced once
+        per state, into ``memo`` (a dict the caller keeps for one state),
+        and a key with two or more links walks its distribution."""
         terms = memo.get("age_terms")
         if terms is None:
             terms = memo["age_terms"] = self._age_terms(age, held)

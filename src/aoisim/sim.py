@@ -31,13 +31,13 @@ detail. It keeps the slot order above and unrolls each per-row phase over
 the instance's rows, with row constants as literals and the star scores
 and case-1 charge from the templates in ``policies``. Ages and held flags
 stay row lists, and deliveries walk ``RowPlan.action_links``; debts,
-targets and cost sums are locals unless the drift evaluator, which
-``slots`` calls with its row lists, reads them. Each slot's channel bits
-come with the slot, in slot order, from ``ChannelProcess.bits``; they
-depend on nothing the slot does. So do a randomized or constant policy's
-actions: the inverse CDF of uniforms that the policy stream draws one
-channel block at a time (a block draw equals as many scalar draws), and a
-constant policy is the point mass at its index. The text performs the
+targets and cost sums are locals unless the drift evaluator's compiled
+``decide``, which ``slots`` calls once per slot with its row lists, reads
+them. Each slot's channel bits come with the slot, in slot order, from
+``ChannelProcess.bits``; they depend on nothing the slot does. So do a
+randomized or constant policy's actions: the inverse CDF of uniforms that
+the policy stream draws one channel block at a time (a block draw equals as
+many scalar draws), and a constant policy is the point mass at its index. The text performs the
 rules' float operations in their order, so runs keep their bits. Code is
 compiled once per source text, as the drift evaluator's is, and each loop
 is kept on the instance by shape; an instance pickles as data only, and a
@@ -158,7 +158,8 @@ def _policy(instance, cost_fns, cfg, rng):
     """The run's decision rule as (kind, what the slot loop reads for it):
     "star" (the closed form, written from the instance), "max-weight"
     (each source's p * w), "dp-table" (a_cap and the table), "exact" (the
-    drift evaluator's ``decide``, tie-break and stream) or "pick" (the
+    drift evaluator's compiled ``decide``, which scores every action and
+    breaks ties in one call, with the tie-break and stream) or "pick" (the
     actions in slot order, drawn from ``rng`` one channel block at a time).
     Raises ``ValueError`` for a policy that does not fit the instance."""
     params = cfg.policy_params
@@ -181,7 +182,7 @@ def _policy(instance, cost_fns, cfg, rng):
         return "max-weight", [p * w for p, w in zip(star["probs"], weights)]
     if _age_debt_variant(params) == "auto" and star_structure(instance) is not None:
         return "star", None
-    return "exact", (get_drift_evaluator(instance).decide, cfg.tie_break, rng)
+    return "exact", (get_drift_evaluator(instance)._decide, cfg.tie_break, rng)
 
 
 def _age_debt_variant(params):

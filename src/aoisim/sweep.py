@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -203,10 +204,10 @@ def policy_label(pol, idx, seen):
 def build_sim_config(pol, scenario, horizon, seed, sim_section):
     """Translate one config policy entry into a SimConfig for a scenario."""
     cfg = _entry_config(pol, horizon, seed, sim_section)
-    if pol["name"] == "randomized" and "probabilities" not in pol:
+    if _tunes(pol):
         cfg.policy_params["probabilities"] = optimize_randomized(
             scenario.instance, scenario.cost_fns, **_tuner_args(pol)).probabilities
-    if pol["name"] == "dp-table" or pol.get("target_mode") == "oracle-dp":
+    if _solves(pol):
         # one solve serves both
         from .dp import dp_optimal
         solution = dp_optimal(scenario.instance, scenario.cost_fns, **_dp_args(pol))
@@ -218,6 +219,16 @@ def build_sim_config(pol, scenario, horizon, seed, sim_section):
     return cfg
 
 
+def _tunes(pol):
+    """Whether building the entry runs the randomized tuner."""
+    return pol.get("name") == "randomized" and "probabilities" not in pol
+
+
+def _solves(pol):
+    """Whether building the entry solves the DP: for its table, its targets or both."""
+    return pol.get("name") == "dp-table" or pol.get("target_mode") == "oracle-dp"
+
+
 def _tuner_args(pol):
     """``optimize_randomized``'s arguments for a randomized entry without
     'probabilities', checked by the tuner's rule before any work: its budget,
@@ -226,13 +237,42 @@ def _tuner_args(pol):
         raise ValueError("randomized needs 'probabilities' or a tuning 'budget'")
     args = {"search_budget": pol["budget"], "horizon": pol.get("tuning_horizon", TUNING_HORIZON)}
     _check_tuning(**args)
-    return dict(args, rng=np.random.default_rng(
-        np.random.SeedSequence((pol.get("tuning_seed", 0), 0xBE57))))
+    seed = pol.get("tuning_seed", 0)
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"tuning_seed must be an integer >= 0, got {seed!r}")
+    return dict(args, rng=np.random.default_rng(np.random.SeedSequence((seed, 0xBE57))))
 
 
 def _dp_args(pol):
     """The DP arguments an entry sets; unset ones keep ``dp_optimal``'s defaults."""
     return {key: pol[key] for key in ("a_cap", "tolerance") if key in pol}
+
+
+# the entry keys that each policy, and each target mode, reads besides
+# 'name', 'label' and 'target_mode'; a randomized entry reads the tuner's
+# keys only without 'probabilities'
+_POLICY_KEYS = {
+    "age-debt": ("variant", "tie_break", "use_intermediate_queues"),
+    "max-weight": (),
+    "randomized": ("probabilities",),
+    "constant": ("action_index",),
+    "dp-table": ("a_cap", "tolerance"),
+}
+_TUNER_KEYS = ("budget", "tuning_horizon", "tuning_seed")
+_MODE_KEYS = {
+    "fixed": ("targets",),
+    "flow-control": tuple(f.name for f in fields(FlowControlConfig)),
+    "gradient-descent": tuple(f.name for f in fields(GradientDescentConfig)),
+    "oracle-dp": ("a_cap", "tolerance"),
+}
+
+
+def _unread_keys(pol):
+    """The keys of an entry, of a known policy and target mode, that neither reads."""
+    mode = pol.get("target_mode", "fixed")
+    reads = {"name", "label", "target_mode", *_POLICY_KEYS[pol["name"]], *_MODE_KEYS[mode],
+             *(_TUNER_KEYS if _tunes(pol) else ())}
+    return [key for key in pol if key not in reads]
 
 
 def _entry_config(pol, horizon, seed, sim_section):
@@ -279,10 +319,11 @@ def _mode_config(cls, mode, pol, parsed):
 
 def check_policies(config, scenarios):
     """Check every policy entry on every scenario before any tuning, solving
-    or running, by the entry's constructors, ``run``'s own helpers and the
-    DP's state count. Raises one ``ValueError`` with a line per problem, each
-    starting ``policies[i]`` and naming the scenario where it depends on one,
-    and a line for a ``sim.seeds`` list with no seed to run or per bad seed."""
+    or running, by the entry's constructors, the key tables of its policy
+    and target mode, ``run``'s own helpers and the DP's state count. Raises
+    one ``ValueError`` with a line per problem, each starting ``policies[i]``
+    and naming the scenario where it depends on one, and a line for a
+    ``sim.seeds`` list with no seed to run or per bad seed."""
     horizon, errors = config.sim["horizon"], []
     if not config.sim["seeds"]:
         errors.append("sim.seeds: need at least one seed")
@@ -300,10 +341,14 @@ def check_policies(config, scenarios):
                                  f"({horizon} % {gd.epoch_length} != 0)")
             if cfg.policy == "age-debt":
                 _age_debt_variant(cfg.policy_params)
-            if cfg.policy == "randomized" and "probabilities" not in pol:
+            if _tunes(pol):
                 _tuner_args(pol)
         except (TypeError, ValueError, OverflowError) as exc:  # an int past float range
             errors.append(f"policies[{i}]: {exc}")
+            continue
+        if unread := _unread_keys(pol):
+            errors.append(f"{', '.join(f'policies[{i}].{key}' for key in unread)}: not read by "
+                          f"{pol['name']} with target_mode {pol.get('target_mode', 'fixed')!r}")
             continue
         for scenario in scenarios:
             inst = scenario.instance
@@ -313,7 +358,7 @@ def check_policies(config, scenarios):
                 if cfg.policy in ("max-weight", "constant") or \
                         "probabilities" in cfg.policy_params:
                     _policy(inst, scenario.cost_fns, cfg, None)  # run's decision rule
-                if cfg.policy == "dp-table" or pol.get("target_mode") == "oracle-dp":
+                if _solves(pol):
                     dp_state_count(inst, **_dp_args(pol))
             except (TypeError, ValueError) as exc:
                 gid = f" graph {scenario.graph_id}" if scenario.graph_id != "" else ""
@@ -323,9 +368,17 @@ def check_policies(config, scenarios):
 
 
 def _worker(task):
-    """Run one (scenario, policy, seed) task on prebuilt objects and return
-    its CSV row; a full-detail trace goes to its own file next to the CSV."""
-    scenario, label, cfg, out_path, timing = task
+    """Run one pool task, in a worker process or in this one: ``("build",
+    pol, scenario, horizon, seed, sim_section)`` returns the group's
+    SimConfig from ``build_sim_config``, and ``("run", scenario, label, cfg,
+    out_path, timing)`` runs one (scenario, policy, seed) and returns its
+    CSV row."""
+    kind, *args = task
+    return build_sim_config(*args) if kind == "build" else _run_task(*args)
+
+
+def _run_task(scenario, label, cfg, out_path, timing):
+    """One run's CSV row; a full-detail trace goes to its own file next to the CSV."""
     t0 = time.perf_counter()
     metrics = run(scenario.instance, scenario.cost_fns, cfg)
     wall_ms = int((time.perf_counter() - t0) * 1000) if timing else 0
@@ -355,13 +408,53 @@ def _worker(task):
     return row
 
 
+class _InProcess:
+    """A pool whose ``submit`` runs the task in this process at once."""
+
+    def submit(self, fn, task):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+
+def _schedule(pool, groups, seeds, horizon, sim_section, out_path, timing):
+    """Every group's rows, in group order, then seed order, from ``pool``:
+    the builds that do real work first, then each other group's runs, then
+    each built group's runs as its build returns."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    def runs(g, base):
+        scenario, _, label = groups[g]
+        return [pool.submit(_worker, ("run", scenario, label, replace(base, seed=seed),
+                                      out_path, timing)) for seed in seeds]
+
+    works = [_tunes(pol) or _solves(pol) for (_, pol, _) in groups]
+    building = {pool.submit(_worker, ("build", pol, scenario, horizon, seeds[0], sim_section)): g
+                for g, (scenario, pol, _) in enumerate(groups) if works[g]}
+    row_futures = {g: runs(g, build_sim_config(pol, scenario, horizon, seeds[0], sim_section))
+                   for g, (scenario, pol, _) in enumerate(groups) if not works[g]}
+    while building:
+        done = wait(building, return_when=FIRST_COMPLETED).done
+        for future in [f for f in building if f in done]:  # in submission order
+            g = building.pop(future)
+            row_futures[g] = runs(g, future.result())
+    return [future.result() for g in range(len(groups)) for future in row_futures[g]]
+
+
 def run_sweep(config, out_path, jobs=1, timing=False):
     """Execute the sweep and write its CSV; returns the row dicts.
 
-    Scenarios and each (scenario, policy) SimConfig, tuned policies and DP
-    tables included, are built once here, after ``check_policies`` has
-    passed every entry; every task, serial or in a worker process, runs on
-    those prebuilt objects. At most one worker process starts per task.
+    ``check_policies`` passes every entry on every scenario first. Then
+    each (scenario, policy) group's SimConfig is built once: a build that
+    does real work (a tuner run or a DP solve) is a task of its own,
+    submitted before any run, and its group's seed runs are submitted as
+    soon as it returns; every other group's runs are submitted at once.
+    Every run, serial or in a worker process, runs on its group's prebuilt
+    objects, and rows keep their (scenario, policy, seed) order. ``jobs=1``
+    runs the same schedule in this process. At most one worker process
+    starts per run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -371,22 +464,23 @@ def run_sweep(config, out_path, jobs=1, timing=False):
     check_policies(config, scenarios)
     seen = set()
     labels = [policy_label(p, i, seen) for i, p in enumerate(config.policies)]
-    tasks = []
-    for scenario in scenarios:
-        for pol, label in zip(config.policies, labels):
-            base = build_sim_config(pol, scenario, horizon, seeds[0], config.sim)
-            tasks.extend((scenario, label, replace(base, seed=seed), out_path, timing)
-                         for seed in seeds)
-    if jobs > 1 and len(tasks) > 1:
+    groups = [(scenario, pol, label) for scenario in scenarios
+              for pol, label in zip(config.policies, labels)]
+    n_runs = len(groups) * len(seeds)
+    if jobs > 1 and n_runs > 1:
         # imported here: loading the process pool costs every import of the
         # package tens of milliseconds, and only parallel sweeps use it
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_worker, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
+            try:
+                results = _schedule(pool, groups, seeds, horizon, config.sim, out_path, timing)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # no queued task runs for nothing
+                raise
     else:
-        results = [_worker(task) for task in tasks]
+        results = _schedule(_InProcess(), groups, seeds, horizon, config.sim, out_path, timing)
 
     cost_cols = set()
     for row in results:

@@ -226,19 +226,29 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
     # run() charges case 1 only for a relay that holds a packet: under
     # "last" the relay is scheduled in every slot but never receives one, so
     # its queue takes the shadowing update; under "freshest" it does forward.
-    # Each slot's state, as the drift evaluator sees it, is replayed through
-    # the reference relay update, whose case 1 is its only cost lookup; the
+    # Each slot's state is recorded as the compiled loop takes the slot's
+    # channel bits, before its decision; the public DriftEvaluator.decide
+    # picks the action on it, and the state and action are replayed through
+    # the reference relay update, whose case 1 is its only cost lookup. The
     # run's relay queues must follow the replay slot by slot.
-    from aoisim.policies import DriftEvaluator
+    import aoisim.sim
+    from aoisim.policies import get_drift_evaluator
 
-    decide = DriftEvaluator.decide
+    loop = aoisim.sim._loop
     states = []
 
-    def spy(self, debt, relay_debt, age, held, targets, tables, *rest):
-        out = decide(self, debt, relay_debt, age, held, targets, tables, *rest)
-        states.append((self, list(relay_debt), list(age), list(held), list(targets), tables,
-                       out[0]))
-        return out
+    def recording_loop(instance, shape):
+        slots = loop(instance, shape)
+
+        def recorded(horizon, **kw):
+            def channel():
+                for bits in kw["channel"]:
+                    states.append((list(kw["debt"]), list(kw["relay_debt"]), list(kw["age"]),
+                                   list(kw["held"]), list(kw["targets"]), kw["tables"],
+                                   kw["rule"][1]))
+                    yield bits
+            return slots(horizon, **dict(kw, channel=channel()))
+        return recorded
 
     class Recording:
         def __init__(self, tab, looked):
@@ -253,8 +263,11 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
         """Per slot but the last, whether the relay update charged case 1."""
         states.clear()
         run(instance, cost_fns, cfg)
+        ev = get_drift_evaluator(instance)
         seen = []
-        for (ev, relay_debt, age, held, targets, tables, action), nxt in zip(states, states[1:]):
+        for (debt, relay_debt, age, held, targets, tables, tie_break), nxt in zip(states,
+                                                                                states[1:]):
+            action = ev.decide(debt, relay_debt, age, held, targets, tables, tie_break, None)[0]
             priced = [tables[r][nxt[2][r]] for r in ev.plan.dest_rows]
             looked = []
             update_intermediate_debt(
@@ -265,7 +278,7 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
             seen.append(bool(looked))
         return seen
 
-    monkeypatch.setattr(DriftEvaluator, "decide", spy)
+    monkeypatch.setattr(aoisim.sim, "_loop", recording_loop)
     instance, cost_fns = two_hop
     for tie_break in ("last", "freshest"):
         seen = case1_slots(instance, cost_fns, SimConfig(

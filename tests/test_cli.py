@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -247,7 +248,7 @@ def test_sweep_starts_at_most_one_worker_per_task(config_path, tmp_path, monkeyp
     started = []
 
     class SerialPool:
-        """Records its worker count and maps in this process."""
+        """Records its worker count and runs each submitted task in this process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -258,8 +259,10 @@ def test_sweep_starts_at_most_one_worker_per_task(config_path, tmp_path, monkeyp
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
@@ -270,6 +273,55 @@ def test_sweep_starts_at_most_one_worker_per_task(config_path, tmp_path, monkeyp
                  "--jobs", "64"]) == 0
     assert started == [4]
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+# a tuner run and two DP solves (one for a table, one for targets) per
+# scenario, each a build of its own, beside a group with nothing to build
+BUILDS_CONFIG = {
+    "network": {"generator": "line", "sizes": [3, 4]},
+    "policies": [
+        {"name": "randomized", "budget": 6, "tuning_horizon": 100, "tuning_seed": 3},
+        {"name": "age-debt", "target_mode": "oracle-dp", "a_cap": 8},
+        {"name": "dp-table", "a_cap": 8},
+        {"name": "age-debt", "target_mode": "flow-control", "V": 10, "alpha_max": 16},
+    ],
+    "sim": {"horizon": 120, "seeds": [0, 1], "trace_detail": "full"},
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_with_builds_in_the_pool_writes_the_same_bytes(jobs, tmp_path):
+    # the CSV and all 16 full traces, by name; the digest is that of the
+    # serial sweep that built every group before any run
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BUILDS_CONFIG))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep.csv"),
+                 "--jobs", str(jobs)]) == 0
+    digest = hashlib.sha256()
+    names = sorted(f.name for f in tmp_path.iterdir() if f.name.startswith("sweep.csv"))
+    for name in names:
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert len(names) == 17
+    assert digest.hexdigest() == \
+        "e07be665de69f5f2f34a41addcafbe7f5e69053cf73b40051d6991face4d2ff0"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_build_fails_the_sweep_without_a_csv(jobs, tmp_path, monkeypatch, capsys):
+    import aoisim.sweep
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("tuner failed")
+
+    # forked workers inherit the failing tuner
+    monkeypatch.setattr(aoisim.sweep, "optimize_randomized", fail)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BUILDS_CONFIG))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--jobs", str(jobs)]) == 2
+    assert "runtime error: tuner failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_does_not_load_the_process_pool():
@@ -349,6 +401,7 @@ def inline_cfg(**sections):
     return dict(TWO_HOP_CONFIG, **sections)
 
 
+LINE3 = {"network": {"generator": "line", "n": 3}, "sim": {"horizon": 10, "seeds": [0]}}
 GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5",
        "step": 0.5, "threshold": 0.1, "initial": 5.0}
 
@@ -402,11 +455,25 @@ GD5 = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": "5
      "policies[0] on inline: gradient-descent initial targets: not destination pairs [(2, 9)]"),
     (inline_cfg(policies=[dict(GD5, epoch_length=5, floor={"3-1": 1.0})]),
      "policies[0] on inline: gradient-descent floor: not destination pairs [(3, 1)]"),
+    (dict(LINE3, policies=[dict(TUNED, tuning_seed=-1)]),
+     "policies[0]: tuning_seed must be an integer >= 0, got -1"),
+    (dict(LINE3, policies=[{"name": "age-debt", "targets": 2.0, "V": 10, "alpha_max": 20,
+                            "budget": 5, "action_index": 1}]),
+     "policies[0].V, policies[0].alpha_max, policies[0].budget, policies[0].action_index: "
+     "not read by age-debt with target_mode 'fixed'"),
+    (dict(LINE3, policies=[{"name": "constant", "action_index": 1, "tie_break": "random",
+                            "variant": "exact", "epoch_length": 7, "probabilities": [1]}]),
+     "policies[0].tie_break, policies[0].variant, policies[0].epoch_length, "
+     "policies[0].probabilities: not read by constant with target_mode 'fixed'"),
+    (dict(LINE3, policies=[{"name": "randomized", "probabilities": [0.5, 0.5, 0.0],
+                            "budget": 5}]),
+     "policies[0].budget: not read by randomized with target_mode 'fixed'"),
 ], ids=["a-exponent", "b-star-n", "c-epoch-length", "gd-epochs-key", "d-duplicate-edge",
         "e-pair-key", "edge-node", "self-loop", "reliability", "flow-node", "source-in-dests",
         "model", "explicit", "cost-kind", "generator", "weight-rule", "graph-ids",
         "line-unread", "star-unread", "inline-unread", "target-key", "gd-initial-key",
-        "gd-floor-key"])
+        "gd-floor-key", "tuning-seed", "age-debt-unread", "constant-unread",
+        "probabilities-unread"])
 def test_value_rules_fail_at_their_owner_with_the_key_path(cfg, message, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))

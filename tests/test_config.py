@@ -362,13 +362,13 @@ TUNED = {"name": "randomized", "budget": 2, "tuning_horizon": 5}
 
 
 def test_tuner_settings_are_checked_before_any_work():
-    # the tuner owns its budget and horizon rules; the seed's rule is the
-    # rng's, as the sweep builds it
+    # the tuner owns its budget and horizon rules; the sweep, which builds
+    # the tuner's rng from it, owns the seed's
     for key, value, message in (
             ("budget", -3, "tuning budget must be an integer >= 1, got -3"),
             ("budget", 0, "tuning budget must be an integer >= 1, got 0"),
             ("tuning_horizon", 0, "tuning horizon must be an integer >= 1, got 0"),
-            ("tuning_seed", -1, "expected non-negative integer")):
+            ("tuning_seed", -1, "tuning_seed must be an integer >= 0, got -1")):
         assert policy_errors(policies=[dict(TUNED, **{key: value})]) == \
             [f"policies[0]: {message}"]
     assert policy_errors(policies=[TUNED]) == []

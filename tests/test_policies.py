@@ -17,6 +17,7 @@ from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy
                     make_instance, optimize_randomized, parse_config, run, run_sweep)
 from aoisim.age import restricted_hop_distance, row_plan
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
+from aoisim.sim import _loop_source
 from conftest import diamond, diamond_direct, explicit_instances, lyapunov
 from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
                             update_destination_debt, update_intermediate_debt)
@@ -454,13 +455,18 @@ def test_scores_equal_the_realized_lyapunov_change_on_reliable_links(name):
 
 def test_generated_source_is_the_same_in_every_interpreter():
     # a cache keyed by the text hits, and a run reproduces, only if the text
-    # does not depend on the process: try two string-hash seeds
+    # does not depend on the process: try two string-hash seeds. The text is
+    # each evaluator's, whose compiled decide scores every action and breaks
+    # ties, and each exact-drift slot loop's, which calls it
     code = ("import hashlib, aoisim\n"
             "from aoisim.policies import get_drift_evaluator\n"
+            "from aoisim.sim import _loop_source\n"
             "line, _ = aoisim.gen_line(8, interference='single-transmitter', reliability=0.7)\n"
             "graph = aoisim.enumerate_connected_graphs(5)[10]\n"
             "bc, _ = aoisim.broadcast_instance(5, graph, reliability=0.9)\n"
             "text = get_drift_evaluator(line).source + get_drift_evaluator(bc).source\n"
+            "text += _loop_source(line, 'exact', 'flow-control', True, False)\n"
+            "text += _loop_source(bc, 'exact', 'fixed', False, True)\n"
             "print(hashlib.sha256(text.encode()).hexdigest())\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -471,6 +477,11 @@ def test_generated_source_is_the_same_in_every_interpreter():
     line, _ = gen_line(8, interference="single-transmitter", reliability=0.7)
     bc, _ = broadcast_instance(5, enumerate_connected_graphs(5)[10], reliability=0.9)
     text = DriftEvaluator(line).source + DriftEvaluator(bc).source
+    # one decide per evaluator, each ending in the freshest tie-break
+    assert text.count("def decide(") == 2
+    assert text.count("terms = age_terms(age, held)") == 2
+    text += _loop_source(line, "exact", "flow-control", True, False)
+    text += _loop_source(bc, "exact", "fixed", False, True)
     assert digests == {hashlib.sha256(text.encode()).hexdigest() + "\n"}
     with pytest.raises(AttributeError):
         get_drift_evaluator(line).source = text  # read-only
