@@ -1,6 +1,6 @@
 """Age-of-information scheduling: simulator, policies, and oracles."""
 
-from .age import DebtState, restricted_hop_distance
+from .age import DebtState
 from .channels import ChannelProcess
 from .costs import CostFunction
 from .dp import ConvergenceError, DpSolution, StateSpaceError, dp_optimal, export_table

@@ -20,7 +20,7 @@ generates for each instance applies these rules.
 
 Intermediate queues are read only by the exact-drift policy, so a run keeps
 them only under that policy. Their case-1 hop distances are computed once
-per action by the drift evaluator (``policies.DriftEvaluator.relay_hops``).
+per action, on first read, by the row plan (``RowPlan.relay_hops``).
 
 ``DebtState`` holds the same queues keyed by tuples, the form that the
 public ``age_debt_action`` takes.
@@ -29,6 +29,7 @@ public ``age_debt_action`` takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,25 +43,6 @@ class DebtState:
 
     dest: dict = field(default_factory=dict)          # (k, j) -> Q >= 0
     intermediate: dict = field(default_factory=dict)  # (k, j, i) -> Q >= 0
-
-
-def restricted_hop_distance(adjacency, i, j, first_hops):
-    """Fewest hops from i to j when the first hop must use an edge in
-    ``first_hops`` (directed edges out of i); later hops are unrestricted.
-
-    Walks may revisit nodes, so the answer is 1 + the plain hop distance from
-    the best allowed first-hop head. Returns None when no such walk exists.
-    """
-    best = None
-    for (tx, rx) in first_hops:
-        if tx != i:
-            raise ValueError(f"first-hop edge ({tx},{rx}) does not leave node {i}")
-        if rx == j:
-            return 1
-        d = bfs_distances(adjacency, rx).get(j)
-        if d is not None and (best is None or d + 1 < best):
-            best = d + 1
-    return best
 
 
 def row_plan(instance):
@@ -87,10 +69,11 @@ class RowPlan:
     nothing and are left out. ``action_links[a]`` lists action a's links as
     (rx row, tx row or -1 for the source, edge), in assignment order; the
     arrays list every distinct link once, sorted by receiving row, for
-    ``stamps``.
+    ``stamps``. ``relay_hops`` holds each action's case-1 hop distances.
     """
 
     def __init__(self, instance):
+        self._instance = instance
         self.tracked = tracked = instance.tracked_pairs()
         row = {pair: i for i, pair in enumerate(tracked)}
         self.n_rows = n_rows = len(tracked)
@@ -122,6 +105,29 @@ class RowPlan:
         self.relay_from = tx_rows[self.relay_links]
         # receiving rows and the first link of each, for maximum.reduceat
         self.rows, self.starts = np.unique(rx_rows, return_index=True)
+
+    @cached_property
+    def relay_hops(self):
+        """``relay_hops[a][q]``: relay queue q's hop distance when action a
+        has q's relay send q's flow, else None. It is 1 + the fewest hops to
+        the destination from a head of those first hops, which are read from
+        the raw action, a first hop back into the source included; one BFS
+        per head node. Built on first read: only exact-drift runs read it."""
+        dist = {}  # head node -> hop distances from it
+
+        def hops_from(rx):
+            if rx not in dist:
+                dist[rx] = bfs_distances(self._instance.adjacency, rx)
+            return dist[rx]
+
+        out = []
+        for action in self._instance.action_space:
+            heads = {}  # (node, flow) -> heads of the links it sends the flow on
+            for (tx, rx, k) in action:
+                heads.setdefault((tx, k), []).append(rx)
+            out.append([1 + min(hops_from(rx)[j] for rx in heads[(i, k)]) if (i, k) in heads
+                        else None for (k, j, i) in self.relay_keys])
+        return out
 
     def stamps(self, before, start, on):
         """Every row's buffer stamp, the slot that made its freshest packet

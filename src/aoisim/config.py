@@ -20,6 +20,7 @@ and the network, flow and cost constructors for the scenarios,
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 
@@ -67,6 +68,13 @@ _GENERATED = _Object(dict(_SECTIONS, network=_Object(_NETWORK)),
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object", type(None): "null"}
+
+
+def is_int(x):
+    """The library's integer rule, for every owner of an integer argument:
+    any ``numbers.Integral`` (numpy's integers too) but a bool. A config's
+    integer keys pass it, as their JSON type is checked first."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass

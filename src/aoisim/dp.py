@@ -68,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import row_plan
+from .config import is_int
 
 # states per sweep slab: at a_cap 30 on a 4-source star, 2 of the 30
 # leading-axis indices, whose slab buffers fit in a core's L2 cache
@@ -113,15 +114,17 @@ class DpSolution:
 
 def dp_state_count(instance, a_cap=30, tolerance=1e-3):
     """The joint state count, a_cap ** rows, of a ``dp_optimal`` solve with
-    these arguments. Raises ``ValueError`` for ``a_cap < 1`` or a
-    ``tolerance`` that is not positive, and ``StateSpaceError`` for a count
-    above ``STATE_CAP``."""
+    these arguments. Raises ``ValueError`` for an ``a_cap`` that is not an
+    integer >= 1 or a ``tolerance`` that is not positive, and
+    ``StateSpaceError`` for a count above ``STATE_CAP``."""
+    if not is_int(a_cap):
+        raise ValueError(f"a_cap must be an integer, got {a_cap!r}")
     if a_cap < 1:
         raise ValueError(f"a_cap must be at least 1, got {a_cap}")
     if not tolerance > 0:  # NaN too: no span is ever below it
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = row_plan(instance).n_rows
-    n_states = a_cap ** n
+    n_states = int(a_cap) ** n  # a numpy integer would wrap
     if n_states > STATE_CAP:
         raise StateSpaceError(
             f"state space too large: {a_cap}^{n} = {n_states} > cap {STATE_CAP}")

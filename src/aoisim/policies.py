@@ -20,9 +20,9 @@ relay term under that key (at most one link inline, with the walk's bits;
 two or more links build a distribution), then each action's running sum as
 a left fold over its terms, from the first term, with a prefix that actions
 share summed once, and last the argmin with its tie-break: one compiled
-``decide`` per instance, which the slot loop calls directly and ``score``
-reads too. The freshest tie-break prices every row's expected next age once
-per tied slot and folds each tied action's rows in order.
+``decide`` per instance, which the slot loop calls directly. The freshest
+tie-break prices every row's expected next age once per tied slot and folds
+each tied action's rows in order.
 
 The argmin ties on exact float equality, so another order or rounding would
 change trajectories: the generated text performs the same float operations
@@ -36,14 +36,14 @@ evaluator, and a copy builds its own on first use.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, itemgetter
 
 import numpy as np
 
-from .age import restricted_hop_distance, row_plan
+from .age import row_plan
+from .config import is_int
 
 TIE_BREAKS = ("first", "last", "random", "freshest")
 
@@ -261,11 +261,11 @@ class DriftEvaluator:
     code generated for the instance.
 
     Built once per instance on its ``age.RowPlan`` (``plan``), which owns
-    the rows, the relay queues and each action's links; cost tables are
-    passed to ``score``. A distribution key is (row, links), each link
-    (sender row, or -1 for the source; p_edge), in the action's assignment
-    order; ``dist_keys`` lists the distinct keys and ``action_dists[a]``
-    action a's key id for every row.
+    the rows, the relay queues, each action's links and its relay hop
+    distances; cost tables are passed to ``decide``. A distribution key is
+    (row, links), each link (sender row, or -1 for the source; p_edge), in
+    the action's assignment order; ``dist_keys`` lists the distinct keys and
+    ``action_dists[a]`` action a's key id for every row.
 
     A group is one destination key, and its terms are the destination's
     queue, then each distinct relay term (relay queue, relay row, hop
@@ -279,13 +279,13 @@ class DriftEvaluator:
     and ``age_terms``, every key's expected next-age terms, which the
     ``freshest`` tie-break folds over each tied action's rows. The argmin
     ties on exact float equality, so the text fixes every float operation
-    and its order. The score body is compiled once, in ``decide``: the
-    slot loop calls the compiled function directly, and ``score``,
-    ``decide`` and ``age_debt_action`` read it.
+    and its order.
 
-    The evaluator owns the case-1 hop distances: ``relay_hops[a][q]`` is
-    relay queue q's hop distance when action ``a`` has its relay
-    forwarding, else None; the simulator's relay debt update reads it here.
+    ``decide(debt, relay_debt, age, held, targets, tables, tie_break,
+    rng)`` is the compiled function: it returns the drift-minimizing action
+    index (see ``age_debt_action``) and every action's exact
+    E[L(t+1) - L(t)], as a list by action index; a relay queue that is None
+    (not kept by the run) adds a 0.0 term. The slot loop calls it directly.
     """
 
     def __init__(self, instance):
@@ -307,18 +307,10 @@ class DriftEvaluator:
         groups = {}  # destination key id -> {relay term: position after the destination's}
         cols = []    # per action: (key id, position in its group) of each term, in sum order
         self.action_dists = []  # per action: distribution id of every row
-        self.relay_hops = []
-        for action, kept in zip(instance.action_space, plan.action_links):
+        for kept, hops in zip(plan.action_links, plan.relay_hops):
             links = {}  # row -> links that can deliver its flow to it
             for (r, m, e) in kept:
                 links.setdefault(r, []).append((m, probs[e]))
-            # (node, flow) -> directed edges the node sends that flow on, from
-            # the whole action: a first hop back into the source counts too
-            fwd = {}
-            for (tx, rx, k) in action:
-                fwd.setdefault((tx, k), []).append((tx, rx))
-            hops = [restricted_hop_distance(instance.adjacency, i, j, fwd[(i, k)])
-                    if (i, k) in fwd else None for (k, j, i) in plan.relay_keys]
             ids = [dist_id(r, links) for r in range(plan.n_rows)]
             col = []
             for r, qs in zip(plan.dest_rows, queues):
@@ -328,7 +320,6 @@ class DriftEvaluator:
                            for (q, ri) in qs)
             cols.append(col)
             self.action_dists.append(ids)
-            self.relay_hops.append(hops)
         # per key: (row, m, p, 1 - p, walk), its single link (m, p), m None
         # if it has none, or walk True for two or more
         outcomes = []
@@ -345,23 +336,21 @@ class DriftEvaluator:
         age_source, where = _age_terms_source(outcomes, self.dist_keys)
         self._source = "\n".join(source) + "\n\n" + "\n".join(age_source) + "\n"
         # per action: the leading 0.0, then its rows' age terms in row order
-        self._age_picks = [itemgetter(0, *(i for k in ids for i in where[k]))
-                           for ids in self.action_dists]
+        picks = [itemgetter(0, *(i for k in ids for i in where[k])) for ids in self.action_dists]
         names = {"next_age_dist": DriftEvaluator.next_age_dist, "walk": _walk_terms,
-                 "reduce": reduce, "add": add, "picks": self._age_picks}
+                 "reduce": reduce, "add": add, "picks": picks}
         for code in _compiled(self._source):
             exec(code, names)
-        self._decide, self._age_terms = names["decide"], names["age_terms"]
+        self.decide = names["decide"]
 
     @property
     def source(self):
-        """The generated Python text that ``decide``, ``score`` and
-        ``expected_age_sum`` run; the same for the same instance in every
-        process."""
+        """The generated Python text that ``decide`` runs; the same for the
+        same instance in every process."""
         return self._source
 
     def rows(self, debt, age, buffer, targets, cost_fns):
-        """The dict state of the public API as ``score``'s row arguments: a
+        """The dict state of the public API as ``decide``'s row arguments: a
         row holds a packet iff its (node, flow) is in ``buffer``, whatever
         its age. Each pair's cost function is its table, read as
         ``f[age]``."""
@@ -395,29 +384,6 @@ class DriftEvaluator:
         for v, p in out:
             merged[v] = merged.get(v, 0.0) + p
         return tuple(sorted(merged.items()))
-
-    def score(self, debt, relay_debt, age, held, targets, tables):
-        """Exact E[L(t+1) - L(t)] of every action, as a list by action
-        index. A relay queue that is None (not kept by the run) adds a 0.0
-        term."""
-        return self._decide(debt, relay_debt, age, held, targets, tables, "first", None)[1]
-
-    def decide(self, debt, relay_debt, age, held, targets, tables, tie_break, rng):
-        """The drift-minimizing action index (see ``age_debt_action``), and
-        the scores, from the compiled ``decide``, which the slot loop calls
-        directly."""
-        return self._decide(debt, relay_debt, age, held, targets, tables, tie_break, rng)
-
-    def expected_age_sum(self, action_idx, age, held, memo):
-        """E[sum of all tracked ages next slot]; the freshness tie-breaker,
-        as ``decide`` sums it. Adds p * next_age over the action's rows,
-        then outcomes, in order, to 0.0. Every key's terms are priced once
-        per state, into ``memo`` (a dict the caller keeps for one state),
-        and a key with two or more links walks its distribution."""
-        terms = memo.get("age_terms")
-        if terms is None:
-            terms = memo["age_terms"] = self._age_terms(age, held)
-        return reduce(add, self._age_picks[action_idx](terms))
 
 
 def get_drift_evaluator(instance):
@@ -489,7 +455,7 @@ def _project_simplex(v):
 def _check_tuning(search_budget, horizon):
     """Raise ``ValueError`` unless ``optimize_randomized`` can search with these."""
     for what, value in (("tuning budget", search_budget), ("tuning horizon", horizon)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        if not is_int(value) or value < 1:
             raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 

@@ -12,14 +12,15 @@ Slot order, fixed and relied on by the tests:
   6. destination debt update (uses post-slot ages and this slot's targets)
   7. intermediate debt update, exact age-debt only: case 1 for the relays
      that forwarded a held packet in step 4, with pre-slot ages and the
-     chosen action's hop distances from the drift evaluator
+     chosen action's hop distances from the row plan
   8. metrics accumulation
 
 The state is each row's age and whether it holds a packet, in the row
-layout of ``age.RowPlan``, which also lists each action's links and the
-relay queues by row. The run keeps a table of each pair's costs, filled by
-calling its cost function and grown only when the oldest age, which rises by
-at most one per slot, could reach its end.
+layout of ``age.RowPlan``, which also lists each action's links, the relay
+queues by row and each action's relay hop distances. The run keeps a table
+of each pair's costs, filled by calling its cost function and grown only
+when the oldest age, which rises by at most one per slot, could reach its
+end.
 
 Gradient-descent target epochs sit outside the slot: every W slots the
 targets move and all debt queues reset to zero, while ages carry over.
@@ -59,7 +60,6 @@ follow the same update, so the metrics are the same bits as the loop's.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -68,6 +68,7 @@ import numpy as np
 
 from .age import row_plan
 from .channels import _BLOCK, ChannelProcess
+from .config import is_int
 from .policies import (_CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE, TIE_BREAKS, RandomizedPolicy,
                        _actions, _compiled, _indent, get_drift_evaluator)
 from .targets import FlowControlConfig, GradientDescentConfig, gd_epoch_update
@@ -97,19 +98,15 @@ class SimConfig:
     trace_detail: str = "metrics-only"  # metrics-only | full
 
     def __post_init__(self):
-        if not _is_int(self.horizon) or self.horizon < 1:
+        if not is_int(self.horizon) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         # channel streams key on the seed's low 64 bits
-        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
+        if not is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name, ok in (("policy", POLICIES), ("target_mode", TARGET_MODES),
                          ("tie_break", TIE_BREAKS), ("trace_detail", ("metrics-only", "full"))):
             if getattr(self, name) not in ok:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-
-
-def _is_int(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -182,7 +179,7 @@ def _policy(instance, cost_fns, cfg, rng):
         return "max-weight", [p * w for p, w in zip(star["probs"], weights)]
     if _age_debt_variant(params) == "auto" and star_structure(instance) is not None:
         return "star", None
-    return "exact", (get_drift_evaluator(instance)._decide, cfg.tie_break, rng)
+    return "exact", (get_drift_evaluator(instance).decide, cfg.tie_break, rng)
 
 
 def _age_debt_variant(params):
@@ -203,7 +200,7 @@ def _action_cdf(instance, cfg):
             raise ValueError("randomized policy size does not match action space")
         return pol._cum
     idx = params.get("action_index")
-    if not isinstance(idx, int) or not 0 <= idx < n:
+    if not is_int(idx) or not 0 <= idx < n:
         raise ValueError(f"constant policy needs an integer action_index below {n}, got {idx!r}")
     return (np.arange(n) >= idx).astype(float)
 
@@ -302,7 +299,7 @@ def _slot_loop(instance, cost_fns, cfg):
     targets = _by_row(_resolve_targets(cfg, dest_pairs).values(), plan, 0.0)
     kind, rule = _policy(instance, cost_fns, cfg, _policy_rng(cfg.seed))
     # relay queues are read only by the exact-drift policy (an instance
-    # with relays is never a star), whose evaluator holds their hop distances
+    # with relays is never a star)
     keep = cfg.policy == "age-debt" and cfg.use_intermediate_queues and bool(plan.relays)
     full = cfg.trace_detail == "full"
     slots = _loop(instance, (kind, cfg.target_mode, keep, full))
@@ -323,7 +320,7 @@ def _slot_loop(instance, cost_fns, cfg):
         debt=[0.0] * plan.n_rows, relay_debt=[0.0 if keep else None] * len(plan.relays),
         targets=targets, tables=_by_row(by_age, plan, None), rule=rule,
         channel=ChannelProcess(instance, cfg.seed).bits(cfg.horizon), links=plan.action_links,
-        hops=get_drift_evaluator(instance).relay_hops if keep else None, grow=grow,
+        hops=plan.relay_hops if keep else None, grow=grow,
         targeting=cfg.flow_control if history is None else gd, epoch=epoch, runaway=RUNAWAY_AGE,
         trace=trace, hists=list(hists.values()) if full else None)
     return _metrics(cfg, dest_pairs, cost_sum, debt, max_sum_debt, dict(zip(dest_pairs, final)),

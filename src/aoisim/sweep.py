@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from .config import is_int
 from .costs import CostFunction
 from .network import make_instance
 from .dp import dp_state_count
@@ -238,7 +238,7 @@ def _tuner_args(pol):
     args = {"search_budget": pol["budget"], "horizon": pol.get("tuning_horizon", TUNING_HORIZON)}
     _check_tuning(**args)
     seed = pol.get("tuning_seed", 0)
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ValueError(f"tuning_seed must be an integer >= 0, got {seed!r}")
     return dict(args, rng=np.random.default_rng(np.random.SeedSequence((seed, 0xBE57))))
 

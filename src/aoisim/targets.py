@@ -10,8 +10,9 @@ on whether the pair's current debt exceeds V.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
+
+from .config import is_int
 
 
 @dataclass
@@ -23,7 +24,7 @@ class GradientDescentConfig:
     floor: dict = None                   # pair -> alpha_min; None = f(1) per pair
 
     def __post_init__(self):
-        if not (isinstance(self.epoch_length, numbers.Integral) and self.epoch_length >= 1):
+        if not (is_int(self.epoch_length) and self.epoch_length >= 1):
             raise ValueError(f"epoch_length must be an integer >= 1, got {self.epoch_length!r}")
         if not (0 < self.step < math.inf and 0 < self.threshold < math.inf):  # NaN too
             raise ValueError("step and threshold must be finite and > 0")

@@ -3,9 +3,11 @@ row-indexed loop is compared against.
 
 Ages, buffers and debts are dicts keyed by (flow, node) and (flow, node,
 relay) tuples, every cost is a ``CostFunction`` call, and exact age-debt
-scores actions with the dict form of the drift evaluator. This is the
-engine that recorded ``tests/data/golden_trajectories.json``, trimmed of its
-docstrings; the slot order is the one in ``sim``'s module docstring.
+scores actions with the dict form of the drift evaluator. Relay hop
+distances come from its own ``restricted_hop_distance``, one BFS per first
+hop, not from the row plan. This is the engine that recorded
+``tests/data/golden_trajectories.json``, trimmed of its docstrings; the slot
+order is the one in ``sim``'s module docstring.
 """
 
 import bisect
@@ -14,9 +16,8 @@ import math
 import numpy as np
 
 from aoisim import DebtState, RunMetrics, sim
-from aoisim.age import restricted_hop_distance
 from aoisim.channels import ChannelProcess
-from aoisim.network import canon_edge
+from aoisim.network import bfs_distances, canon_edge
 from aoisim.policies import RandomizedPolicy
 from aoisim.sim import _POLICY_RNG_TAG, _gd_floor, _resolve_targets, star_structure
 from aoisim.targets import gd_epoch_update
@@ -78,6 +79,25 @@ def update_intermediate_debt(debt, age, forwarded, hops, targets, cost_fns, pric
             term = priced[(k, j)]
         nq = q + term - targets[(k, j)]
         debt.intermediate[(k, j, i)] = nq if nq > 0.0 else 0.0
+
+
+def restricted_hop_distance(adjacency, i, j, first_hops):
+    """Fewest hops from i to j when the first hop must use an edge in
+    ``first_hops`` (directed edges out of i); later hops are unrestricted.
+
+    Walks may revisit nodes, so the answer is 1 + the plain hop distance from
+    the best allowed first-hop head. Returns None when no such walk exists.
+    """
+    best = None
+    for (tx, rx) in first_hops:
+        if tx != i:
+            raise ValueError(f"first-hop edge ({tx},{rx}) does not leave node {i}")
+        if rx == j:
+            return 1
+        d = bfs_distances(adjacency, rx).get(j)
+        if d is not None and (best is None or d + 1 < best):
+            best = d + 1
+    return best
 
 
 def flow_control_update(debt_now, cfg):

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim import CostFunction, DebtState, SimConfig, make_instance, restricted_hop_distance, run
+from aoisim import CostFunction, DebtState, SimConfig, make_instance, run
 from aoisim.network import adjacency_map, bfs_distances
 from conftest import lyapunov
-from dict_reference import initial_age, initial_buffer, initial_debt
+from dict_reference import initial_age, initial_buffer, initial_debt, restricted_hop_distance
 from row_reference import advance_age, update_destination_debt, update_intermediate_debt
 
 
@@ -86,7 +86,7 @@ def test_never_served_debt_grows_like_arithmetic_series():
     assert debt[(1, 2)] / T > T / 4  # Q(T)/T diverges linearly
 
 
-# ---------------- restricted hop distance ----------------
+# ---------------- restricted hop distance (the dict reference's hop rule) ----------------
 
 def walk_oracle(node_count, edges, i, j, first_hops, limit):
     """Shortest first-hop-constrained walk by explicit frontier expansion."""
@@ -227,7 +227,7 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
     # "last" the relay is scheduled in every slot but never receives one, so
     # its queue takes the shadowing update; under "freshest" it does forward.
     # Each slot's state is recorded as the compiled loop takes the slot's
-    # channel bits, before its decision; the public DriftEvaluator.decide
+    # channel bits, before its decision; the evaluator's compiled decide
     # picks the action on it, and the state and action are replayed through
     # the reference relay update, whose case 1 is its only cost lookup. The
     # run's relay queues must follow the replay slot by slot.
@@ -271,7 +271,7 @@ def test_forwarding_without_packet_is_case2(two_hop, monkeypatch):
             priced = [tables[r][nxt[2][r]] for r in ev.plan.dest_rows]
             looked = []
             update_intermediate_debt(
-                relay_debt, ev.plan.relays, ev.relay_hops[action], age, held,
+                relay_debt, ev.plan.relays, ev.plan.relay_hops[action], age, held,
                 [None if tab is None else Recording(tab, looked) for tab in tables], targets,
                 priced)
             assert relay_debt == nxt[1]

@@ -122,6 +122,8 @@ def test_iteration_cap_raises(monkeypatch):
     ({"tolerance": 0.0}, "tolerance must be positive"),
     ({"tolerance": -1e-3}, "tolerance must be positive"),
     ({"tolerance": float("nan")}, "tolerance must be positive"),
+    ({"a_cap": 2.5}, "a_cap must be an integer"),  # numpy would raise its own TypeError
+    ({"a_cap": True}, "a_cap must be an integer"),
 ])
 def test_arguments_that_can_only_spin_fail_fast(kwargs, match):
     # raised before any work: a_cap < 1 leaves no state, and with a

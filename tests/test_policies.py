@@ -5,6 +5,8 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ import aoisim.sweep
 from aoisim import (CostFunction, DebtState, FlowControlConfig, RandomizedPolicy, SimConfig,
                     age_debt_action, broadcast_instance, enumerate_connected_graphs, gen_line,
                     make_instance, optimize_randomized, parse_config, run, run_sweep)
-from aoisim.age import restricted_hop_distance, row_plan
+from aoisim.age import row_plan
 from aoisim.policies import TIE_BREAKS, DriftEvaluator, get_drift_evaluator
 from aoisim.sim import _loop_source
-from conftest import diamond, diamond_direct, explicit_instances, lyapunov
+from conftest import diamond, diamond_direct, explicit_instances, graphs_with_flows, lyapunov
 from dict_reference import (DictDriftEvaluator, advance_age, initial_buffer, initial_debt,
-                            update_destination_debt, update_intermediate_debt)
+                            restricted_hop_distance, update_destination_debt,
+                            update_intermediate_debt)
 from row_reference import advance_age as advance_age_rows
 from row_reference import update_destination_debt as update_destination_debt_rows
 from row_reference import max_weight_action, single_hop_age_debt_action
@@ -60,36 +63,38 @@ def test_two_hop_cold_start_all_actions_equal(two_hop):
 def monte_carlo_drift(action, debt, age, buffer, targets, cost_fns, instance,
                       n_samples, seed):
     """Simulate one slot n_samples times, with the dict form of the slot's
-    phases; returns (mean, stderr) of the Lyapunov change."""
+    phases; returns (mean, stderr) of the Lyapunov change. Every sample's
+    link bits are drawn at once, and the phases run once per distinct
+    channel outcome, weighted by its count."""
     rng = np.random.default_rng(seed)
     # relays that send a held packet, and their first-hop-restricted hop
-    # distances, worked out here rather than taken from the drift evaluator
+    # distances, worked out here rather than taken from the row plan
     links = {}
     for (tx, rx, k) in action:
         if tx != k and (tx, k) in buffer:
             links.setdefault((tx, k), []).append((tx, rx))
     hops = {(k, j, i): restricted_hop_distance(instance.adjacency, i, j, links[(i, k)])
             for (k, j, i) in debt.intermediate if (i, k) in links}
+    t = 1000
+    # the links that send: a source's fresh update, a relay's held packet
+    sent = [(rx, k, t if tx == k else buffer[(tx, k)], instance.edge_prob(tx, rx))
+            for (tx, rx, k) in action if tx == k or (tx, k) in buffer]
+    bits = rng.random((n_samples, len(sent))) < [p for (*_, p) in sent]
+    counts = np.bincount(bits @ (1 << np.arange(len(sent))), minlength=1 << len(sent))
     base = lyapunov(debt)
     total = 0.0
     total_sq = 0.0
-    t = 1000
-    for _ in range(n_samples):
+    for outcome, count in enumerate(counts.tolist()):
+        if not count:
+            continue
         d = DebtState(dict(debt.dest), dict(debt.intermediate))
-        deliveries = []
-        for (tx, rx, k) in action:
-            t_g = t if tx == k else buffer.get((tx, k))
-            if t_g is None:
-                continue
-            if rng.random() < instance.edge_prob(tx, rx):
-                deliveries.append((k, rx, t_g))
-        buf = dict(buffer)
-        age_next = advance_age(dict(age), buf, deliveries, t)
+        deliveries = [(k, rx, t_g) for b, (rx, k, t_g, _) in enumerate(sent) if outcome >> b & 1]
+        age_next = advance_age(dict(age), dict(buffer), deliveries, t)
         priced = update_destination_debt(d, cost_fns, age_next, targets)
         update_intermediate_debt(d, age, links, hops, targets, cost_fns, priced)
         delta = lyapunov(d) - base
-        total += delta
-        total_sq += delta * delta
+        total += count * delta
+        total_sq += count * delta * delta
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / n_samples)
@@ -238,19 +243,34 @@ def any_line(rel=0.9):
                          interference="single-transmitter", eligibility="any")
 
 
-def test_relay_hops_count_first_hops_into_the_source():
-    # a first hop back into the flow's source delivers to no tracked row,
-    # but it still starts a walk to the destination: (2, 1, 1) gives 2-1-2-3
-    instance = any_line()
-    ev = get_drift_evaluator(instance)
-    for action, hops in zip(instance.action_space, ev.relay_hops):
+@st.composite
+def routed_instances(draw):
+    """A ``graphs_with_flows`` instance under single-transmitter or matching
+    interference."""
+    n, rel, flows = draw(graphs_with_flows())
+    return make_instance(n, rel, flows,
+                         interference=draw(st.sampled_from(["single-transmitter", "matching"])),
+                         eligibility=draw(st.sampled_from(["any", "path"])))
+
+
+@given(st.one_of(st.builds(any_line), explicit_instances(), routed_instances()))
+@settings(max_examples=150, deadline=None)
+def test_relay_hops_count_first_hops_into_the_source(instance):
+    # the plan's hop distances are the reference's, one BFS per first hop,
+    # taken from the raw action. A first hop back into the flow's source
+    # delivers to no tracked row, but it still starts a walk to the
+    # destination: on the any-line, (2, 1, 1) gives 2-1-2-3
+    line = any_line()
+    assert row_plan(line).relay_hops[line.action_space.index(((2, 1, 1),))] == [3]
+    plan = row_plan(instance)
+    assert len(plan.relay_hops) == len(instance.action_space)
+    for action, hops in zip(instance.action_space, plan.relay_hops):
         want = []
-        for (k, j, i) in row_plan(instance).relay_keys:
+        for (k, j, i) in plan.relay_keys:
             first = [(tx, rx) for (tx, rx, f) in action if (tx, f) == (i, k)]
             want.append(restricted_hop_distance(instance.adjacency, i, j, first)
                         if first else None)
         assert hops == want
-    assert ev.relay_hops[instance.action_space.index(((2, 1, 1),))] == [3]
 
 
 @st.composite
@@ -299,6 +319,14 @@ def drift_states(draw):
     return instance, debt, age, buffer, targets, cost_fns
 
 
+def expected_age_sum(ev, action, age, held):
+    """E[sum of all tracked ages next slot] of ``action``, as the compiled
+    ``freshest`` tie-break folds it: 0.0, then p * next age over the
+    action's rows, then outcomes, in order."""
+    names = ev.decide.__globals__
+    return reduce(add, names["picks"][action](names["age_terms"](age, held)))
+
+
 @given(drift_states())
 @settings(max_examples=300, deadline=None)
 def test_score_and_decision_match_dict_reference(state):
@@ -306,7 +334,7 @@ def test_score_and_decision_match_dict_reference(state):
     ev, ref = DriftEvaluator(instance), DictDriftEvaluator(instance)
     rows = ev.rows(debt, age, buffer, targets, cost_fns)
     want = ref.score(debt, age, buffer, targets, cost_fns)[0]
-    assert [s.hex() for s in ev.score(*rows)] == [s.hex() for s in want]
+    assert [s.hex() for s in ev.decide(*rows, "first", None)[1]] == [s.hex() for s in want]
     # the next-age distributions the freshest tie-break reads, action by action
     dists = [ev.next_age_dist(key, rows[2], rows[3]) for key in ev.dist_keys]
     ref_dists = [ref.next_age_dist(key, age, buffer) for key in ref.dist_keys]
@@ -314,9 +342,8 @@ def test_score_and_decision_match_dict_reference(state):
         assert [dists[d] for d in ids] == [ref_dists[d] for d in ref_ids]
     # the freshest tie-break's sum for every action, tied or not; it prices
     # keys with at most one link from their compiled outcome, not a walk
-    walks = {}
     for i in range(len(instance.action_space)):
-        assert (ev.expected_age_sum(i, rows[2], rows[3], walks).hex()
+        assert (expected_age_sum(ev, i, rows[2], rows[3]).hex()
                 == ref.expected_age_sum(i, ref_dists).hex()), i
     for tie_break in TIE_BREAKS:
         got = ev.decide(*rows, tie_break, np.random.default_rng(5))[0]
@@ -389,11 +416,10 @@ def test_compiled_scores_and_decisions_match_dict_reference_with_relay_queues_on
         rows = ev.rows(state, age, buffer, targets, cost_fns)
         assert all((q is None) != bool(intermediate) for q in rows[1])
         want, dists = ref.score(state, age, buffer, targets, cost_fns)
-        assert [s.hex() for s in ev.score(*rows)] == [s.hex() for s in want]
+        assert [s.hex() for s in ev.decide(*rows, "first", None)[1]] == [s.hex() for s in want]
         # the reference walks relay rows' keys only for the tie-break
         dists += [ref.next_age_dist(key, age, buffer) for key in ref.dist_keys[len(dists):]]
-        memo = {}
-        assert [ev.expected_age_sum(i, rows[2], rows[3], memo).hex() for i in range(len(want))] \
+        assert [expected_age_sum(ev, i, rows[2], rows[3]).hex() for i in range(len(want))] \
             == [ref.expected_age_sum(i, dists).hex() for i in range(len(want))]
         for tie_break in TIE_BREAKS:
             got = ev.decide(*rows, tie_break, np.random.default_rng(7))[0]
@@ -440,14 +466,14 @@ def test_scores_equal_the_realized_lyapunov_change_on_reliable_links(name):
             tables[r] = costs[int(rng.integers(len(costs)))]
         relay_debt = [float(rng.choice([0.0, rng.uniform(0.0, 60.0)])) for _ in plan.relays]
         before = sum(q * q for q in debt + relay_debt)
-        scores = ev.score(debt, relay_debt, age, held, targets, tables)
+        scores = ev.decide(debt, relay_debt, age, held, targets, tables, "first", None)[1]
         for a, links in enumerate(plan.action_links):
             deliveries = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links
                           if m < 0 or held[m]]
             d, rd = list(debt), list(relay_debt)
             age_next = advance_age_rows(age, list(held), deliveries)
             priced = update_destination_debt_rows(d, tables, age_next, targets, plan.dest_rows)
-            update_intermediate_debt_rows(rd, plan.relays, ev.relay_hops[a], age, held, tables,
+            update_intermediate_debt_rows(rd, plan.relays, plan.relay_hops[a], age, held, tables,
                                           targets, priced)
             realized = sum(q * q for q in d + rd) - before
             assert math.isclose(scores[a], realized, rel_tol=1e-9), (a, scores[a], realized)

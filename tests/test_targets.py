@@ -144,6 +144,8 @@ def test_config_validation():
     for step, threshold in ((inf, 0.1), (0.1, inf)):
         with pytest.raises(ValueError, match="step and threshold must be finite"):
             GradientDescentConfig(epoch_length=1, step=step, threshold=threshold)
-    # a fractional epoch length never meets an integer slot
-    with pytest.raises(ValueError, match="epoch_length must be an integer"):
-        GradientDescentConfig(epoch_length=2.5, step=0.1, threshold=0.1)
+    # a fractional epoch length never meets an integer slot, and a bool is
+    # not an integer
+    for epoch_length in (2.5, True):
+        with pytest.raises(ValueError, match="epoch_length must be an integer"):
+            GradientDescentConfig(epoch_length=epoch_length, step=0.1, threshold=0.1)
