@@ -430,12 +430,15 @@ def _stationary_averages(policy, outcomes_per_action, maps, pair_costs, dims, n_
     """
     reached = np.zeros(policy.size, dtype=bool)
     reached[0] = True
+    new = np.zeros(policy.size, dtype=bool)  # marks the next frontier, clear between levels
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        succ = np.unique(np.concatenate(
-            [nxt for _w, _pos, nxt in _steps(frontier, policy, outcomes_per_action, maps, dims)]))
-        frontier = succ[~reached[succ]]
+        for _w, _pos, nxt in _steps(frontier, policy, outcomes_per_action, maps, dims):
+            new[nxt] = True
+        new &= ~reached
+        frontier = np.flatnonzero(new)
         reached[frontier] = True
+        new[frontier] = False
     states = np.flatnonzero(reached)  # state 0 stays at position 0
 
     parts = _transitions(states, policy, outcomes_per_action, maps, dims, n_parts)

@@ -67,10 +67,12 @@ class PolicyDecision:
 # age ``a``) at the most optimistic deliverable age; the drift evaluator
 # scores it and the slot loop charges it.
 _CASE1_CHARGE = "{tab}[(age[{ri}] if age[{ri}] < {a} else {a}) + {h}]"
-# A star source's closed-form score from its age a, debt q, reliability p
-# and cost table tab, and its max-weight score from a and p * w; the slot
-# loop writes them with each source's reliability as a literal.
-_STAR_SCORE = "{p} * {q} * ({tab}[{a} + 1] - {tab}[1])"
+# A star source's closed-form score from its debt q, reliability p and
+# gain d, the rise of its cost table tab from age 1 to a + 1 at age a; and
+# its max-weight score from a and p * w. The slot loop tabulates the gain
+# and the max-weight score by age and writes each reliability as a literal.
+_STAR_GAIN = "{tab}[{a} + 1] - {tab}[1]"
+_STAR_SCORE = "{p} * {q} * {d}"
 _MAX_WEIGHT_SCORE = "{pw} * {a} * ({a} + 2)"
 
 

@@ -30,15 +30,19 @@ Python text ``_loop_source`` writes for the instance and the run's shape:
 the policy kind, the target mode, whether relay queues are kept, and trace
 detail. It keeps the slot order above and unrolls each per-row phase over
 the instance's rows, with row constants as literals and the star scores
-and case-1 charge from the templates in ``policies``. Ages and held flags
-stay row lists, and deliveries walk ``RowPlan.action_links``; debts,
-targets and cost sums are locals unless the drift evaluator's compiled
-``decide``, which ``slots`` calls once per slot with its row lists, reads
-them. Each slot's channel bits come with the slot, in slot order, from
-``ChannelProcess.bits``; they depend on nothing the slot does. So do a
-randomized or constant policy's actions: the inverse CDF of uniforms that
-the policy stream draws one channel block at a time (a block draw equals as
-many scalar draws), and a constant policy is the point mass at its index. The text performs the
+and case-1 charge from the templates in ``policies``. Debts, targets and
+cost sums are locals unless the drift evaluator's compiled ``decide``,
+which ``slots`` calls once per slot with its row lists, reads them. On a
+star, every other kind keeps the ages in locals too, writes no held flags
+(no star kind reads them), unrolls each action's one delivery, and reads
+the closed-form gain and the max-weight score from per-run tables by age,
+grown with the cost tables; elsewhere ages and held flags stay row lists,
+and deliveries walk ``RowPlan.action_links``. Each slot's channel bits
+come with the slot, in slot order, from ``ChannelProcess.bits``; they
+depend on nothing the slot does. So do a randomized or constant policy's
+actions: the inverse CDF of uniforms that the policy stream draws one
+channel block at a time (a block draw equals as many scalar draws), and a
+constant policy is the point mass at its index. The text performs the
 rules' float operations in their order, so runs keep their bits. Code is
 compiled once per source text, as the drift evaluator's is, and each loop
 is kept on the instance by shape; an instance pickles as data only, and a
@@ -69,8 +73,8 @@ import numpy as np
 from .age import row_plan
 from .channels import _BLOCK, ChannelProcess
 from .config import is_int
-from .policies import (_CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE, TIE_BREAKS, RandomizedPolicy,
-                       _actions, _compiled, _indent, get_drift_evaluator)
+from .policies import (_CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_GAIN, _STAR_SCORE, TIE_BREAKS,
+                       RandomizedPolicy, _actions, _compiled, _indent, get_drift_evaluator)
 from .targets import FlowControlConfig, GradientDescentConfig, gd_epoch_update
 
 _POLICY_RNG_TAG = 0x90110EC
@@ -357,19 +361,28 @@ def _loop(instance, shape):
 def _loop_source(instance, kind, mode, keep, full):
     """Python text of ``slots``, which runs every slot of one run in the
     order of the module docstring, each per-row phase unrolled over the
-    instance's rows with their constants as literals. It performs the float
-    operations of the row rules in their order, so its runs are the same
-    bits as the rules applied one call at a time (``tests/row_reference.py``)."""
+    instance's rows with their constants as literals; on a star, but for
+    the exact kind, each row's age is a local ``a{r}``, read from ``age``
+    before the first slot. It performs the float operations of the row
+    rules in their order, so its runs are the same bits as the rules
+    applied one call at a time (``tests/row_reference.py``)."""
     plan = row_plan(instance)
     rows, relays = plan.dest_rows, plan.relays
     # the drift evaluator reads debts and targets as row lists; every other
-    # policy leaves them to locals
+    # policy leaves them to locals, and on a star its ages too, as no star
+    # kind reads held flags and each action delivers at most once
     lists = kind == "exact"
+    star = None if lists else star_structure(instance)
     q = (lambda r: f"debt[{r}]") if lists else (lambda r: f"q{r}")
     al = (lambda r: f"targets[{r}]") if lists else (lambda r: f"al{r}")
+    ag = (lambda r: f"age[{r}]") if star is None else (lambda r: f"a{r}")
+    oldest = ("max(age)" if star is None else
+              f"max({', '.join(map(ag, rows))})" if len(rows) > 1 else ag(rows[0]))
     head = [f"tab{r} = tables[{r}]" for r in rows] + [f"s{r} = 0.0" for r in rows]
     if not lists:
         head += [f"q{r} = debt[{r}]" for r in rows] + [f"al{r} = targets[{r}]" for r in rows]
+    if star is not None:
+        head += [f"a{r} = age[{r}]" for r in rows]
     if full:
         head += [f"hist{r} = hists[{i}]" for i, r in enumerate(rows)]
     head += ["max_sum_debt = 0.0", "grow_at = 0"]
@@ -377,8 +390,19 @@ def _loop_source(instance, kind, mode, keep, full):
     # a slot reads costs up to n + 1 ages past the oldest age (a + 1 for next
     # ages, a + h with h <= n for a forwarding relay), and ages rise by at
     # most one per slot: tables up to 2 * top serve the next top slots
-    body = ["if t == grow_at:", f"    top = max(age) + {instance.node_count + 1}",
-            "    grow(2 * top)", "    grow_at = t + top"]
+    body = ["if t == grow_at:", f"    top = {oldest} + {instance.node_count + 1}",
+            "    grow(2 * top)"]
+    if kind == "star":  # each source's gain by age, to the end of its table
+        head += [f"d{r} = []" for r in rows]
+        for r in rows:
+            body += [f"    for a in range(len(d{r}), len(tab{r}) - 1):",
+                     f"        d{r}.append({_STAR_GAIN.format(tab=f'tab{r}', a='a')})"]
+    elif kind == "max-weight":  # each source's score by age, up to 2 * top
+        head += [f"pw{r} = rule[{r}]" for r in rows] + [f"m{r} = []" for r in rows]
+        for r in rows:
+            body += [f"    for a in range(len(m{r}), 2 * top):",
+                     f"        m{r}.append({_MAX_WEIGHT_SCORE.format(pw=f'pw{r}', a='a')})"]
+    body.append("    grow_at = t + top")
     if mode == "flow-control":
         head.append("v, high = targeting.V, targeting.alpha_max")
         body += [f"{al(r)} = high if {q(r)} > v else 1.0" for r in rows]
@@ -393,14 +417,12 @@ def _loop_source(instance, kind, mode, keep, full):
 
     if kind in ("star", "max-weight"):
         # a star's rows are its sources; the first maximum wins
-        actions, probs = (star_structure(instance)[k] for k in ("actions", "probs"))
+        actions, probs = star["actions"], star["probs"]
         if kind == "star":
-            scores = [_STAR_SCORE.format(p=repr(p), q=q(r), tab=f"tab{r}", a=f"age[{r}]")
+            scores = [_STAR_SCORE.format(p=repr(p), q=q(r), d=f"d{r}[a{r}]")
                       for r, p in enumerate(probs)]
         else:
-            head += [f"pw{r} = rule[{r}]" for r in range(len(actions))]
-            scores = [_MAX_WEIGHT_SCORE.format(pw=f"pw{r}", a=f"age[{r}]")
-                      for r in range(len(actions))]
+            scores = [f"m{r}[a{r}]" for r in rows]
         body += [f"best = {scores[0]}", f"action = {actions[0]}"]
         for score, a in zip(scores[1:], actions[1:]):
             body += [f"x = {score}", "if x > best:", "    best = x", f"    action = {a}"]
@@ -408,7 +430,7 @@ def _loop_source(instance, kind, mode, keep, full):
         n = plan.n_rows
         head += ["cap, table = rule", *(f"stride{r} = cap ** {n - 1 - r}" for r in range(n))]
         body.append("action = table[" + " + ".join(
-            f"((age[{r}] if age[{r}] < cap else cap) - 1) * stride{r}" for r in range(n)) + "]")
+            f"(({ag(r)} if {ag(r)} < cap else cap) - 1) * stride{r}" for r in range(n)) + "]")
     elif kind == "exact":
         head.append("decide, tie_break, rng = rule")
         body.append("action = decide(debt, relay_debt, age, held, targets, tables, tie_break, "
@@ -422,7 +444,14 @@ def _loop_source(instance, kind, mode, keep, full):
             body += [f"h = hs[{i}]", f"x{i} = {charge} if h is not None and held[{ri}] else None"]
     # a source sends a fresh update (age 0); a relay that holds nothing
     # sends nothing, a no-op on the wire
-    if plan.relay_links.size:
+    if star is not None:  # a star action's one link is from its source
+        body += [f"a{r} += 1" for r in rows]
+        branch = "if"
+        for action, links in enumerate(plan.action_links):
+            for (r, _, e) in links:
+                body += [f"{branch} action == {action}:", f"    if bits[{e}]:", f"        a{r} = 1"]
+                branch = "elif"
+    elif plan.relay_links.size:
         body += ["sent = [(r, 0 if m < 0 else age[m]) for (r, m, e) in links[action]",
                  "        if bits[e] and (m < 0 or held[m])]",
                  *(f"age[{r}] += 1" for r in range(plan.n_rows)),
@@ -433,7 +462,7 @@ def _loop_source(instance, kind, mode, keep, full):
                  "for (r, m, e) in links[action]:", "    if bits[e]:",
                  "        held[r] = True", "        age[r] = 1"]
     for r in rows:
-        body += [f"c{r} = tab{r}[age[{r}]]", f"nq = {q(r)} + c{r} - {al(r)}",
+        body += [f"c{r} = tab{r}[{ag(r)}]", f"nq = {q(r)} + c{r} - {al(r)}",
                  f"{q(r)} = nq if nq > 0.0 else 0.0"]
     for i, (_, rd, _) in enumerate(relays if keep else ()):
         body += [f"nq = relay_debt[{i}] + (c{rd} if x{i} is None else x{i}) - {al(rd)}",
@@ -444,10 +473,13 @@ def _loop_source(instance, kind, mode, keep, full):
              *(f"s{r} += c{r}" for r in rows)]
     if full:
         for pair, r in zip(plan.dest_pairs, rows):
-            body += [f"a = age[{r}]", f"hist{r}[a] = hist{r}.get(a, 0) + 1",
-                     f"trace.append((t, {pair!r}, a, c{r}, {q(r)}, {al(r)}, action))"]
+            a = "a" if star is None else ag(r)
+            if star is None:
+                body.append(f"a = age[{r}]")
+            body += [f"hist{r}[{a}] = hist{r}.get({a}, 0) + 1",
+                     f"trace.append((t, {pair!r}, {a}, c{r}, {q(r)}, {al(r)}, action))"]
     # the first slot of each channel block, as the open-loop path checks
-    body += [f"if (t & {_BLOCK - 1}) == 0 and max(age) > runaway:",
+    body += [f"if (t & {_BLOCK - 1}) == 0 and {oldest} > runaway:",
              "    raise RuntimeError(\"runaway instance: age exceeded the abort bound\")"]
 
     # a pick policy's actions come in slot order beside the channel bits

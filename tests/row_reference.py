@@ -5,16 +5,17 @@ evaluator's scores are compared against.
 State is indexed by row, as in ``aoisim.age``; a dict keyed by pair serves
 as rows too. The relay queue's case-1 charge and the star scores are read
 from the templates that the generated code writes, ``policies._CASE1_CHARGE``,
-``_STAR_SCORE`` and ``_MAX_WEIGHT_SCORE``, so that each rule has one owner in
-the package.
+``_STAR_GAIN``, ``_STAR_SCORE`` and ``_MAX_WEIGHT_SCORE``, so that each rule
+has one owner in the package.
 """
 
-from aoisim.policies import _CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_SCORE
+from aoisim.policies import _CASE1_CHARGE, _MAX_WEIGHT_SCORE, _STAR_GAIN, _STAR_SCORE
 
 # the templates as functions of their fields
 _case1_charge = eval(
     f"lambda tab, age, a, ri, h: {_CASE1_CHARGE.format(tab='tab', a='a', ri='ri', h='h')}")
-_star_score = eval(f"lambda a, q, p, tab: {_STAR_SCORE.format(a='a', q='q', p='p', tab='tab')}")
+_star_score = eval("lambda a, q, p, tab: " + _STAR_SCORE.format(
+    p="p", q="q", d=f"({_STAR_GAIN.format(tab='tab', a='a')})"))
 _max_weight_score = eval(f"lambda a, p, w: {_MAX_WEIGHT_SCORE.format(a='a', pw='p * w')}")
 
 

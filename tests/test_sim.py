@@ -232,12 +232,21 @@ def test_flow_control_serves_every_pair_of_a_small_multi_flow_instance(edges, fl
 
 
 def test_runaway_abort(monkeypatch):
+    # the slot loop's own check, in two star loops; the open-loop path's is
+    # tested below
     monkeypatch.setattr(sim, "RUNAWAY_AGE", 2 ** 12)
-    inst, costs = single_source()
-    cfg = SimConfig(horizon=50_000, seed=0, policy="constant",
-                    policy_params={"action_index": 0}, targets=1.0)
-    with pytest.raises(RuntimeError, match="runaway"):
-        run(inst, costs, cfg)
+    # closed form: debts stay 0 under targets this high, so every score
+    # ties at 0 and the first source wins every slot; the second is never
+    # served
+    star, star_costs = gen_star(3, reliability_rule="reliable")
+    idle, idle_costs = single_source()  # the one-row star, idle forever
+    for inst, costs, cfg in (
+            (star, star_costs, SimConfig(horizon=50_000, seed=0, targets=1e9)),
+            (idle, idle_costs, SimConfig(horizon=50_000, seed=0, policy="constant",
+                                         policy_params={"action_index": 0}, targets=1.0))):
+        with pytest.raises(RuntimeError, match="runaway"):
+            sim._slot_loop(inst, costs, cfg)
+        assert len(inst._slot_loops) == 1
 
 
 def test_full_trace_and_histograms():
@@ -545,6 +554,8 @@ def test_run_matches_dict_reference_past_table_growth():
 def _shape_instance(name):
     if name == "star":
         return gen_star(4, rng=np.random.default_rng(7))
+    if name == "one-source-star":
+        return gen_star(2, rng=np.random.default_rng(7))
     instance, _ = gen_line(4, interference="single-transmitter", reliability=0.8)
     if name == "two-hop":
         instance, _ = gen_line(3, interference="single-transmitter", reliability=0.8)
@@ -554,12 +565,15 @@ def _shape_instance(name):
 # policy entry -> (instance, run fields, the loop's policy kind, relay queues kept)
 SHAPE_POLICIES = {
     "closed-form": ("star", {"policy": "age-debt"}, "star", False),
+    "closed-form-one-source": ("one-source-star", {"policy": "age-debt"}, "star", False),
     "max-weight": ("star", {"policy": "max-weight"}, "max-weight", False),
     "dp-table": ("two-hop", {"policy": "dp-table"}, "dp-table", False),
+    "dp-table-star": ("star", {"policy": "dp-table"}, "dp-table", False),
     "exact-relays-kept": ("line", {"policy": "age-debt"}, "exact", True),
     "exact-relays-off": ("line", {"policy": "age-debt", "use_intermediate_queues": False,
                                   "tie_break": "random"}, "exact", False),
     "randomized": ("line", {"policy": "randomized"}, "pick", False),
+    "randomized-star": ("star", {"policy": "randomized"}, "pick", False),
     "constant": ("line", {"policy": "constant", "policy_params": {"action_index": 2}},
                  "pick", False),
 }
@@ -575,9 +589,9 @@ def _shape_case(policy, mode, trace_detail, horizon=300):
     name, kw, kind, keep = SHAPE_POLICIES[policy]
     instance, cost_fns = _shape_instance(name)
     kw = dict(kw)
-    if policy == "dp-table":
+    if kw["policy"] == "dp-table":
         kw["policy_params"] = {"solution": dp_optimal(instance, cost_fns, a_cap=4)}
-    elif policy == "randomized":
+    elif kw["policy"] == "randomized":
         n = len(instance.action_space)
         kw["policy_params"] = {"probabilities": tuple([1.0 / n] * n)}
     cfg = SimConfig(horizon=horizon, seed=3, target_mode=mode, trace_detail=trace_detail,
@@ -599,7 +613,7 @@ def test_every_loop_shape_matches_dict_reference(policy, mode, trace_detail):
         assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
 
 
-@pytest.mark.parametrize("policy", ["closed-form", "dp-table", "exact-relays-kept"])
+@pytest.mark.parametrize("policy", ["closed-form", "max-weight", "dp-table", "exact-relays-kept"])
 def test_loop_matches_dict_reference_across_a_block_boundary(policy):
     # past slot 4096, the first channel block, and many table growth steps
     instance, cost_fns, cfg, _ = _shape_case(policy, "flow-control", "metrics-only", 4200)
@@ -631,3 +645,42 @@ def test_loop_compiles_once_per_shape_and_again_after_unpickling(monkeypatch):
     assert copy._slot_loops == {} and list(instance._slot_loops) == [shape]
     assert repr(run(copy, cost_fns, cfg)) == repr(first)
     assert written == [shape, shape]
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("mode", list(SHAPE_MODES))
+@pytest.mark.parametrize("kind", ["star", "max-weight", "dp-table", "pick"])
+@pytest.mark.parametrize("name", ["star", "one-source-star"])
+def test_star_loops_keep_ages_in_locals(name, kind, mode, full):
+    # a star loop reads each row's age from ``age`` once, before its slots,
+    # and writes no held flag (a star has no relay queues to keep)
+    instance, _ = _shape_instance(name)
+    body = sim._loop_source(instance, kind, mode, False, full).partition("\n    for t, ")[2]
+    assert body and "age[" not in body and "held[" not in body
+
+
+# the exact-drift loop texts of a parity line, a single-transmitter line and
+# a broadcast, hashed over all 12 shapes: a changed hash means exact-drift
+# runs execute loop code that the golden data has not yet vouched for
+EXACT_LOOP_HASHES = {
+    "line-5": "eaa0641d91a0f5edf4039e7801cc2b493be82c5f05d7219081b8d7e4b3664ed4",
+    "line-8-single-transmitter":
+        "6ccd94d01be98bdc86c5fe0c4327703048d496656e89cfb1ff20c297967c5b9f",
+    "broadcast-5-graph-10": "079bb12eaa5d1126c94d64477a7456cd6932e313f8f960c8dab6b24ec3363872",
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_LOOP_HASHES))
+def test_exact_loop_text_is_pinned(name):
+    import hashlib
+
+    instance = {"line-5": lambda: gen_line(5),
+                "line-8-single-transmitter": lambda: gen_line(8, "single-transmitter"),
+                "broadcast-5-graph-10": lambda: broadcast_instance(
+                    5, enumerate_connected_graphs(5)[10])}[name]()[0]
+    digest = hashlib.sha256()
+    for mode in sim.TARGET_MODES:
+        for keep in (False, True):
+            for full in (False, True):
+                digest.update(sim._loop_source(instance, "exact", mode, keep, full).encode())
+    assert digest.hexdigest() == EXACT_LOOP_HASHES[name]
