@@ -28,25 +28,28 @@ A sweep runs one slab of leading-axis indices at a time, about 64k states,
 so that a slab's gathered blocks and action scores stay in a core's cache
 instead of a dozen state-sized arrays streaming through memory. Each full
 map is gathered slab by slab into buffers allocated once per solve; a map
-of length 1 on the leading axis is gathered once per sweep and broadcasts
+of length 1 on the leading axis is gathered once per pass and broadcasts
 against every slab.
 
 A solve of more than one slab runs on one thread per CPU the process may
 use, started and joined inside the solve. Each thread sweeps a contiguous
-run of slabs with its own buffers. Before the threads start, the caller
-computes the new value of state 0 with the sweep's own arithmetic, and
-every slab subtracts it, so the parts are independent of one another.
+run of slabs with its own buffers, the blocks of the length-1 maps among
+them. Before the threads start, the caller computes the new value of state
+0 by ``_bellman``, the update every slab makes, and every slab subtracts
+it, so the parts share no buffer and none waits on another.
 The power iteration of the stationary stage splits the closed-loop
 transitions by destination range, so each thread adds up the flows into
 its own states.
 
 The sweep's arithmetic is pinned: ``cost + (1 - tau) h``, then ``+ tau
-best``, then ``th - th[0]``, with each action's outcomes summed in their
-enumeration order. Every state gets the same operations in the same order
-whatever slab or thread it falls in, and the minimum and maximum are exact
-under any split, so slab order leaves every value unchanged. Likewise each
-state of the power iteration adds its inflows in the same order under any
-destination split, and the L1 step is summed once over the whole array.
+best`` (``_bellman``), then ``th - th[0]``, with each action's outcomes
+summed in their enumeration order and best the ``np.minimum`` chain of
+``_best`` in action order. Every state gets the same operations in the
+same order whatever slab or thread it falls in, and the minimum and
+maximum are exact under any split, so slab order leaves every value
+unchanged. Likewise each state of the power iteration adds its inflows in
+the same order under any destination split, and the L1 step is summed
+once over the whole array.
 The solution is checked bit for bit against recorded fingerprints
 (``tests/test_golden.py``), also with the states cut into several slabs
 and split between two threads; floating-point addition is not
@@ -241,22 +244,19 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
 
     The sweeps and the policy pass run slab by slab (see the module
     docstring), each of ``n_parts`` threads over a contiguous run of
-    ``slabs`` with its own slab buffers; each sweep writes its relative
-    values to a second state array, swapped in after it, whose slab is
-    scratch space until then. Returns the flat relative values and policy,
-    the gain and the span after each sweep; the slab buffers are freed on
-    return.
+    ``slabs`` with its own gather buffers, best and spare; each sweep writes
+    its relative values to a second state array, swapped in after it, whose
+    slab is scratch space until then. The policy pass is one ``_best`` per
+    slab. Returns the flat relative values and policy, the gain and the span
+    after each sweep; the buffers are freed on return.
     """
     dims = cost.shape
     rows = slabs[0].stop
-    # maps of length 1 on the leading axis: gathered whole, shared by all parts
-    whole = {i: np.empty(m.shape) for i, m in enumerate(maps) if m.shape[0] == 1}
     parts = []  # per thread: its (index, slice) slabs, gather buffers, best, spare
     for i in range(n_parts):
         run = range(len(slabs) * i // n_parts, len(slabs) * (i + 1) // n_parts)
         parts.append(([(k, slabs[k]) for k in run],
-                      [whole[j] if j in whole else np.empty((rows,) + m.shape[1:])
-                       for j, m in enumerate(maps)],
+                      [np.empty((min(rows, m.shape[0]),) + m.shape[1:]) for m in maps],
                       np.empty((rows,) + dims[1:]), np.empty(rows * cost[0].size)))
     # state arrays last: the one freed on return is reused by the stationary
     # stage, which holds the solve's peak (the lowest peak RSS measured)
@@ -264,30 +264,25 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
     h, h_next = np.zeros(dims), np.empty(dims)
     lows, highs = np.empty((2, len(slabs)))
     span_history = []
-    tau = LAZINESS
 
     def sweep(part):
         own, gathered, best, spare = part
         for k, s, views, b in _slabs(h, maps, own, gathered, best):
             th = h_next[s]  # scratch until it takes the slab's new values
             e = _best(outcomes_per_action, views, b, th, spare)
-            # th = cost + (1 - tau) h + tau best, in that order (see the
-            # module docstring); best then holds th - h
-            np.multiply(h[s], 1.0 - tau, out=th)
-            np.add(cost[s], th, out=th)
-            np.add(th, np.multiply(e, tau, out=b), out=th)
-            delta = np.subtract(th, h[s], out=b)
+            _bellman(cost[s], h[s], e, th, b)
+            delta = np.subtract(th, h[s], out=b)  # best then holds th - h
             lows[k], highs[k] = delta.min(), delta.max()
             np.subtract(th, th0, out=th)
 
     for _ in range(MAX_ITER):
-        _gather_whole(h, maps, whole)
         # the new value of state 0, by the sweep's arithmetic on one-element
         # views of h at each map's successor of state 0
         h_flat = h.reshape(-1)
+        b, th, spare = np.empty((3, 1))
         e = _best(outcomes_per_action, [h_flat[m.flat[0]:m.flat[0] + 1] for m in maps],
-                  *np.empty((3, 1)))
-        th0 = cost.flat[0] + h_flat[0] * (1.0 - tau) + e[0] * tau
+                  b, th, spare)
+        th0 = _bellman(cost.reshape(-1)[:1], h_flat[:1], e, th, b)[0]
         _run_parts(pool, sweep, parts)
         h, h_next = h_next, h
         lo, hi = float(lows.min()), float(highs.max())
@@ -302,14 +297,8 @@ def _relative_value_iteration(cost, maps, outcomes_per_action, slabs, n_parts, p
     def settle(part):
         own, gathered, best, spare = part
         for _k, s, views, b in _slabs(h, maps, own, gathered, best):
-            np.copyto(b, _expected(outcomes_per_action[0], views, h_next[s], spare))
-            for a_i, outs in enumerate(outcomes_per_action[1:], start=1):
-                e = _expected(outs, views, h_next[s], spare)
-                better = np.less(e, b)
-                np.copyto(b, e, where=better)
-                policy[s][better] = a_i
+            _best(outcomes_per_action, views, b, h_next[s], spare, policy[s])
 
-    _gather_whole(h, maps, whole)
     _run_parts(pool, settle, parts)
     return h.reshape(-1), policy.reshape(-1), gain, span_history
 
@@ -341,39 +330,48 @@ def _successor_map(rule, grids, a_cap):
     return flat
 
 
-def _gather_whole(h, maps, whole):
-    """Gather from ``h`` the relative values of the successors under each
-    map of length 1 on the leading axis, into ``whole[map position]``: such
-    a block is the same for every slab, so it is gathered once per pass and
-    broadcasts against each slab."""
-    h_flat = h.reshape(-1)
-    for j, g in whole.items():
-        h_flat.take(maps[j], out=g, mode="clip")
-
-
 def _slabs(h, maps, slabs, gathered, best):
     """Per (index, slice) in ``slabs``, yield the index, the slice, the
     relative values of every map's successors, and the slab's rows of
-    ``best``. A map of length 1 on the leading axis reads its ``whole``
-    block (see ``_gather_whole``); every other map is gathered from ``h``
-    into its buffer in ``gathered``. Every index is in range by
-    construction; ``mode="clip"`` skips the buffered copy that ``take``
+    ``best``. Each map is gathered from ``h`` into its buffer in
+    ``gathered``: a map of length 1 on the leading axis once, before the
+    first slab, as its block is the same for every slab and broadcasts
+    against each, and every other map slab by slab. Every index is in range
+    by construction; ``mode="clip"`` skips the buffered copy that ``take``
     makes for ``out=`` under the default ``mode="raise"``.
     """
     h_flat = h.reshape(-1)
+    for m, g in zip(maps, gathered):
+        if m.shape[0] == 1:
+            h_flat.take(m, out=g, mode="clip")
     for k, s in slabs:
         n = s.stop - s.start
         yield k, s, [g if m.shape[0] == 1 else h_flat.take(m[s], out=g[:n], mode="clip")
                      for m, g in zip(maps, gathered)], best[:n]
 
 
-def _best(outcomes_per_action, gathered, out, scratch, spare):
+def _bellman(cost, h, best, out, scratch):
+    """The lazy update ``cost + (1 - tau) h + tau best`` into ``out``, in
+    that order (see the module docstring), with ``tau best`` in
+    ``scratch``, which may be ``best`` itself."""
+    tau = LAZINESS
+    np.multiply(h, 1.0 - tau, out=out)
+    np.add(cost, out, out=out)
+    return np.add(out, np.multiply(best, tau, out=scratch), out=out)
+
+
+def _best(outcomes_per_action, gathered, out, scratch, spare, policy=None):
     """The least expected next relative value over the actions: a chain of
     ``np.minimum`` in action order into ``out``, each later action summed in
-    ``scratch``."""
+    ``scratch``. Given ``policy``, zeros in the shape of the states, each
+    later action first writes its index where it is strictly below the chain
+    so far, so that the lowest index wins a tie."""
     e = _expected(outcomes_per_action[0], gathered, out, spare)
-    for outs in outcomes_per_action[1:]:
-        e = np.minimum(e, _expected(outs, gathered, scratch, spare), out=out)
+    for a, outs in enumerate(outcomes_per_action[1:], start=1):
+        x = _expected(outs, gathered, scratch, spare)
+        if policy is not None:
+            policy[np.broadcast_to(x < e, policy.shape)] = a
+        e = np.minimum(e, x, out=out)
     return e
 
 

@@ -173,6 +173,9 @@ def _policy(instance, cost_fns, cfg, rng):
         sol, tracked = params["solution"], row_plan(instance).tracked
         if sol.pairs != tracked:
             raise ValueError(f"DP solution axes {sol.pairs} are not the tracked pairs {tracked}")
+        if sol.actions != list(instance.action_space):
+            raise ValueError(f"DP solution's {len(sol.actions)} actions are not the "
+                             f"instance's {len(instance.action_space)}")
         return "dp-table", (sol.a_cap, sol.policy.tolist())
     if cfg.policy == "max-weight":
         star = star_structure(instance)

@@ -10,7 +10,7 @@ on whether the pair's current debt exceeds V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import is_int
 
@@ -20,7 +20,7 @@ class GradientDescentConfig:
     epoch_length: int                    # W, slots per epoch; the run's horizon sets the epochs
     step: float                          # eta > 0
     threshold: float                     # epsilon > 0; unstable iff Q(W) > eps*W
-    initial: dict = field(default_factory=dict)   # pair -> starting target
+    initial: dict                        # pair -> starting target, or one number for every pair
     floor: dict = None                   # pair -> alpha_min; None = f(1) per pair
 
     def __post_init__(self):

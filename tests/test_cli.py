@@ -366,7 +366,7 @@ GD = {"name": "age-debt", "target_mode": "gradient-descent", "epoch_length": 10,
      {}, "policies[0]: target_mode 'flow-control' needs 'alpha_max'"),
     (dict(TWO_NODE, policies=[{"name": "age-debt", "target_mode": "gradient-descent",
                                "step": 0.5}]), {},
-     "policies[0]: target_mode 'gradient-descent' needs 'epoch_length', 'threshold'"),
+     "policies[0]: target_mode 'gradient-descent' needs 'epoch_length', 'threshold', 'initial'"),
     (dict(TWO_NODE, sim={"horizon": 100, "seeds": [0, -1]},
           policies=[{"name": "constant", "action_index": 1}]), {},
      "sim.seeds[1]: seed must be an integer in [0, 2**64), got -1"),

@@ -162,6 +162,15 @@ def test_gd_epochs_must_partition_horizon():
     assert errors == ["policies[0]: unknown key 'epochs'"]
 
 
+def test_gd_entry_needs_initial_targets():
+    # no starting target fits every instance, so none is assumed
+    pol = {"name": "age-debt", "target_mode": "gradient-descent",
+           "epoch_length": 20, "step": 0.5, "threshold": 0.1}
+    assert policy_errors(policies=[pol]) == [
+        "policies[0]: target_mode 'gradient-descent' needs 'initial'"]
+    assert policy_errors(policies=[dict(pol, initial=5.0)]) == []
+
+
 def test_repeated_policy_labels_get_their_index():
     from aoisim.sweep import policy_label
     seen = set()

@@ -284,6 +284,34 @@ def test_sweep_parts_run_in_any_order(monkeypatch):
     assert repr(sol.per_pair_average) == repr(ref.per_pair_average)
 
 
+@pytest.mark.parametrize("first", [0, 4], ids=["full-first", "compact-first"])
+def test_policy_pass_argmin_is_the_first_minimum(first):
+    # gathered blocks over a (3, 4, 5) slab, full and compact on different
+    # axes, with small integer values and dyadic weights, so that actions tie
+    # exactly; ``first`` is the block of action 0
+    shape = (3, 4, 5)
+    rng = np.random.default_rng(3)
+    blocks = [rng.integers(0, 3, size=size).astype(float)
+              for size in (shape, (1, 4, 5), (3, 1, 5), (3, 4, 1), (1, 1, 5))]
+    outcomes_per_action = [[(1.0, first)], [(1.0, 2)], [(0.5, 0), (0.5, 1)],
+                           [(0.25, 3), (0.75, 4)], [(1.0, 1)], [(0.5, 2), (0.5, 4)]]
+    expected = np.stack([np.broadcast_to(sum(w * blocks[m] for w, m in outs), shape)
+                         for outs in outcomes_per_action])
+    assert ((expected == expected.min(axis=0)).sum(axis=0) > 1).any()  # ties occur
+
+    def best(policy=None):
+        out, scratch, spare = np.empty((3,) + shape)
+        e = aoisim.dp._best(outcomes_per_action, blocks, out, scratch, spare.reshape(-1),
+                            policy)
+        return np.broadcast_to(e, shape).tobytes()
+
+    policy = np.zeros(shape, dtype=np.int32)
+    with_policy = best(policy)
+    assert np.array_equal(policy, expected.argmin(axis=0))
+    assert with_policy == best()
+    assert with_policy == expected.min(axis=0).tobytes()
+
+
 def test_two_hop_dp_alternates(two_hop):
     # tiny multihop: optimal relay schedule alternates, destination age
     # averages 2.5

@@ -98,6 +98,24 @@ def test_dp_table_rejects_another_instances_solution():
         run(inst4, costs4, cfg)
 
 
+@pytest.mark.parametrize("solved, other", [("single-transmitter", "parity"),
+                                           ("parity", "single-transmitter")])
+def test_dp_table_rejects_a_solution_over_another_action_space(solved, other):
+    # the two 4-node lines track the same rows but have different actions:
+    # a policy index of one is out of range, or the wrong action, on the other
+    from aoisim.age import row_plan
+    inst, costs = gen_line(4, interference=solved)
+    run_on, run_costs = gen_line(4, interference=other)
+    assert row_plan(inst).tracked == row_plan(run_on).tracked
+    cfg = SimConfig(horizon=10, policy="dp-table",
+                    policy_params={"solution": dp_optimal(inst, costs, a_cap=8)})
+    n, m = len(inst.action_space), len(run_on.action_space)
+    assert n != m
+    for trace_detail in ("metrics-only", "full"):
+        with pytest.raises(ValueError, match=f"solution's {n} actions are not the instance's {m}"):
+            run(run_on, run_costs, replace(cfg, trace_detail=trace_detail))
+
+
 @pytest.mark.parametrize("trace_detail", ["metrics-only", "full"])
 @pytest.mark.parametrize("policy, params, match", [
     ("age-debt", {"variant": "exakt"}, "variant"),

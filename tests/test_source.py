@@ -53,6 +53,20 @@ def test_every_module_level_function_is_read():
     assert {name: module for name, module in defined.items() if name not in read} == {}
 
 
+def test_every_module_level_constant_is_read():
+    # the same rule for each name a module of the package binds at module
+    # level by assignment (``STATE_CAP``, ``_SLAB_STATES``, ...)
+    defined = {}
+    for name, tree in modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, name) for target in targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
+    read = names_read()
+    assert {name: module for name, module in defined.items() if name not in read} == {}
+
+
 def test_every_method_of_an_internal_class_is_read():
     # the same rule for the methods of each class that ``__init__.py`` does
     # not export (``RowPlan``, ``DriftEvaluator``, ...); the interpreter

@@ -117,15 +117,20 @@ def test_closed_form_solves_boxed_program():
     assert closed_form_matches_program({(1, 9): 10.0}, cfg)  # tie at Q == V
 
 
+def test_gd_config_needs_initial_targets():
+    with pytest.raises(TypeError, match="initial"):
+        GradientDescentConfig(epoch_length=1, step=0.1, threshold=0.1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowControlConfig(V=0.0, alpha_max=10.0)
     with pytest.raises(ValueError):
         FlowControlConfig(V=1.0, alpha_max=0.5)
     with pytest.raises(ValueError):
-        GradientDescentConfig(epoch_length=0, step=0.1, threshold=0.1)
+        GradientDescentConfig(epoch_length=0, step=0.1, threshold=0.1, initial=1.0)
     with pytest.raises(ValueError):
-        GradientDescentConfig(epoch_length=1, step=-0.1, threshold=0.1)
+        GradientDescentConfig(epoch_length=1, step=-0.1, threshold=0.1, initial=1.0)
     # NaN fails every range check
     nan = float("nan")
     with pytest.raises(ValueError, match="V must be"):
@@ -133,7 +138,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="alpha_max must be"):
         FlowControlConfig(V=1.0, alpha_max=nan)
     with pytest.raises(ValueError, match="step and threshold"):
-        GradientDescentConfig(epoch_length=1, step=nan, threshold=0.1)
+        GradientDescentConfig(epoch_length=1, step=nan, threshold=0.1, initial=1.0)
     # inf passes a lower bound but breaks a run: at V or alpha_max inf every
     # pair reads stable, at step inf the targets turn NaN
     inf = float("inf")
@@ -143,9 +148,9 @@ def test_config_validation():
         FlowControlConfig(V=1.0, alpha_max=inf)
     for step, threshold in ((inf, 0.1), (0.1, inf)):
         with pytest.raises(ValueError, match="step and threshold must be finite"):
-            GradientDescentConfig(epoch_length=1, step=step, threshold=threshold)
+            GradientDescentConfig(epoch_length=1, step=step, threshold=threshold, initial=1.0)
     # a fractional epoch length never meets an integer slot, and a bool is
     # not an integer
     for epoch_length in (2.5, True):
         with pytest.raises(ValueError, match="epoch_length must be an integer"):
-            GradientDescentConfig(epoch_length=epoch_length, step=0.1, threshold=0.1)
+            GradientDescentConfig(epoch_length=epoch_length, step=0.1, threshold=0.1, initial=1.0)
